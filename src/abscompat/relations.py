@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, adjoint, jordan, unit
+from .algebra import AlgebraElement, adjoint, is_positive, jordan, unit
 from .errors import (
     CrossCheckMismatch,
     EndpointAmbiguity,
@@ -275,12 +275,6 @@ def _unit_interval_gate(
         )
 
 
-def _pos_defect(x: AlgebraElement) -> float:
-    herm = (x.matrix + x.matrix.conj().T) / 2.0
-    gap = op_norm(x.matrix - x.matrix.conj().T)
-    return max(gap, max(0.0, -float(np.linalg.eigvalsh(herm)[0])))
-
-
 def check_p00_equivalences(
     a: AlgebraElement, b: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL
 ) -> ConsistencyReport:
@@ -308,13 +302,13 @@ def check_p00_equivalences(
 
     prod1, prod2 = jordan(a, b), jordan(one - a, one - b)
     d_complement = max(
-        _pos_defect(prod1), _pos_defect(prod2),
+        is_positive(prod1, tol).defect, is_positive(prod2, tol).defect,
         op_norm((prod1 @ prod2).matrix),
     )
 
     mix1, mix2 = jordan(a, one - b), jordan(one - a, b)
     d_mixed = max(
-        _pos_defect(mix1), _pos_defect(mix2),
+        is_positive(mix1, tol).defect, is_positive(mix2, tol).defect,
         op_norm((mix1 @ mix2).matrix),
     )
 

@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, unit
+from .algebra import AlgebraElement, AlgebraShape, adjoint, unit
 from .errors import GeneratorExhausted, ShapeMismatch
 from .linalg import op_norm
 from .tolerance import DEFAULT_TOL, ToleranceConfig
@@ -101,6 +101,20 @@ def _blockwise(shape: AlgebraShape, rng: np.random.Generator, block_fn) -> Algeb
     return AlgebraElement.from_blocks(shape, [block_fn(rng, d) for d in shape.block_dims])
 
 
+def _blockpair(
+    rng: np.random.Generator, shape: AlgebraShape, block_fn
+) -> tuple[AlgebraElement, AlgebraElement]:
+    blocks_a, blocks_b = [], []
+    for dim in shape.block_dims:
+        ba, bb = block_fn(rng, dim)
+        blocks_a.append(ba)
+        blocks_b.append(bb)
+    return (
+        AlgebraElement.from_blocks(shape, blocks_a),
+        AlgebraElement.from_blocks(shape, blocks_b),
+    )
+
+
 def rand_contraction(rng: np.random.Generator, shape: AlgebraShape) -> AlgebraElement:
     return _blockwise(shape, rng, _contraction_block)
 
@@ -187,7 +201,10 @@ def _embed_2x2(shape: AlgebraShape, pair: tuple[np.ndarray, np.ndarray],
 def known_witness_pairs(
     shape: AlgebraShape,
 ) -> list[tuple[str, AlgebraElement, AlgebraElement]]:
-    """Fixed hard pairs seeded ahead of random strategies in audits/fuzzing."""
+    """Fixed hard pairs seeded ahead of random strategies in audits/fuzzing.
+
+    The crossed isometries are domain compatible only and their adjoints range
+    compatible only, so the transpose is refuted at either kind."""
     pairs: list[tuple[str, AlgebraElement, AlgebraElement]] = []
     wide = [i for i, d in enumerate(shape.block_dims) if d >= 2]
     if wide:
@@ -195,6 +212,7 @@ def known_witness_pairs(
         pairs.append(("positive_compatible_2x2", a, b))
         e, v = _embed_2x2(shape, crossed_isometry_pair_2x2(), wide[0])
         pairs.append(("crossed_isometries_2x2", e, v))
+        pairs.append(("crossed_isometries_adjoint_2x2", adjoint(e), adjoint(v)))
     one = unit(shape)
     pairs.append(("saturated_unit_unit", one, one))
     pairs.append(("saturated_unit_half", one, 0.5 * one))
@@ -211,7 +229,6 @@ class PairStrategy(Enum):
     COMMUTING_DIAGONAL = "commuting_diagonal"
     CONJUGATED_POSITIVE_PAIR = "conjugated_positive_pair"
     DIRECT_SUM_MIX = "direct_sum_mix"
-    RANDOM_CONTRACTION = "random_contraction"
 
 
 def _orthogonal_blocks(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -251,9 +268,12 @@ def _diagonal_compat_blocks(
 def _conjugated_positive_blocks(
     rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    a2, b2 = compatible_positive_pair_2x2()
+    """The standard 2x2 pair, zero-padded and unitarily conjugated (1x1: zeros)."""
     a = np.zeros((n, n), dtype=np.complex128)
     b = np.zeros((n, n), dtype=np.complex128)
+    if n < 2:
+        return a, b
+    a2, b2 = compatible_positive_pair_2x2()
     a[:2, :2] = a2
     b[:2, :2] = b2
     w = rand_unitary_block(rng, n)
@@ -263,6 +283,21 @@ def _conjugated_positive_blocks(
 def _saturated_blocks(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     # (unitary, anything in the ball) always satisfies the identity.
     return rand_unitary_block(rng, n), _contraction_block(rng, n)
+
+
+def _mixed_blocks(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """An independent recipe per block; 1x1 blocks skip the conjugated pair."""
+    recipes = (_orthogonal_blocks, _diagonal_compat_blocks, _saturated_blocks,
+               _conjugated_positive_blocks)
+    return recipes[int(rng.integers(0, 4 if n >= 2 else 3))](rng, n)
+
+
+_STRATEGY_BLOCKS = {
+    PairStrategy.ORTHOGONAL: _orthogonal_blocks,
+    PairStrategy.COMMUTING_DIAGONAL: _diagonal_compat_blocks,
+    PairStrategy.CONJUGATED_POSITIVE_PAIR: _conjugated_positive_blocks,
+    PairStrategy.DIRECT_SUM_MIX: _mixed_blocks,
+}
 
 
 @dataclass
@@ -286,42 +321,12 @@ class PairGenerator:
 
     def draw(self, shape: AlgebraShape) -> tuple[AlgebraElement, AlgebraElement]:
         """One raw candidate pair; compatibility is *not* checked here."""
-        rng = self.rng
-        strat = self.strategy
         if not self.supports(shape):
             raise GeneratorExhausted(
-                f"strategy {strat.value} does not support shape {shape.block_dims}"
+                f"strategy {self.strategy.value} does not support shape "
+                f"{shape.block_dims}"
             )
-        if strat is PairStrategy.RANDOM_CONTRACTION:
-            return rand_contraction(rng, shape), rand_contraction(rng, shape)
-        blocks_a, blocks_b = [], []
-        for dim in shape.block_dims:
-            if strat is PairStrategy.ORTHOGONAL:
-                ba, bb = _orthogonal_blocks(rng, dim)
-            elif strat is PairStrategy.COMMUTING_DIAGONAL:
-                ba, bb = _diagonal_compat_blocks(rng, dim)
-            elif strat is PairStrategy.CONJUGATED_POSITIVE_PAIR:
-                if dim >= 2:
-                    ba, bb = _conjugated_positive_blocks(rng, dim)
-                else:
-                    ba = np.zeros((1, 1), dtype=np.complex128)
-                    bb = np.zeros((1, 1), dtype=np.complex128)
-            else:  # DIRECT_SUM_MIX: an independent recipe per block
-                pick = int(rng.integers(0, 4 if dim >= 2 else 3))
-                if pick == 0:
-                    ba, bb = _orthogonal_blocks(rng, dim)
-                elif pick == 1:
-                    ba, bb = _diagonal_compat_blocks(rng, dim)
-                elif pick == 2:
-                    ba, bb = _saturated_blocks(rng, dim)
-                else:
-                    ba, bb = _conjugated_positive_blocks(rng, dim)
-            blocks_a.append(ba)
-            blocks_b.append(bb)
-        return (
-            AlgebraElement.from_blocks(shape, blocks_a),
-            AlgebraElement.from_blocks(shape, blocks_b),
-        )
+        return _blockpair(self.rng, shape, _STRATEGY_BLOCKS[self.strategy])
 
 
 def generate_compat_pair(
@@ -330,8 +335,9 @@ def generate_compat_pair(
     kind: "CompatKind | None" = None,
     tol: ToleranceConfig = DEFAULT_TOL,
     retries: int = 100,
-) -> tuple[AlgebraElement, AlgebraElement]:
-    """Draw until the pair passes compat_defect at ``kind`` (default Full).
+) -> tuple[AlgebraElement, AlgebraElement, float]:
+    """Draw until the pair passes compat_defect at ``kind`` (default Full)
+    and return it with that defect.
 
     The strategies are heuristic constructions; the defining identity is the
     oracle, so every emitted pair is post-checked against it.
@@ -342,8 +348,9 @@ def generate_compat_pair(
         kind = CompatKind.FULL
     for _ in range(retries):
         a, b = gen.draw(shape)
-        if compat_defect(a, b, kind, tol).verdict:
-            return a, b
+        rep = compat_defect(a, b, kind, tol)
+        if rep.verdict:
+            return a, b, rep.defect
     raise GeneratorExhausted(
         f"strategy {gen.strategy.value} produced no compatible pair "
         f"in {retries} attempts on shape {shape.block_dims}"
@@ -380,44 +387,33 @@ def sample_positive_pair(
 ) -> tuple[AlgebraElement, AlgebraElement]:
     """Positive contraction pairs, a mix of compatible and incompatible ones."""
     case = int(rng.integers(0, 4))
-    if case == 0:  # commuting with a projection: compatible
-        blocks_p, blocks_c = [], []
-        for dim in shape.block_dims:
-            w = rand_unitary_block(rng, dim)
-            bits = (rng.uniform(size=dim) < 0.5).astype(float)
-            lam = rng.uniform(0.0, 1.0, size=dim)
-            blocks_p.append((w * bits) @ w.conj().T)
-            blocks_c.append((w * lam) @ w.conj().T)
-        return (
-            AlgebraElement.from_blocks(shape, blocks_p),
-            AlgebraElement.from_blocks(shape, blocks_c),
-        )
-    if case == 1:  # orthogonal positive pair: compatible
-        blocks_a, blocks_b = [], []
-        for dim in shape.block_dims:
-            w = rand_unitary_block(rng, dim)
-            mask = rng.uniform(size=dim) < 0.5
-            lam = rng.uniform(0.0, 1.0, size=dim)
-            blocks_a.append((w * np.where(mask, lam, 0.0)) @ w.conj().T)
-            blocks_b.append((w * np.where(mask, 0.0, lam)) @ w.conj().T)
-        return (
-            AlgebraElement.from_blocks(shape, blocks_a),
-            AlgebraElement.from_blocks(shape, blocks_b),
-        )
+    if case == 0:
+        return _blockpair(rng, shape, _projection_commuting_blocks)
+    if case == 1:
+        return _blockpair(rng, shape, _orthogonal_positive_blocks)
     if case == 2 and any(d >= 2 for d in shape.block_dims):
         return _blockpair(rng, shape, _conjugated_positive_blocks)
     return rand_positive_contraction(rng, shape), rand_positive_contraction(rng, shape)
 
 
-def _blockpair(
-    rng: np.random.Generator, shape: AlgebraShape, block_fn
-) -> tuple[AlgebraElement, AlgebraElement]:
-    blocks_a, blocks_b = [], []
-    for dim in shape.block_dims:
-        ba, bb = block_fn(rng, dim)
-        blocks_a.append(ba)
-        blocks_b.append(bb)
+def _projection_commuting_blocks(
+    rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """A projection and a positive contraction it commutes with: compatible."""
+    w = rand_unitary_block(rng, n)
+    bits = (rng.uniform(size=n) < 0.5).astype(float)
+    lam = rng.uniform(0.0, 1.0, size=n)
+    return (w * bits) @ w.conj().T, (w * lam) @ w.conj().T
+
+
+def _orthogonal_positive_blocks(
+    rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positive contractions with orthogonal supports: compatible."""
+    w = rand_unitary_block(rng, n)
+    mask = rng.uniform(size=n) < 0.5
+    lam = rng.uniform(0.0, 1.0, size=n)
     return (
-        AlgebraElement.from_blocks(shape, blocks_a),
-        AlgebraElement.from_blocks(shape, blocks_b),
+        (w * np.where(mask, lam, 0.0)) @ w.conj().T,
+        (w * np.where(mask, 0.0, lam)) @ w.conj().T,
     )

@@ -164,6 +164,13 @@ class TestFuzz:
         wa = json.loads((out_dir / "witness_a.json").read_text())
         assert wa["shape"] == [2]
 
+    def test_transpose_witness_at_range_kind(self, fixtures, tmp_path, capsys):
+        rc = main(["fuzz", fixtures["transpose"], "--kind", "range",
+                   "--seed", "5", "--out-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == 3
+        assert "crossed_isometries_adjoint_2x2" in out
+
     def test_hom_no_witness_exit_zero(self, fixtures, capsys):
         rc = main(["fuzz", fixtures["hom"], "--budget", "50", "--seed", "5"])
         assert rc == 0

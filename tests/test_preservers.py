@@ -215,6 +215,32 @@ class TestIsTripleHom:
         assert not rep.verdict
         assert rep.defect == pytest.approx(0.375, abs=1e-12)
 
+    def test_imaginary_scalings(self):
+        # x -> c x has defect |c| (1 - |c|^2): the phase of c does not matter
+        rep = is_triple_hom(scale_map(SH2, 0.5j))
+        assert not rep.verdict
+        assert rep.defect == pytest.approx(0.375, abs=1e-12)
+        assert is_triple_hom(scale_map(SH2, 1j)).verdict
+
+    def test_defect_covers_imaginary_middle_slot(self, rng):
+        # a complex-linear T scales both sides by conj(c) when y -> c y, so the
+        # matrix-unit triples already give the worst i-scaled triple as well
+        action = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        from abscompat.preservers import LinearMap
+
+        T = LinearMap(SH2, SH2, action / 4.0)
+        units = matrix_units(SH2)
+        reference = 0.0
+        for x in units:
+            for y in units:
+                for z in units:
+                    for yy in (y, 1j * y):
+                        lhs = T.apply(triple(x, yy, z))
+                        rhs = triple(T.apply(x), T.apply(yy), T.apply(z))
+                        reference = max(reference, op_norm((lhs - rhs).matrix))
+        assert reference > 0.1
+        assert is_triple_hom(T).defect == pytest.approx(reference, rel=1e-12)
+
     def test_matches_direct_triple_evaluation(self, rng):
         T = build_sandwich(rand_unitary(rng, SH2), rand_unitary(rng, SH2))
         for _ in range(10):
@@ -298,6 +324,27 @@ class TestClassify:
             atol=0,
         )
 
+    def test_residuals_match_pairwise_loop(self, rng):
+        shape = AlgebraShape((2, 3))
+        ws = [rand_unitary(rng, AlgebraShape((d,))).blocks()[0] for d in (2, 3)]
+        T = build_block_map(shape, shape, [0, 1], [False, True], ws)
+        cls = classify_triple_hom(T)
+        e_star = adjoint(cls.unit_image).matrix
+
+        def phi(x):
+            return e_star @ T.apply(x).matrix
+
+        units = matrix_units(shape)
+        start = 0
+        for bi, d in enumerate(shape.block_dims):
+            block = units[start:start + d * d]
+            start += d * d
+            pairs = [(x, y) for x in block for y in block]
+            mult = max(op_norm(phi(x @ y) - phi(x) @ phi(y)) for x, y in pairs)
+            anti = max(op_norm(phi(x @ y) - phi(y) @ phi(x)) for x, y in pairs)
+            assert cls.residuals[bi] == pytest.approx((mult, anti), abs=1e-12)
+        assert cls.residuals[0][1] > 0.1 and cls.residuals[1][0] > 0.1
+
     def test_scalar_blocks_default_homomorphic(self):
         shape = AlgebraShape((1, 1))
         cls = classify_triple_hom(transpose_map(shape))
@@ -323,6 +370,17 @@ class TestFuzz:
         assert w is not None
         assert w.source == "crossed_isometries_2x2"
         assert w.index == 1
+        assert w.output_defect == pytest.approx(np.sqrt(2) - 1, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_transpose_refuted_at_range_kind(self, seed):
+        # the crossed isometries are skipped at range kind; their adjoints
+        # are range compatible and their transposes are not
+        w = fuzz_counterexample(transpose_map(SH2), CompatKind.RANGE,
+                                budget=1000, seed=seed)
+        assert w is not None
+        assert w.index == 1
+        assert w.source == "crossed_isometries_adjoint_2x2"
         assert w.output_defect == pytest.approx(np.sqrt(2) - 1, abs=1e-12)
 
     def test_half_map_witness_in_seeded_prefix(self):

@@ -23,7 +23,10 @@ from abscompat.sampling import (
     rand_positive_contraction,
     rand_projection,
     rand_unitary,
+    sample_general_pair,
+    sample_positive_pair,
 )
+from abscompat.tolerance import ToleranceConfig
 
 
 def test_same_seed_same_stream():
@@ -39,8 +42,8 @@ def test_same_seed_same_stream():
 
 def test_different_seed_different_stream():
     shape = AlgebraShape((2,))
-    a1, _ = PairGenerator(PairStrategy.RANDOM_CONTRACTION, 1).draw(shape)
-    a2, _ = PairGenerator(PairStrategy.RANDOM_CONTRACTION, 2).draw(shape)
+    a1, _ = PairGenerator(PairStrategy.DIRECT_SUM_MIX, 1).draw(shape)
+    a2, _ = PairGenerator(PairStrategy.DIRECT_SUM_MIX, 2).draw(shape)
     assert not np.allclose(a1.matrix, a2.matrix)
 
 
@@ -54,8 +57,9 @@ def test_strategies_emit_compatible_pairs(strategy):
     shape = AlgebraShape((2, 3))
     gen = PairGenerator(strategy, 7)
     for _ in range(10):
-        a, b = generate_compat_pair(gen, shape, CompatKind.FULL)
-        assert compat_defect(a, b, CompatKind.FULL).verdict
+        a, b, defect = generate_compat_pair(gen, shape, CompatKind.FULL)
+        rep = compat_defect(a, b, CompatKind.FULL)
+        assert rep.verdict and rep.defect == defect
         assert op_norm(a.matrix) <= 1.0 + 1e-12
         assert op_norm(b.matrix) <= 1.0 + 1e-12
 
@@ -71,7 +75,7 @@ def test_orthogonal_strategy_is_orthogonal():
 def test_conjugated_pair_is_noncommuting():
     gen = PairGenerator(PairStrategy.CONJUGATED_POSITIVE_PAIR, 3)
     shape = AlgebraShape((3,))
-    a, b = generate_compat_pair(gen, shape, CompatKind.FULL)
+    a, b, _ = generate_compat_pair(gen, shape, CompatKind.FULL)
     assert op_norm((a @ b - b @ a).matrix) > 0.1
 
 
@@ -81,7 +85,7 @@ def test_commuting_diagonal_matches_pointwise_criterion():
     gen = PairGenerator(PairStrategy.COMMUTING_DIAGONAL, 29)
     shape = AlgebraShape((5,))
     for _ in range(10):
-        a, b = generate_compat_pair(gen, shape, CompatKind.FULL)
+        a, b, _ = generate_compat_pair(gen, shape, CompatKind.FULL)
         f, g = np.diagonal(a.matrix), np.diagonal(b.matrix)
         assert commutative_compat_check(f, g).verdict
 
@@ -92,10 +96,12 @@ def test_conjugated_pair_needs_wide_block():
         generate_compat_pair(gen, AlgebraShape((1, 1)), CompatKind.FULL)
 
 
-def test_random_contraction_strategy_exhausts():
-    gen = PairGenerator(PairStrategy.RANDOM_CONTRACTION, 5)
+def test_generator_exhausts_when_no_draw_passes():
+    # rounding alone leaves the conjugated pairs' defects far above 1e-300
+    gen = PairGenerator(PairStrategy.CONJUGATED_POSITIVE_PAIR, 5)
     with pytest.raises(GeneratorExhausted):
-        generate_compat_pair(gen, AlgebraShape((2,)), CompatKind.FULL, retries=20)
+        generate_compat_pair(gen, AlgebraShape((2,)), CompatKind.FULL,
+                             ToleranceConfig(relation=1e-300), retries=20)
 
 
 def test_known_witness_pairs_cover_shape():
@@ -104,12 +110,14 @@ def test_known_witness_pairs_cover_shape():
     assert labels == [
         "positive_compatible_2x2",
         "crossed_isometries_2x2",
+        "crossed_isometries_adjoint_2x2",
         "saturated_unit_unit",
         "saturated_unit_half",
     ]
+    kinds = {"crossed_isometries_2x2": CompatKind.DOMAIN,
+             "crossed_isometries_adjoint_2x2": CompatKind.RANGE}
     for label, a, b in pairs:
-        kind = (CompatKind.DOMAIN if label == "crossed_isometries_2x2"
-                else CompatKind.FULL)
+        kind = kinds.get(label, CompatKind.FULL)
         assert compat_defect(a, b, kind).verdict, label
 
 
@@ -147,3 +155,13 @@ def test_element_samplers(rng):
     pos = rand_positive_contraction(rng, shape)
     lam = np.linalg.eigvalsh(pos.matrix)
     assert lam.min() >= -1e-12 and lam.max() <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("sampler", [sample_general_pair, sample_positive_pair])
+def test_pair_samplers_accept_one_dimensional_blocks(sampler):
+    # the conjugated 2x2 pair leaves 1x1 blocks zero instead of failing
+    rng = np.random.default_rng(0)
+    shape = AlgebraShape((1, 2))
+    for _ in range(40):
+        a, b = sampler(rng, shape)
+        assert a.shape == b.shape == shape
