@@ -15,8 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NumericalFailure, ShapeMismatch
-from .linalg import as_square_matrix, op_norm
+from .errors import ShapeMismatch
+from .linalg import _herm_eigvals, as_square_matrix, op_norm
 from .reports import RelationReport
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
@@ -118,15 +118,11 @@ class AlgebraElement:
             raise ShapeMismatch(
                 f"expected {shape.num_blocks} blocks, got {len(blocks)}"
             )
-        full = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
-        for sl, blk, dim in zip(shape.block_slices(), blocks, shape.block_dims):
-            blk = as_square_matrix(blk)
-            if blk.shape[0] != dim:
-                raise ShapeMismatch(
-                    f"block of size {blk.shape[0]} does not match dim {dim}"
-                )
-            full[sl, sl] = blk
-        return cls(shape, full)
+        for blk, dim in zip(blocks, shape.block_dims):
+            size = as_square_matrix(blk).shape[0]
+            if size != dim:
+                raise ShapeMismatch(f"block of size {size} does not match dim {dim}")
+        return cls(shape, _block_diag(shape, blocks))
 
     @classmethod
     def single(cls, matrix: np.ndarray) -> "AlgebraElement":
@@ -146,10 +142,8 @@ class AlgebraElement:
         if self.shape.num_blocks == 1:
             out = np.array(func(self.matrix.copy()), dtype=np.complex128)
             return AlgebraElement._wrap(self.shape, out)
-        full = np.zeros_like(self.matrix)
-        for sl in self.shape.block_slices():
-            full[sl, sl] = func(self.matrix[sl, sl].copy())
-        return AlgebraElement._wrap(self.shape, full)
+        blocks = [func(self.matrix[sl, sl].copy()) for sl in self.shape.block_slices()]
+        return AlgebraElement._wrap(self.shape, _block_diag(self.shape, blocks))
 
     # -- convenience arithmetic (block structure is preserved exactly) ------
 
@@ -185,6 +179,14 @@ class AlgebraElement:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AlgebraElement(shape={self.shape.block_dims}, matrix=\n{self.matrix})"
+
+
+def _block_diag(shape: AlgebraShape, blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """The block-diagonal matrix of ``shape`` with the given diagonal blocks."""
+    full = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
+    for sl, blk in zip(shape.block_slices(), blocks):
+        full[sl, sl] = blk
+    return full
 
 
 @lru_cache(maxsize=128)
@@ -228,11 +230,7 @@ def is_positive(
     defect = max(|a - a*|, max(0, -lambda_min)).
     """
     gap = op_norm(a.matrix - a.matrix.conj().T)
-    herm = (a.matrix + a.matrix.conj().T) / 2.0
-    try:
-        lam_min = float(np.linalg.eigvalsh(herm)[0])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("eigensolver did not converge") from exc
+    lam_min = float(_herm_eigvals(a.matrix)[0])
     defect = max(gap, max(0.0, -lam_min))
     return RelationReport.from_defect("positive", defect, tol.relation)
 

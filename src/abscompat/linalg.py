@@ -1,5 +1,9 @@
-"""Dense complex matrix substrate: Hermitian eigendecompositions, functional
-calculus, absolute values, SVD-based polar decompositions and operator norms.
+"""Dense complex matrix substrate on one exact spectral kernel: one SVD
+x = U S V* gives |x| = V S V*, |x*| = U S U* and the operator norm S[0]; one
+eigh h = W diag(l) W* gives |h| = W diag(|l|) W* for Hermitian h. Nothing is
+squared and no singular value is floored, so absolute values stay accurate on
+spectra spanning many decades. Polar decompositions and the functional
+calculus are built on the same kernel.
 
 All functions take and return plain ``numpy`` arrays (square, complex128).
 Eigenvector phases are never canonicalized; every guarantee is phrased through
@@ -56,17 +60,59 @@ def as_square_matrix(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _svd(a: np.ndarray, compute_uv: bool = True):
+    try:
+        return np.linalg.svd(a, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalFailure("SVD did not converge") from exc
+
+
+def _eigh(h: np.ndarray, vectors: bool = True):
+    """eigh (or eigvalsh) of a Hermitian matrix; reads its lower triangle."""
+    try:
+        return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalFailure("eigensolver did not converge") from exc
+
+
+def _hermitize(x: np.ndarray) -> np.ndarray:
+    return (x + x.conj().T) / 2.0
+
+
+def _weighted_gram(w: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """w diag(s) w*, made exactly Hermitian."""
+    return _hermitize((w * s) @ w.conj().T)
+
+
+def _abs_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """|x|, |x*| and the operator norm of x, from one SVD."""
+    left, sigma, right_h = _svd(x)
+    norm = float(sigma[0]) if sigma.size else 0.0
+    return _weighted_gram(right_h.conj().T, sigma), _weighted_gram(left, sigma), norm
+
+
+def _abs_herm(h: np.ndarray) -> np.ndarray:
+    """|h| for Hermitian h, from one eigh."""
+    lam, w = _eigh(h)
+    return _weighted_gram(w, np.abs(lam))
+
+
+def _herm_eigvals(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part (a + a*) / 2."""
+    return _eigh(_hermitize(a), vectors=False)
+
+
+def _rank_cut_svd(a: np.ndarray, rank_tol: float):
+    """SVD a = L S R* cut at rank_tol * sigma_max: the partial isometry u (sum
+    of the surviving (left vec)(right vec)* terms), S, R* and the rank."""
+    left, sigma, right_h = _svd(a)
+    keep = sigma > rank_tol * (sigma[0] if sigma.size else 0.0)
+    return left[:, keep] @ right_h[keep, :], sigma, right_h, int(np.count_nonzero(keep))
+
+
 def op_norm(a: np.ndarray) -> float:
     """Largest singular value."""
-    a = as_square_matrix(a)
-    try:
-        return float(np.linalg.norm(a, 2))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalFailure("SVD did not converge in op_norm") from exc
-
-
-def _herm_gap(a: np.ndarray) -> float:
-    return op_norm(a - a.conj().T)
+    return float(_svd(as_square_matrix(a), compute_uv=False).max(initial=0.0))
 
 
 def herm_eig(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> HermitianEig:
@@ -76,12 +122,9 @@ def herm_eig(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> HermitianEig:
     """
     a = as_square_matrix(a)
     scale = max(1.0, op_norm(a))
-    if _herm_gap(a) > tol.herm * scale:
+    if op_norm(a - a.conj().T) > tol.herm * scale:
         raise NotHermitian(f"matrix is not Hermitian within {tol.herm:g}")
-    try:
-        w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("eigensolver did not converge") from exc
+    w, v = _eigh(_hermitize(a))
     return HermitianEig(w, v)
 
 
@@ -97,28 +140,14 @@ def apply_function(
     """
     eig = herm_eig(a, tol)
     fw = np.asarray(f(eig.eigenvalues), dtype=np.float64)
-    out = (eig.eigenvectors * fw) @ eig.eigenvectors.conj().T
-    return (out + out.conj().T) / 2.0
+    return _weighted_gram(eig.eigenvectors, fw)
 
 
-def abs_value(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """|a| = (a* a)^(1/2), positive semidefinite.
-
-    Computed through the Hermitian eigendecomposition of a*a. Eigenvalues are
-    clamped to 0 from below, and eigenvalues under a relative noise floor
-    (64 n eps lambda_max) are zeroed outright: squaring turns O(eps) roundoff
-    into O(sqrt(eps)) errors after the square root otherwise.
-    """
-    a = as_square_matrix(a)
-    gram = a.conj().T @ a
-    try:
-        w, v = np.linalg.eigh((gram + gram.conj().T) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("eigensolver did not converge in abs_value") from exc
-    floor = 64.0 * a.shape[0] * np.finfo(np.float64).eps * max(float(w[-1]), 0.0)
-    w = np.where(w > floor, w, 0.0)
-    out = (v * np.sqrt(w)) @ v.conj().T
-    return (out + out.conj().T) / 2.0
+def abs_value(a: np.ndarray) -> np.ndarray:
+    """|a| = (a* a)^(1/2) = V S V*, positive semidefinite, from the SVD
+    a = U S V*. No Gram product is formed and no singular value is floored,
+    so the error is roundoff relative to the largest singular value."""
+    return _abs_parts(as_square_matrix(a))[0]
 
 
 def polar(
@@ -137,17 +166,8 @@ def polar(
         rank_tol = tol.rank
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
-    try:
-        left, sigma, right_h = np.linalg.svd(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("SVD did not converge in polar") from exc
-    cut = rank_tol * (sigma[0] if sigma.size else 0.0)
-    keep = sigma > cut
-    rank = int(np.count_nonzero(keep))
-    u = left[:, keep] @ right_h[keep, :]
-    absval = (right_h.conj().T * sigma) @ right_h
-    absval = (absval + absval.conj().T) / 2.0
-    return PolarDecomposition(u, absval, rank)
+    u, sigma, right_h, rank = _rank_cut_svd(a, rank_tol)
+    return PolarDecomposition(u, _weighted_gram(right_h.conj().T, sigma), rank)
 
 
 def range_projection(
@@ -155,16 +175,8 @@ def range_projection(
     rank_tol: float | None = None,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Smallest projection r with r a = a: the projection onto the column
-    space of a, at the same rank cut as ``polar``."""
+    """Smallest projection r with r a = a: the projection u u* onto the column
+    space of a, with u the partial isometry of ``polar`` at the same rank cut."""
     a = as_square_matrix(a)
-    if rank_tol is None:
-        rank_tol = tol.rank
-    try:
-        left, sigma, _ = np.linalg.svd(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("SVD did not converge in range_projection") from exc
-    cut = rank_tol * (sigma[0] if sigma.size else 0.0)
-    cols = left[:, sigma > cut]
-    r = cols @ cols.conj().T
-    return (r + r.conj().T) / 2.0
+    u = _rank_cut_svd(a, tol.rank if rank_tol is None else rank_tol)[0]
+    return _hermitize(u @ u.conj().T)

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, adjoint, unit
+from .algebra import AlgebraElement, AlgebraShape, _block_diag, adjoint, unit
 from .errors import (
     AmbiguousBlock,
     GeneratorExhausted,
@@ -27,7 +27,7 @@ from .errors import (
     ShapeIncompatible,
     ShapeMismatch,
 )
-from .linalg import op_norm
+from .linalg import _svd, op_norm
 from .relations import CompatKind, compat_defect, is_partial_isometry
 from .reports import RelationReport
 from .sampling import (
@@ -218,7 +218,7 @@ def build_block_map(
             if flip:
                 piece = piece.T
             blocks.append(piece if w is None else w @ piece @ w.conj().T)
-        return _assemble(cod_dims, blocks)
+        return _block_diag(codomain, blocks)
 
     return _map_from_block_action(domain, codomain, fn, provenance)
 
@@ -253,16 +253,6 @@ def build_star_anti_hom(
         [True] * codomain.num_blocks, unitaries, tol,
         Provenance.STAR_ANTI_HOM,
     )
-
-
-def _assemble(dims: Sequence[int], blocks: Sequence[np.ndarray]) -> np.ndarray:
-    total = sum(dims)
-    out = np.zeros((total, total), dtype=np.complex128)
-    off = 0
-    for dim, blk in zip(dims, blocks):
-        out[off : off + dim, off : off + dim] = blk
-        off += dim
-    return out
 
 
 def transpose_map(shape: AlgebraShape) -> LinearMap:
@@ -347,7 +337,7 @@ def _apply_stack(T: LinearMap, stack: np.ndarray) -> np.ndarray:
 
 
 def _batch_op_norms(stack: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+    return _svd(stack, compute_uv=False)[:, 0]
 
 
 def is_triple_hom(T: LinearMap, tol: ToleranceConfig = DEFAULT_TOL) -> RelationReport:

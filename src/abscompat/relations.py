@@ -15,18 +15,18 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import AlgebraElement, adjoint, is_positive, jordan, unit
+from .algebra import AlgebraElement, _block_diag, adjoint, is_positive, jordan, unit
 from .errors import (
     CrossCheckMismatch,
     EndpointAmbiguity,
     LengthMismatch,
     NotContraction,
     NotInUnitInterval,
-    NumericalFailure,
 )
-from .linalg import abs_value, op_norm, polar
+from .linalg import (
+    _abs_herm, _abs_parts, _eigh, _herm_eigvals, _hermitize, _rank_cut_svd, op_norm,
+)
 from .reports import (
-    ClauseCheck,
     ConsistencyReport,
     RelationReport,
     SideCheck,
@@ -71,32 +71,36 @@ class IntervalBoundary(Enum):
         return self in (IntervalBoundary.CLOSED_CLOSED, IntervalBoundary.OPEN_CLOSED)
 
 
-def _abs_el(a: AlgebraElement, tol: ToleranceConfig) -> AlgebraElement:
-    return a.map_blocks(lambda blk: abs_value(blk, tol))
-
-
-def _ensure_contraction(
-    a: AlgebraElement, tol: ToleranceConfig, label: str = "element"
-) -> AlgebraElement:
-    """Unit-ball gate with slack: norms in (1, 1+tol] are renormalized to 1,
-    anything larger raises NotContraction."""
-    norm = op_norm(a.matrix)
+def _unit_ball_abs(
+    a: AlgebraElement, tol: ToleranceConfig, label: str
+) -> tuple[AlgebraElement, list[np.ndarray], list[np.ndarray]]:
+    """Unit-ball gate with slack, and the blocks of |a| and |a*|, from one SVD
+    per block: norms in (1, 1+tol] are renormalized to 1 (a is returned
+    rescaled), anything larger raises NotContraction."""
+    parts = [_abs_parts(a.matrix[sl, sl]) for sl in a.shape.block_slices()]
+    norm = max(p[2] for p in parts)
     if norm > 1.0 + tol.relation:
         raise NotContraction(f"{label} has operator norm {norm:.6g} > 1")
     if norm > 1.0:
-        return AlgebraElement(a.shape, a.matrix / norm)
-    return a
+        a = AlgebraElement._wrap(a.shape, a.matrix / norm)
+        parts = [(x / norm, y / norm, n) for x, y, n in parts]
+    return a, [p[0] for p in parts], [p[1] for p in parts]
 
 
 def _compat_residual(
-    abs_a: AlgebraElement, abs_b: AlgebraElement, tol: ToleranceConfig
-) -> tuple[float, AlgebraElement, AlgebraElement]:
-    """Defect of | |a|-|b| | + | 1-|a|-|b| | = 1, given the absolute values."""
-    one = unit(abs_a.shape)
-    term_diff = _abs_el(abs_a - abs_b, tol)
-    term_gap = _abs_el(one - abs_a - abs_b, tol)
-    defect = op_norm((term_diff + term_gap - one).matrix)
-    return defect, term_diff, term_gap
+    abs_a: list[np.ndarray], abs_b: list[np.ndarray]
+) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+    """Defect of | |a|-|b| | + | 1-|a|-|b| | = 1 and both terms, block by block
+    from the blocks of |a| and |b|; the terms and the residual norm use eigh."""
+    defect, diffs, gaps = 0.0, [], []
+    for x, y in zip(abs_a, abs_b):
+        one = np.eye(x.shape[0])
+        diff, gap = _abs_herm(x - y), _abs_herm(one - x - y)
+        lam = _eigh(diff + gap - one, vectors=False)
+        defect = max(defect, float(max(-lam[0], lam[-1])))
+        diffs.append(diff)
+        gaps.append(gap)
+    return defect, diffs, gaps
 
 
 def compat_defect(
@@ -111,30 +115,23 @@ def compat_defect(
     Witnesses carry the absolute values and both terms of the identity.
     """
     a._check_same_shape(b)
-    a = _ensure_contraction(a, tol, "first operand")
-    b = _ensure_contraction(b, tol, "second operand")
+    _, abs_a, abs_as = _unit_ball_abs(a, tol, "first operand")
+    _, abs_b, abs_bs = _unit_ball_abs(b, tol, "second operand")
 
-    witnesses: dict[str, np.ndarray] = {}
-    defects: list[float] = []
+    sides = []
     if kind in (CompatKind.DOMAIN, CompatKind.FULL):
-        abs_a, abs_b = _abs_el(a, tol), _abs_el(b, tol)
-        d, term_diff, term_gap = _compat_residual(abs_a, abs_b, tol)
-        defects.append(d)
-        witnesses.update(
-            abs_a=abs_a.matrix, abs_b=abs_b.matrix,
-            abs_diff=term_diff.matrix, unit_gap=term_gap.matrix,
-        )
+        sides.append(("", abs_a, abs_b))
     if kind in (CompatKind.RANGE, CompatKind.FULL):
-        abs_a = _abs_el(adjoint(a), tol)
-        abs_b = _abs_el(adjoint(b), tol)
-        d, term_diff, term_gap = _compat_residual(abs_a, abs_b, tol)
-        defects.append(d)
-        witnesses.update(
-            abs_a_adj=abs_a.matrix, abs_b_adj=abs_b.matrix,
-            abs_diff_adj=term_diff.matrix, unit_gap_adj=term_gap.matrix,
-        )
+        sides.append(("_adj", abs_as, abs_bs))
+    defect, witnesses = 0.0, {}
+    for suffix, x, y in sides:
+        d, term_diff, term_gap = _compat_residual(x, y)
+        defect = max(defect, d)
+        for key, blocks in (("abs_a", x), ("abs_b", y), ("abs_diff", term_diff),
+                            ("unit_gap", term_gap)):
+            witnesses[key + suffix] = _block_diag(a.shape, blocks)
     return RelationReport.from_defect(
-        f"compat_{kind.value}", max(defects), tol.relation, witnesses
+        f"compat_{kind.value}", defect, tol.relation, witnesses
     )
 
 
@@ -171,17 +168,10 @@ def is_partial_isometry(
 # ---------------------------------------------------------------------------
 
 
-def _psd_lambda_max(x: AlgebraElement) -> float:
-    herm = (x.matrix + x.matrix.conj().T) / 2.0
-    try:
-        return float(np.linalg.eigvalsh(herm)[-1])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("eigensolver did not converge") from exc
-
-
-def _norm_sum_gap(abs_a: AlgebraElement, abs_b: AlgebraElement) -> float:
+def _norm_sum_gap(abs_a: list[np.ndarray], abs_b: list[np.ndarray]) -> float:
     """max(0, lambda_max(|a| + |b|) - 1):  zero iff |a| + |b| <= 1."""
-    return max(0.0, _psd_lambda_max(abs_a + abs_b) - 1.0)
+    lam_max = max(_herm_eigvals(x + y)[-1] for x, y in zip(abs_a, abs_b))
+    return max(0.0, float(lam_max) - 1.0)
 
 
 def check_orth_characterization(
@@ -196,14 +186,12 @@ def check_orth_characterization(
     plus the self-adjoint clause when both inputs are Hermitian.
     """
     a._check_same_shape(b)
-    a = _ensure_contraction(a, tol, "first operand")
-    b = _ensure_contraction(b, tol, "second operand")
+    a, abs_a, abs_as = _unit_ball_abs(a, tol, "first operand")
+    b, abs_b, abs_bs = _unit_ball_abs(b, tol, "second operand")
     t = tol.relation
 
-    abs_a, abs_b = _abs_el(a, tol), _abs_el(b, tol)
-    abs_as, abs_bs = _abs_el(adjoint(a), tol), _abs_el(adjoint(b), tol)
-    dom, _, _ = _compat_residual(abs_a, abs_b, tol)
-    rng_, _, _ = _compat_residual(abs_as, abs_bs, tol)
+    dom = _compat_residual(abs_a, abs_b)[0]
+    rng_ = _compat_residual(abs_as, abs_bs)[0]
     # adjoint-routed duals, evaluated through compat_defect on a*, b*
     dom_of_adjoints = compat_defect(adjoint(a), adjoint(b), CompatKind.DOMAIN, tol).defect
     rng_of_adjoints = compat_defect(adjoint(a), adjoint(b), CompatKind.RANGE, tol).defect
@@ -268,7 +256,7 @@ def _unit_interval_gate(
     herm_gap = op_norm(x.matrix - x.matrix.conj().T)
     if herm_gap > tol.herm:
         raise NotInUnitInterval(f"{label} is not Hermitian within {tol.herm:g}")
-    lam = np.linalg.eigvalsh((x.matrix + x.matrix.conj().T) / 2.0)
+    lam = _herm_eigvals(x.matrix)
     if lam[0] < -tol.relation or lam[-1] > 1.0 + tol.relation:
         raise NotInUnitInterval(
             f"{label} has spectrum [{lam[0]:.4g}, {lam[-1]:.4g}] outside [0, 1]"
@@ -297,7 +285,7 @@ def check_p00_equivalences(
     d_compat = compat_defect(a, b, CompatKind.FULL, tol).defect
 
     lhs = 2.0 * jordan(a, b)
-    rhs = a + b - _abs_el(a - b, tol)
+    rhs = a + b - (a - b).map_blocks(lambda blk: _abs_herm(_hermitize(blk)))
     d_jordan = op_norm((lhs - rhs).matrix)
 
     prod1, prod2 = jordan(a, b), jordan(one - a, one - b)
@@ -331,9 +319,10 @@ def check_tripotent_characterization(
 ) -> ConsistencyReport:
     """Self-compatibility against the partial-isometry identity: for a
     contraction a, a compat a holds exactly when a a* a = a."""
-    a = _ensure_contraction(a, tol, "operand")
+    a, abs_a, abs_as = _unit_ball_abs(a, tol, "operand")
     t = tol.relation
-    d_compat = compat_defect(a, a, CompatKind.FULL, tol).defect
+    d_compat = max(_compat_residual(abs_a, abs_a)[0],
+                   _compat_residual(abs_as, abs_as)[0])
     d_piso = is_partial_isometry(a, tol).defect
     clause = make_clause(
         "self-compat vs partial isometry",
@@ -441,9 +430,7 @@ def spectral_tripotent(
         return lo < sigma < hi
 
     def cut_block(blk: np.ndarray) -> np.ndarray:
-        left, sigma, right_h = np.linalg.svd(blk)
-        keep_rank = sigma > tol.rank * (sigma[0] if sigma.size else 0.0)
-        u_blk = left[:, keep_rank] @ right_h[keep_rank, :]
+        u_blk, sigma, right_h, _ = _rank_cut_svd(blk, tol.rank)
         sel = np.array([member(float(s)) for s in sigma], dtype=bool)
         cols = right_h[sel, :].conj().T
         proj = cols @ cols.conj().T

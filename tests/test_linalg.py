@@ -115,6 +115,16 @@ class TestAbsValue:
             np.testing.assert_allclose(av @ av, a.conj().T @ a,
                                        atol=1e-8 * max(1.0, op_norm(a) ** 2))
 
+    def test_tiny_singular_values_survive(self, rng):
+        # no Gram product and no noise floor: |a| = v diag(s) v* to roundoff
+        # even where s spans twelve decades
+        q = [np.linalg.qr(rng.standard_normal((3, 3))
+                          + 1j * rng.standard_normal((3, 3)))[0] for _ in range(2)]
+        s = np.array([1.0, 1e-7, 1e-12])
+        a = q[0] @ np.diag(s) @ q[1].conj().T
+        np.testing.assert_allclose(abs_value(a), q[1] @ np.diag(s) @ q[1].conj().T,
+                                   rtol=0, atol=1e-14)
+
     def test_idempotent_on_positives(self, rng):
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         p = abs_value(a)

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abscompat import (
     AlgebraElement,
@@ -23,13 +27,14 @@ from abscompat import (
     unit,
 )
 from abscompat.errors import (
+    CrossCheckMismatch,
     EndpointAmbiguity,
     LengthMismatch,
     NotContraction,
     NotInUnitInterval,
 )
 from abscompat.linalg import abs_value, op_norm
-from abscompat.sampling import rand_partial_isometry
+from abscompat.sampling import rand_partial_isometry, rand_unitary_block
 
 SQRT2 = np.sqrt(2.0)
 
@@ -90,6 +95,66 @@ class TestCompatDefect:
         u = rand_unitary(rng, shape)
         b = rand_contraction(rng, shape)
         assert compat_defect(u, b, CompatKind.FULL).defect <= 1e-10
+
+
+class TestExactKernel:
+    """Defects against the pointwise oracle on spectra spanning many decades."""
+
+    def test_tiny_singular_value_is_not_floored(self):
+        a = AlgebraElement.single(np.diag([1.0, 1e-7]))
+        b = AlgebraElement.single(np.diag([0.0, 0.5]))
+        rep = compat_defect(a, b, CompatKind.DOMAIN)
+        assert abs(rep.defect - 2e-7) <= 1e-15
+        assert not rep.verdict
+
+    def test_pointwise_check_agrees_with_identity(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CrossCheckMismatch)
+            rep = commutative_compat_check(np.array([1.0, 1e-7]), np.array([0.0, 0.5]))
+        assert not rep.verdict
+        assert rep.defect == pytest.approx(2e-7, abs=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        dims=st.one_of(
+            st.integers(1, 8).map(lambda d: (d,)),
+            st.lists(st.integers(1, 4), min_size=2, max_size=3).map(tuple),
+        ),
+        kind=st.sampled_from([CompatKind.DOMAIN, CompatKind.RANGE]),
+    )
+    def test_matches_pointwise_oracle(self, seed, dims, kind):
+        # a = w1 diag(f) v*, b = w2 diag(g) v* share |a| = v |f| v* and
+        # |b| = v |g| v*, so their domain defect is the pointwise defect of f
+        # and g; the adjoints (shared left unitary) have it as range defect.
+        rng = np.random.default_rng(seed)
+        a_blocks, b_blocks, f_all, g_all = [], [], [], []
+        for d in dims:
+            f, g = (_log_uniform_moduli(rng, d) for _ in range(2))
+            v, w1, w2 = (rand_unitary_block(rng, d) for _ in range(3))
+            a, b = w1 @ np.diag(f) @ v.conj().T, w2 @ np.diag(g) @ v.conj().T
+            if kind is CompatKind.RANGE:
+                a, b = a.conj().T, b.conj().T
+            a_blocks.append(a)
+            b_blocks.append(b)
+            f_all.append(f)
+            g_all.append(g)
+        f, g = np.concatenate(f_all), np.concatenate(g_all)
+        oracle = float((2.0 * np.minimum.reduce([f, g, 1.0 - f, 1.0 - g])).max())
+        shape = AlgebraShape(dims)
+        rep = compat_defect(AlgebraElement.from_blocks(shape, a_blocks),
+                            AlgebraElement.from_blocks(shape, b_blocks), kind)
+        assert abs(rep.defect - oracle) <= 1e-12
+        if not 1e-9 <= oracle <= 1e-7:
+            assert rep.verdict == (oracle <= 1e-8)
+
+
+def _log_uniform_moduli(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Moduli log-uniform over [1e-12, 1], some set to exactly 0 or exactly 1."""
+    x = 10.0 ** rng.uniform(-12.0, 0.0, n)
+    x[rng.random(n) < 0.15] = 0.0
+    x[rng.random(n) < 0.15] = 1.0
+    return x
 
 
 class TestOrthogonality:
