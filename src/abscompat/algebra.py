@@ -122,7 +122,7 @@ class AlgebraElement:
             size = as_square_matrix(blk).shape[0]
             if size != dim:
                 raise ShapeMismatch(f"block of size {size} does not match dim {dim}")
-        return cls(shape, _block_diag(shape, blocks))
+        return cls._wrap(shape, _block_diag(shape, blocks))
 
     @classmethod
     def single(cls, matrix: np.ndarray) -> "AlgebraElement":

@@ -150,33 +150,19 @@ def abs_value(a: np.ndarray) -> np.ndarray:
     return _abs_parts(as_square_matrix(a))[0]
 
 
-def polar(
-    a: np.ndarray,
-    rank_tol: float | None = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> PolarDecomposition:
+def polar(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> PolarDecomposition:
     """Polar decomposition a = u |a| with an SVD-based rank cut.
 
-    Singular values below rank_tol * sigma_max are treated as zero; u is the
+    Singular values below tol.rank * sigma_max are treated as zero; u is the
     sum of the surviving rank-one terms (left vec)(right vec)*, so u u* u = u
     and u* u is the range projection of |a|.
     """
-    a = as_square_matrix(a)
-    if rank_tol is None:
-        rank_tol = tol.rank
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
-    u, sigma, right_h, rank = _rank_cut_svd(a, rank_tol)
+    u, sigma, right_h, rank = _rank_cut_svd(as_square_matrix(a), tol.rank)
     return PolarDecomposition(u, _weighted_gram(right_h.conj().T, sigma), rank)
 
 
-def range_projection(
-    a: np.ndarray,
-    rank_tol: float | None = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> np.ndarray:
+def range_projection(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Smallest projection r with r a = a: the projection u u* onto the column
     space of a, with u the partial isometry of ``polar`` at the same rank cut."""
-    a = as_square_matrix(a)
-    u = _rank_cut_svd(a, tol.rank if rank_tol is None else rank_tol)[0]
+    u = _rank_cut_svd(as_square_matrix(a), tol.rank)[0]
     return _hermitize(u @ u.conj().T)

@@ -633,20 +633,13 @@ def fuzz_counterexample(
     return None
 
 
-def _vec_transpose_perm(dim: int) -> np.ndarray:
-    perm = np.zeros((dim * dim, dim * dim))
-    for i in range(dim):
-        for j in range(dim):
-            perm[i * dim + j, j * dim + i] = 1.0
-    return perm
-
-
 def range_version_adapter(T: LinearMap) -> LinearMap:
     """S with S(x) = T(x*)*: S preserves domain compatibility exactly when T
     preserves range compatibility (and vice versa)."""
-    p_dom = _vec_transpose_perm(T.domain_shape.total_dim)
-    p_cod = _vec_transpose_perm(T.codomain_shape.total_dim)
-    action = p_cod @ np.conj(T.action) @ p_dom
+    # conjugating vec(x) -> vec(x^T) on both sides is an index transpose
+    m, n = T.codomain_shape.total_dim, T.domain_shape.total_dim
+    action = T.action.reshape(m, m, n, n).transpose(1, 0, 3, 2)
+    action = action.reshape(m * m, n * n).conj()
     return LinearMap(
         T.domain_shape, T.codomain_shape, action, Provenance.CUSTOM,
         {"adapted_from": T.provenance.value},

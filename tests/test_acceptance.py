@@ -110,8 +110,7 @@ def test_criterion_03_jordan_identity_regression(standard_pair):
 def test_criterion_04_tripotent_characterization_bulk():
     shapes = [AlgebraShape((d,)) for d in (2, 3, 4)]
     t0 = time.perf_counter()
-    result = suite_tripotent_characterization(
-        SEED, trials=1000, shapes=shapes, n_isometries=100)
+    result = suite_tripotent_characterization(SEED, trials=1000, shapes=shapes)
     elapsed = time.perf_counter() - t0
     assert result.trials == 1200
     assert result.failures == 0
@@ -163,7 +162,7 @@ def test_criterion_08_contrapositive_fuzzing():
 
 
 def test_criterion_09_commutative_cross_validation():
-    result = suite_commutative_crosscheck(SEED, trials=1000, max_omega=8)
+    result = suite_commutative_crosscheck(SEED, trials=1000)
     assert result.failures == 0
     _report(9, f"{result.trials} function pairs, verdicts agree exactly")
 

@@ -13,6 +13,7 @@ from abscompat.linalg import (
     polar,
     range_projection,
 )
+from abscompat.tolerance import ToleranceConfig
 
 E_LOWER = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 V_CROSS = np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex) / np.sqrt(2.0)
@@ -169,7 +170,7 @@ class TestPolar:
 
     def test_rank_tol_must_be_positive(self):
         with pytest.raises(ValueError):
-            polar(np.eye(2, dtype=complex), rank_tol=0.0)
+            polar(np.eye(2, dtype=complex), tol=ToleranceConfig(rank=0.0))
 
     def test_zero_matrix(self):
         dec = polar(np.zeros((3, 3), dtype=complex))

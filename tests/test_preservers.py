@@ -438,13 +438,14 @@ class TestRangeVersionAdapter:
 
     def test_adapter_definition_pointwise(self, rng):
         u, v = rand_unitary(rng, SH2), rand_unitary(rng, SH2)
-        T = build_sandwich(u, v)
-        S = range_version_adapter(T)
-        for _ in range(10):
-            x = rand_contraction(rng, SH2)
-            expected = adjoint(T.apply(adjoint(x)))
-            np.testing.assert_allclose(S.apply(x).matrix, expected.matrix,
-                                       atol=1e-13)
+        doubling = build_star_hom(SH2, AlgebraShape((2, 2)), [0, 0], None)
+        for T in (build_sandwich(u, v), doubling):
+            S = range_version_adapter(T)
+            for _ in range(10):
+                x = rand_contraction(rng, SH2)
+                expected = adjoint(T.apply(adjoint(x)))
+                np.testing.assert_allclose(S.apply(x).matrix, expected.matrix,
+                                           atol=1e-13)
 
     def test_sandwich_adapter_swaps_and_stars(self, rng):
         u, v = rand_unitary(rng, SH2), rand_unitary(rng, SH2)

@@ -34,7 +34,11 @@ from abscompat.errors import (
     NotInUnitInterval,
 )
 from abscompat.linalg import abs_value, op_norm
-from abscompat.sampling import rand_partial_isometry, rand_unitary_block
+from abscompat.sampling import (
+    rand_partial_isometry,
+    rand_unitary_block,
+    sample_general_pair,
+)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -233,6 +237,26 @@ class TestOrthCharacterization:
         e, v = isometry_pair
         report = check_orth_characterization(e, v)
         assert not any(c.name.startswith("self-adjoint") for c in report.clauses)
+
+    def test_adjoint_sides_match_compat_on_the_adjoints(self):
+        # the adjoint-routed sides reuse |a|, |b| and |a*|, |b*| of a, b
+        # (|(a*)*| = |a|); compat_defect on a*, b* is the reference
+        rng = np.random.default_rng(17)
+        for shape in (AlgebraShape((2,)), AlgebraShape((3,)), AlgebraShape((2, 3))):
+            for _ in range(20):
+                a, b = sample_general_pair(rng, shape)
+                sides = {s.label: s.defect for c in
+                         check_orth_characterization(a, b).clauses for s in c.sides}
+                for label, x, y, kind in (
+                    ("|a|+|b| <= 1 and adjoints range compat",
+                     abs_value(a.matrix), abs_value(b.matrix), CompatKind.RANGE),
+                    ("|a*|+|b*| <= 1 and adjoints domain compat",
+                     abs_value(a.matrix.conj().T), abs_value(b.matrix.conj().T),
+                     CompatKind.DOMAIN),
+                ):
+                    gap = max(0.0, np.linalg.eigvalsh(x + y)[-1] - 1.0)
+                    ref = compat_defect(adjoint(a), adjoint(b), kind).defect
+                    assert abs(sides[label] - max(gap, ref)) <= 1e-12
 
 
 class TestP00Equivalences:

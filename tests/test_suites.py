@@ -10,6 +10,7 @@ from abscompat.suites import (
     suite_determinism,
     suite_fuzz_regressions,
     suite_linalg_invariants,
+    suite_preservers,
 )
 
 
@@ -53,3 +54,20 @@ def test_suite_result_to_dict():
     payload = result.to_dict()
     assert payload["suite"] == result.name
     assert payload["passed"] is True
+
+
+def test_preservers_report_the_calibration_row():
+    results = suite_preservers(5, 10, [2, 3])
+    names = [r.name for r in results]
+    by_name = {r.name: r for r in results}
+    cal = by_name["preservation vs triple-hom calibration"]
+    assert names.index(cal.name) == names.index("triple homs preserve compatibility") + 1
+    hom = by_name["builders are triple homomorphisms"]
+    assert by_name["triple homs preserve compatibility"].passed  # every audit passed
+    assert cal.trials == hom.trials == 12
+    assert cal.worst_defect == hom.worst_defect
+    assert cal.passed and cal.failures == 0
+
+    names = [r.name for r in run_all_suites([2, 3], trials=10, seed=3)]
+    assert len(names) == len(set(names))
+    assert names.count(cal.name) == 1
