@@ -126,29 +126,22 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise AbscompatError(f"relation {relation!r} needs two matrix files")
     if not binary and args.file_b is not None:
         raise AbscompatError(f"relation {relation!r} takes a single matrix file")
-    if binary:
-        b = load_matrix(args.file_b)
-    if relation == "compat":
-        return _print_relation(
-            compat_defect(a, b, CompatKind(args.kind), tol), args.as_json)
-    if relation == "orth":
-        return _print_relation(is_orthogonal(a, b, tol), args.as_json)
-    if relation == "orth-characterization":
-        return _print_consistency(
-            check_orth_characterization(a, b, tol), args.as_json)
-    if relation == "p00":
-        return _print_consistency(
-            check_p00_equivalences(a, b, tol), args.as_json)
-    if relation == "projection":
-        return _print_relation(is_projection(a, tol), args.as_json)
-    if relation == "partial-isometry":
-        return _print_relation(is_partial_isometry(a, tol), args.as_json)
-    if relation == "positive":
-        return _print_relation(is_positive(a, tol), args.as_json)
-    if relation == "contraction":
-        return _print_relation(is_contraction(a, tol), args.as_json)
-    return _print_consistency(
-        check_tripotent_characterization(a, tol), args.as_json)
+    b = load_matrix(args.file_b) if binary else None
+    checks = {
+        "compat": lambda: compat_defect(a, b, CompatKind(args.kind), tol),
+        "orth": lambda: is_orthogonal(a, b, tol),
+        "orth-characterization": lambda: check_orth_characterization(a, b, tol),
+        "p00": lambda: check_p00_equivalences(a, b, tol),
+        "projection": lambda: is_projection(a, tol),
+        "partial-isometry": lambda: is_partial_isometry(a, tol),
+        "positive": lambda: is_positive(a, tol),
+        "contraction": lambda: is_contraction(a, tol),
+        "tripotent": lambda: check_tripotent_characterization(a, tol),
+    }
+    report = checks[relation]()
+    if isinstance(report, ConsistencyReport):
+        return _print_consistency(report, args.as_json)
+    return _print_relation(report, args.as_json)
 
 
 def cmd_verify_suite(args: argparse.Namespace) -> int:

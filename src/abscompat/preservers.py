@@ -69,6 +69,18 @@ class Provenance(Enum):
     CUSTOM = "custom"
 
 
+MAX_TOTAL_DIM = 32
+"""Largest total dimension of a map's domain or codomain: the m^2 x n^2 action
+takes 16 MiB at n = m = 32, and larger shapes are refused before allocating."""
+
+
+def _check_map_shapes(*shapes: AlgebraShape) -> None:
+    n = max(shape.total_dim for shape in shapes)
+    if n > MAX_TOTAL_DIM:
+        raise ShapeIncompatible(
+            f"total dimension {n} exceeds the limit {MAX_TOTAL_DIM} for linear maps")
+
+
 def _inblock_mask(shape: AlgebraShape) -> np.ndarray:
     mask = np.zeros((shape.total_dim, shape.total_dim), dtype=bool)
     for sl in shape.block_slices():
@@ -93,6 +105,7 @@ class LinearMap:
         provenance: Provenance = Provenance.CUSTOM,
         params: Mapping | None = None,
     ) -> None:
+        _check_map_shapes(domain_shape, codomain_shape)
         n, m = domain_shape.total_dim, codomain_shape.total_dim
         action = np.asarray(action, dtype=np.complex128)
         if action.shape != (m * m, n * n):
@@ -135,6 +148,7 @@ def _map_from_block_action(
 ) -> LinearMap:
     """Assemble the action matrix column by column from a callable on full
     matrices (which must return block-diagonal output)."""
+    _check_map_shapes(domain, codomain)
     n, m = domain.total_dim, codomain.total_dim
     action = np.zeros((m * m, n * n), dtype=np.complex128)
     for (i, j), e_ij in zip(domain.basis_coords(), _basis_stack(domain)):
@@ -330,40 +344,77 @@ def _basis_stack(shape: AlgebraShape) -> np.ndarray:
     return basis
 
 
-def _apply_stack(T: LinearMap, stack: np.ndarray) -> np.ndarray:
-    """T applied to every matrix of an (N, n, n) stack in one product."""
-    k, n, m = stack.shape[0], T.domain_shape.total_dim, T.codomain_shape.total_dim
-    return (stack.reshape(k, n * n) @ T.action.T).reshape(k, m, m)
+def _max_op_norm(stack: np.ndarray, floor: float) -> float:
+    """max(floor, largest operator norm in a stack of m x m matrices), with SVDs
+    only where it can be, as ``‖D‖₂ ≥ ‖D‖_F / √m`` (an exact maximum)."""
+    fro = np.linalg.norm(stack, axis=(-2, -1))
+    keep = (fro >= fro.max(initial=0.0) / np.sqrt(stack.shape[-1])) & (fro > floor)
+    if not keep.any():
+        return floor
+    return max(floor, float(_svd(stack[keep], compute_uv=False)[:, 0].max()))
 
 
-def _batch_op_norms(stack: np.ndarray) -> np.ndarray:
-    return _svd(stack, compute_uv=False)[:, 0]
+_CHUNK_ENTRIES = 8192  # complex entries (128 KiB) per chunk of triple differences
+
+
+def _triple_defect(images: np.ndarray, domain: AlgebraShape, floor: float) -> float:
+    """``is_triple_hom``'s defect, at least floor, from the unit images
+    ``images[p, q] = T(e_pq)`` in one codomain block of size m."""
+    m = images.shape[-1]
+    rows, cols = np.array(domain.basis_coords()).T
+    size = rows.size
+    index = np.zeros(images.shape[:2], dtype=np.intp)
+    index[rows, cols] = np.arange(size)
+    t_basis = images[rows, cols]
+    t_adj = t_basis.conj().swapaxes(1, 2)
+    # every T(z) stacked (rows (z, a)) and side by side (columns (z, b))
+    z_tall, z_wide = t_basis.reshape(-1, m), t_basis.transpose(1, 0, 2).reshape(m, -1)
+    step = max(1, _CHUNK_ENTRIES // (size * m * m))
+    defect = floor
+    for sl in domain.block_slices():
+        k, l = np.mgrid[sl, sl]
+        for i, j in zip(k.ravel(), l.ravel()):
+            # x = e_ij: T{x,y,z} is T(e_il) / 2 at y = e_kj, z = e_kl plus
+            # T(e_lj) / 2 at y = e_ik, z = e_lk, as (y, z, p, q) with T(e_pq)
+            terms = [(index[k, j], index[k, l], np.full_like(k, i), l),
+                     (index[i, k], index[l, k], l, np.full_like(k, j))]
+            left = (images[i, j] @ t_adj).reshape(-1, m)  # Tx Ty*: rows (y, a)
+            right = (t_adj @ images[i, j]).transpose(1, 0, 2).reshape(m, -1)  # Ty* Tx
+            for y0 in range(0, size, step):
+                c, ys = min(step, size - y0), slice(y0 * m, (y0 + step) * m)
+                # -(Tx Ty* Tz + Tz Ty* Tx) / 2 in place, axes (y, a, z, b)
+                prod = (left[ys] @ z_wide).reshape(c, m, size, m)
+                prod += (z_tall @ right[:, ys]).reshape(size, m, c, m).transpose(2, 1, 0, 3)
+                prod *= -0.5
+                diff = prod.transpose(0, 2, 1, 3)
+                for y, z, p, q in terms:
+                    sel = (y >= y0) & (y < y0 + c)
+                    diff[y[sel] - y0, z[sel]] += 0.5 * images[p[sel], q[sel]]
+                defect = _max_op_norm(diff, defect)
+    return defect
 
 
 def is_triple_hom(T: LinearMap, tol: ToleranceConfig = DEFAULT_TOL) -> RelationReport:
     """Triple-product preservation over all canonical basis triples.
 
-    defect = max over matrix-unit triples (b_i, b_j, b_k) of
+    defect = max over matrix-unit triples (x, y, z) of
     |T{x,y,z} - {Tx,Ty,Tz}|. Real basis triples suffice although the triple
     product is conjugate-linear in the middle slot: T is complex-linear, so
     scaling y by a complex c scales both sides by conj(c), and the identity
     on the basis extends to every triple.
+
+    No product is mapped: T(e_pq) is a column of the action and, for x = e_ij,
+    y = e_kl, z = e_mn, ``{x,y,z} = (δ_jl δ_km e_in + δ_nl δ_ki e_mj) / 2``.
+    The right side for one x and all (y, z) is two matrix products, in chunks
+    of about ``_CHUNK_ENTRIES`` entries (at least one y) along y, per codomain
+    block (both sides are block diagonal there). SVDs are taken only where
+    ``‖D‖₂ ≥ ‖D‖_F / √m`` allows the maximum, so the defect stays exact.
     """
-    basis = _basis_stack(T.domain_shape)
-    t_basis = _apply_stack(T, basis)
+    n, m = T.domain_shape.total_dim, T.codomain_shape.total_dim
+    full = T.action.T.reshape(n, n, m, m)  # full[p, q] = T(e_pq)
     defect = 0.0
-    for x, tx in zip(basis, t_basis):
-        for y, ty in zip(basis, t_basis):
-            yh, tyh = y.conj().T, ty.conj().T
-            lhs = _apply_stack(T, 0.5 * (
-                np.einsum("pq,kqr->kpr", x @ yh, basis)
-                + np.einsum("kpq,qr->kpr", basis, yh @ x)
-            ))
-            rhs = 0.5 * (
-                np.einsum("pq,kqr->kpr", tx @ tyh, t_basis)
-                + np.einsum("kpq,qr->kpr", t_basis, tyh @ tx)
-            )
-            defect = max(defect, float(_batch_op_norms(lhs - rhs).max(initial=0.0)))
+    for cs in T.codomain_shape.block_slices():
+        defect = _triple_defect(full[:, :, cs, cs], T.domain_shape, defect)
     return RelationReport.from_defect("triple_homomorphism", defect, tol.relation)
 
 
@@ -413,16 +464,17 @@ class PreservationReport:
 
 def _image_defect(
     T: LinearMap, a: AlgebraElement, b: AlgebraElement,
-    kind: CompatKind, tol: ToleranceConfig,
+    kind: CompatKind, tol: ToleranceConfig, source: str,
 ) -> tuple[float, str]:
-    """Compatibility defect of the image pair; images escaping the unit ball
-    are themselves violations (the relation is only defined on the ball)."""
+    """Compatibility defect of the image pair and the witness label; images
+    escaping the unit ball are themselves violations (the relation is only
+    defined on the ball), labelled ``source+noncontractive-image``."""
     ta, tb = T.apply(a), T.apply(b)
     try:
-        return compat_defect(ta, tb, kind, tol).defect, ""
+        return compat_defect(ta, tb, kind, tol).defect, source
     except NotContraction:
         excess = max(op_norm(ta.matrix), op_norm(tb.matrix)) - 1.0
-        return excess, "noncontractive-image"
+        return excess, f"{source}+noncontractive-image"
 
 
 def preserves_compat_sampled(
@@ -458,17 +510,16 @@ def preserves_compat_sampled(
 
     def consider(a: AlgebraElement, b: AlgebraElement, in_defect: float, src: str) -> None:
         nonlocal violations, worst, max_defect, index
-        out_defect, note = _image_defect(T, a, b, output_kind, tol)
-        label = src if not note else f"{src}+{note}"
-        if out_defect > max_defect:
-            max_defect = out_defect
+        out_defect, label = _image_defect(T, a, b, output_kind, tol, src)
+        max_defect = max(max_defect, out_defect)
         if out_defect > tol.relation:
             violations += 1
             if worst is None or out_defect > worst.output_defect:
                 worst = Witness(a, b, in_defect, out_defect, label, index)
         index += 1
 
-    for label, a, b in _label_seeds(seed_pairs or []):
+    for i, item in enumerate(seed_pairs or []):
+        label, a, b = item if len(item) == 3 else (f"seed_{i}", *item)
         rep = compat_defect(a, b, kind, tol)
         if not rep.verdict:
             warnings.warn(
@@ -487,16 +538,6 @@ def preserves_compat_sampled(
         kind, output_kind, index, violations, max_defect, worst,
         violations == 0, tol.relation,
     )
-
-
-def _label_seeds(seed_pairs) -> list[tuple[str, AlgebraElement, AlgebraElement]]:
-    out = []
-    for i, item in enumerate(seed_pairs):
-        if len(item) == 3:
-            out.append(tuple(item))
-        else:
-            out.append((f"seed_{i}", item[0], item[1]))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +564,12 @@ def classify_triple_hom(
     T: LinearMap, tol: ToleranceConfig = DEFAULT_TOL
 ) -> TripleHomClassification:
     """Split the domain blocks of a triple homomorphism into homomorphic and
-    anti-homomorphic parts of e* T(.), by per-block multiplicativity defects
-    over matrix-unit pairs. One-dimensional blocks (both defects zero) go to
-    the homomorphic side by convention."""
+    anti-homomorphic parts of phi = e* T(.), by per-block multiplicativity
+    defects over matrix-unit pairs. One-dimensional blocks (both defects
+    zero) go to the homomorphic side by convention.
+
+    Products are looked up, not mapped: ``e_ij e_kl = δ_jk e_il``, so phi(x y)
+    over the block's units y is the row phi(e_i.) at y = e_j. and 0 elsewhere."""
     rep = is_triple_hom(T, tol)
     if not rep.verdict:
         raise NotTripleHom(f"triple-homomorphism defect {rep.defect:.3g}")
@@ -535,26 +579,23 @@ def classify_triple_hom(
         raise NotTripleHom(
             f"unit image is not a partial isometry (defect {pi.defect:.3g})"
         )
-    e_star = adjoint(e).matrix
-    basis = _basis_stack(T.domain_shape)
-    phis_all = e_star @ _apply_stack(T, basis)
+    n, m = T.domain_shape.total_dim, T.codomain_shape.total_dim
+    full, e_star = T.action.T.reshape(n, n, m, m), adjoint(e).matrix
 
     hom: set[int] = set()
     anti: set[int] = set()
     residuals: dict[int, tuple[float, float]] = {}
-    start = 0
-    for bi, dim in enumerate(T.domain_shape.block_dims):
-        # the block's matrix units are the next dim^2 entries of the stack
-        units = basis[start : start + dim * dim]
-        phis = phis_all[start : start + dim * dim]
-        start += dim * dim
+    for bi, sl in enumerate(T.domain_shape.block_slices()):
+        phi = e_star @ full[sl, sl]  # phi[k, l] = e* T(e_kl) within the block
+        phis = phi.reshape(-1, m, m)
         mult = anti_mult = 0.0
-        for x, phi_x in zip(units, phis):
+        for i, j in np.ndindex(phi.shape[:2]):
             # phi(x y) against phi(x) phi(y) and phi(y) phi(x), all y at once
-            targets = e_star @ _apply_stack(T, x @ units)
-            mult = max(mult, _batch_op_norms(targets - phi_x @ phis).max())
-            anti_mult = max(anti_mult, _batch_op_norms(targets - phis @ phi_x).max())
-        residuals[bi] = (float(mult), float(anti_mult))
+            targets = np.zeros_like(phis)
+            targets[j * len(phi) : (j + 1) * len(phi)] = phi[i]
+            mult = _max_op_norm(targets - phi[i, j] @ phis, mult)
+            anti_mult = _max_op_norm(targets - phis @ phi[i, j], anti_mult)
+        residuals[bi] = (mult, anti_mult)
         if mult <= tol.relation:
             hom.add(bi)
         elif anti_mult <= tol.relation:
@@ -594,12 +635,10 @@ def fuzz_counterexample(
 
     def check(a, b, in_defect, src) -> Witness | None:
         nonlocal evaluated
-        out_defect, note = _image_defect(T, a, b, kind, tol)
-        label = src if not note else f"{src}+{note}"
-        idx = evaluated
+        out_defect, label = _image_defect(T, a, b, kind, tol, src)
         evaluated += 1
         if out_defect > tol.relation:
-            return Witness(a, b, in_defect, out_defect, label, idx)
+            return Witness(a, b, in_defect, out_defect, label, evaluated - 1)
         return None
 
     for label, a, b in known_witness_pairs(shape):

@@ -348,7 +348,8 @@ def commutative_compat_check(
     Per-coordinate defect 2 min(|f|, |g|, 1-|f|, 1-|g|), which is exactly the
     scalar residual of the defining identity; the overall defect is the worst
     coordinate. The verdict is always cross-validated against compat_defect
-    on diag(f), diag(g); a disagreement outside the near-threshold band
+    on diag(f), diag(g), whose defect is kept as the 0-d witness
+    ``identity_defect``; a disagreement outside the near-threshold band
     raises a CrossCheckMismatch warning.
     """
     f = np.atleast_1d(np.asarray(f, dtype=np.complex128))
@@ -366,16 +367,16 @@ def commutative_compat_check(
 
     per_coord = 2.0 * np.minimum.reduce([fa, ga, 1.0 - fa, 1.0 - ga])
     defect = float(per_coord.max(initial=0.0))
-    report = RelationReport.from_defect(
-        "commutative_compat", defect, t,
-        {"diag_f": np.diag(f), "diag_g": np.diag(g)},
-    )
-
     oracle = compat_defect(
         AlgebraElement.single(np.diag(f)),
         AlgebraElement.single(np.diag(g)),
         CompatKind.DOMAIN,
         tol,
+    )
+    report = RelationReport.from_defect(
+        "commutative_compat", defect, t,
+        {"diag_f": np.diag(f), "diag_g": np.diag(g),
+         "identity_defect": np.asarray(oracle.defect)},
     )
     if oracle.verdict != report.verdict:
         near = abs(defect - t) <= 10.0 * t and abs(oracle.defect - t) <= 10.0 * t

@@ -50,7 +50,7 @@ class RelationReport:
             "defect": self.defect,
             "tolerance": self.tolerance_used,
             "witnesses": {
-                key: [[[z.real, z.imag] for z in row] for row in np.asarray(mat)]
+                key: [[[z.real, z.imag] for z in row] for row in np.atleast_2d(mat)]
                 for key, mat in self.witnesses.items()
             },
         }

@@ -76,24 +76,16 @@ def _positive_contraction_block(rng: np.random.Generator, n: int) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
-def _projection_block(
-    rng: np.random.Generator, n: int, rank: int | None = None
-) -> np.ndarray:
-    if rank is None:
-        rank = int(rng.integers(0, n + 1))
-    w = rand_unitary_block(rng, n)
-    cols = w[:, :rank]
+def _projection_block(rng: np.random.Generator, n: int) -> np.ndarray:
+    rank = int(rng.integers(0, n + 1))
+    cols = rand_unitary_block(rng, n)[:, :rank]
     p = cols @ cols.conj().T
     return (p + p.conj().T) / 2.0
 
 
-def _partial_isometry_block(
-    rng: np.random.Generator, n: int, rank: int | None = None
-) -> np.ndarray:
-    if rank is None:
-        rank = int(rng.integers(0, n + 1))
-    u = rand_unitary_block(rng, n)
-    v = rand_unitary_block(rng, n)
+def _partial_isometry_block(rng: np.random.Generator, n: int) -> np.ndarray:
+    rank = int(rng.integers(0, n + 1))
+    u, v = rand_unitary_block(rng, n), rand_unitary_block(rng, n)
     return u[:, :rank] @ v[:, :rank].conj().T
 
 
@@ -104,15 +96,9 @@ def _blockwise(shape: AlgebraShape, rng: np.random.Generator, block_fn) -> Algeb
 def _blockpair(
     rng: np.random.Generator, shape: AlgebraShape, block_fn
 ) -> tuple[AlgebraElement, AlgebraElement]:
-    blocks_a, blocks_b = [], []
-    for dim in shape.block_dims:
-        ba, bb = block_fn(rng, dim)
-        blocks_a.append(ba)
-        blocks_b.append(bb)
-    return (
-        AlgebraElement.from_blocks(shape, blocks_a),
-        AlgebraElement.from_blocks(shape, blocks_b),
-    )
+    blocks_a, blocks_b = zip(*(block_fn(rng, dim) for dim in shape.block_dims))
+    return (AlgebraElement.from_blocks(shape, blocks_a),
+            AlgebraElement.from_blocks(shape, blocks_b))
 
 
 def rand_contraction(rng: np.random.Generator, shape: AlgebraShape) -> AlgebraElement:

@@ -19,6 +19,7 @@ from .errors import AbscompatError
 from .preservers import (
     LinearMap,
     Provenance,
+    _check_map_shapes,
     build_block_map,
     build_sandwich,
     build_star_anti_hom,
@@ -185,6 +186,7 @@ def map_from_dict(
         raise FileFormatError("map payload must be an object")
     domain = _parse_shape(payload, "domain_shape")
     codomain = _parse_shape(payload, "codomain_shape")
+    _check_map_shapes(domain, codomain)  # before a raw action is allocated
     has_builder = "builder" in payload
     has_action = "action" in payload
     if has_builder == has_action:
@@ -215,18 +217,15 @@ def map_from_dict(
             f"'builder.kind' must be one of {', '.join(_BUILDER_KINDS)}"
         )
     kind = spec["kind"]
+    if kind in ("transpose", "identity", "scale", "sandwich") and domain != codomain:
+        raise FileFormatError(f"builder {kind!r} requires equal domain and codomain")
     if kind == "transpose":
-        _require_endo(domain, codomain, kind)
         return transpose_map(domain)
     if kind == "identity":
-        _require_endo(domain, codomain, kind)
         return identity_map(domain)
     if kind == "scale":
-        _require_endo(domain, codomain, kind)
-        factor = _pair_to_complex(spec.get("factor"), "builder.factor")
-        return scale_map(domain, factor)
+        return scale_map(domain, _pair_to_complex(spec.get("factor"), "builder.factor"))
     if kind == "sandwich":
-        _require_endo(domain, codomain, kind)
         u = matrix_from_dict(spec.get("u"))
         v = matrix_from_dict(spec.get("v"))
         if u.shape != domain or v.shape != domain:
@@ -248,11 +247,6 @@ def map_from_dict(
             "'transpose_flags' must list one bool per codomain block"
         )
     return build_block_map(domain, codomain, assignment, flags, unitaries, tol)
-
-
-def _require_endo(domain: AlgebraShape, codomain: AlgebraShape, kind: str) -> None:
-    if domain != codomain:
-        raise FileFormatError(f"builder {kind!r} requires equal domain and codomain")
 
 
 def load_map(path: str | Path, tol: ToleranceConfig = DEFAULT_TOL) -> LinearMap:

@@ -152,6 +152,19 @@ class TestClassify:
         assert main(["classify", fixtures["bad"]]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("spec", [
+        {"builder": {"kind": "transpose"}},
+        {"builder": {"kind": "identity"}},
+        {"action": [[]] * 200**2},  # the right row count, so parsing would allocate
+    ], ids=["transpose", "identity", "raw-action"])
+    def test_oversized_map_exit_two(self, tmp_path, capsys, spec):
+        # an action on M200 would hold 200^4 complex entries (25 GB)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"domain_shape": [200], "codomain_shape": [200], **spec}),
+                        encoding="utf-8")
+        assert main(["classify", str(path)]) == 2
+        assert "exceeds the limit" in capsys.readouterr().err
+
 
 class TestFuzz:
     def test_transpose_witness_exit_three(self, fixtures, tmp_path, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from abscompat import (
     triple,
     unit,
 )
+from abscompat import preservers
 from abscompat.errors import (
     AmbiguousBlock,
     NotTripleHom,
@@ -36,6 +39,7 @@ from abscompat.errors import (
     ShapeMismatch,
 )
 from abscompat.linalg import op_norm
+from abscompat.preservers import MAX_TOTAL_DIM, LinearMap
 from abscompat.sampling import known_witness_pairs, rand_contraction, rand_unitary
 from abscompat.tolerance import ToleranceConfig
 
@@ -53,11 +57,28 @@ def matrix_units(shape: AlgebraShape) -> list[AlgebraElement]:
     return out
 
 
+def brute_force_triple_defect(T) -> float:
+    """max |T{x,y,z} - {Tx,Ty,Tz}| by applying T to every matrix-unit triple."""
+    units = matrix_units(T.domain_shape)
+    images = [T.apply(u) for u in units]
+    worst = 0.0
+    for x, tx in zip(units, images):
+        for y, ty in zip(units, images):
+            for z, tz in zip(units, images):
+                diff = T.apply(triple(x, y, z)) - triple(tx, ty, tz)
+                worst = max(worst, op_norm(diff.matrix))
+    return worst
+
+
+def random_action(rng, domain: AlgebraShape, codomain: AlgebraShape) -> np.ndarray:
+    n, m = domain.total_dim, codomain.total_dim
+    action = rng.standard_normal((m * m, n * n)) + 1j * rng.standard_normal((m * m, n * n))
+    return action / (n * n)
+
+
 class TestLinearMap:
     def test_action_shape_validated(self):
         with pytest.raises(ShapeIncompatible):
-            from abscompat.preservers import LinearMap
-
             LinearMap(SH2, SH2, np.zeros((3, 4)))
 
     def test_apply_checks_domain(self):
@@ -71,6 +92,39 @@ class TestLinearMap:
         y = T.apply(x)
         assert np.all(y.matrix[:2, 2:] == 0)
         assert np.all(y.matrix[2:, :2] == 0)
+
+
+class TestSizeLimit:
+    def test_limit_arithmetic(self):
+        # an action at the limit: (32^2)^2 complex entries of 16 bytes
+        assert (MAX_TOTAL_DIM**2) ** 2 * np.dtype(np.complex128).itemsize == 16 * 2**20
+
+    @pytest.mark.parametrize("dims", [
+        (MAX_TOTAL_DIM + 1,), (10_000,), (1, MAX_TOTAL_DIM // 2, MAX_TOTAL_DIM // 2),
+    ])
+    def test_oversized_shapes_refused_before_allocating(self, dims):
+        shape = AlgebraShape(dims)
+        builders = [
+            lambda: transpose_map(shape),
+            lambda: identity_map(shape),
+            lambda: scale_map(shape, 0.5),
+            lambda: LinearMap(SH2, shape, np.zeros((1, 4))),
+        ]
+        for build in builders:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ShapeIncompatible, match="exceeds the limit"):
+                    build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # a built map would hold (n^2)^2 entries: 19 MB at n = 33
+            assert peak < 2**20
+
+    def test_limit_itself_passes_the_check(self):
+        # the check alone, so nothing of the limit's size is allocated
+        preservers._check_map_shapes(AlgebraShape((MAX_TOTAL_DIM,)),
+                                     AlgebraShape((MAX_TOTAL_DIM - 1, 1)))
 
 
 class TestStarHom:
@@ -226,8 +280,6 @@ class TestIsTripleHom:
         # a complex-linear T scales both sides by conj(c) when y -> c y, so the
         # matrix-unit triples already give the worst i-scaled triple as well
         action = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        from abscompat.preservers import LinearMap
-
         T = LinearMap(SH2, SH2, action / 4.0)
         units = matrix_units(SH2)
         reference = 0.0
@@ -240,6 +292,35 @@ class TestIsTripleHom:
                         reference = max(reference, op_norm((lhs - rhs).matrix))
         assert reference > 0.1
         assert is_triple_hom(T).defect == pytest.approx(reference, rel=1e-12)
+
+    @pytest.mark.parametrize("chunk", [None, 1], ids=["default-chunks", "one-row-chunks"])
+    @pytest.mark.parametrize("case", [
+        "random M1+M2", "random M2 -> M2+M2", "perturbed identity M3", "doubling M2",
+    ])
+    def test_matches_brute_force_over_unit_triples(self, rng, monkeypatch, case, chunk):
+        if chunk is not None:
+            # every chunk one y row: the Frobenius prune runs against the
+            # running defect of earlier chunks
+            monkeypatch.setattr(preservers, "_CHUNK_ENTRIES", chunk)
+        if case == "random M1+M2":  # complex action with a 1x1 block
+            shape = AlgebraShape((1, 2))
+            T = LinearMap(shape, shape, random_action(rng, shape, shape))
+        elif case == "random M2 -> M2+M2":  # codomain size differs from domain
+            T = LinearMap(SH2, SH22, random_action(rng, SH2, SH22))
+        elif case == "perturbed identity M3":  # defect only where e_01 enters
+            shape = AlgebraShape((3,))
+            action = identity_map(shape).action.copy()
+            action[:, 1] += 1e-3 * random_action(rng, shape, shape)[:, 1]
+            T = LinearMap(shape, shape, action)
+        else:
+            T = build_star_hom(SH2, SH22, [0, 0])
+        reference = brute_force_triple_defect(T)
+        defect = is_triple_hom(T).defect
+        if case == "doubling M2":
+            assert reference == defect == 0.0
+        else:
+            assert reference > 1e-4
+            assert defect == pytest.approx(reference, rel=1e-12)
 
     def test_matches_direct_triple_evaluation(self, rng):
         T = build_sandwich(rand_unitary(rng, SH2), rand_unitary(rng, SH2))
@@ -325,25 +406,33 @@ class TestClassify:
         )
 
     def test_residuals_match_pairwise_loop(self, rng):
-        shape = AlgebraShape((2, 3))
-        ws = [rand_unitary(rng, AlgebraShape((d,))).blocks()[0] for d in (2, 3)]
-        T = build_block_map(shape, shape, [0, 1], [False, True], ws)
-        cls = classify_triple_hom(T)
-        e_star = adjoint(cls.unit_image).matrix
+        cases = [  # domain, codomain, block assignment, transpose flags, anti-hom blocks
+            ((2, 3), (2, 3), [0, 1], [False, True], {1}),
+            # the M2 block feeds two codomain blocks, both transposed
+            ((1, 2), (2, 1, 2), [1, 0, 1], [True, False, True], {1}),
+        ]
+        for domain, codomain, assignment, flags, antihom in cases:
+            shape, cod = AlgebraShape(domain), AlgebraShape(codomain)
+            ws = [rand_unitary(rng, AlgebraShape((d,))).blocks()[0] for d in codomain]
+            T = build_block_map(shape, cod, assignment, flags, ws)
+            cls = classify_triple_hom(T)
+            assert cls.antihom_block_indices == antihom
+            e_star = adjoint(cls.unit_image).matrix
 
-        def phi(x):
-            return e_star @ T.apply(x).matrix
+            def phi(x):
+                return e_star @ T.apply(x).matrix
 
-        units = matrix_units(shape)
-        start = 0
-        for bi, d in enumerate(shape.block_dims):
-            block = units[start:start + d * d]
-            start += d * d
-            pairs = [(x, y) for x in block for y in block]
-            mult = max(op_norm(phi(x @ y) - phi(x) @ phi(y)) for x, y in pairs)
-            anti = max(op_norm(phi(x @ y) - phi(y) @ phi(x)) for x, y in pairs)
-            assert cls.residuals[bi] == pytest.approx((mult, anti), abs=1e-12)
-        assert cls.residuals[0][1] > 0.1 and cls.residuals[1][0] > 0.1
+            units = matrix_units(shape)
+            start = 0
+            for bi, d in enumerate(shape.block_dims):
+                block = units[start:start + d * d]
+                start += d * d
+                pairs = [(x, y) for x in block for y in block]
+                mult = max(op_norm(phi(x @ y) - phi(x) @ phi(y)) for x, y in pairs)
+                anti = max(op_norm(phi(x @ y) - phi(y) @ phi(x)) for x, y in pairs)
+                assert cls.residuals[bi] == pytest.approx((mult, anti), abs=1e-12)
+                if d > 1:  # the side a block is not on is far from it
+                    assert cls.residuals[bi][int(bi not in antihom)] > 0.1
 
     def test_scalar_blocks_default_homomorphic(self):
         shape = AlgebraShape((1, 1))
