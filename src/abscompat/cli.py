@@ -118,7 +118,7 @@ def _print_consistency(report: ConsistencyReport, as_json: bool) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    tol = ToleranceConfig.from_scalar(args.tol)
+    tol = ToleranceConfig(relation=args.tol)
     relation = args.relation
     a = load_matrix(args.file_a)
     binary = relation in _BINARY_RELATIONS
@@ -149,7 +149,7 @@ def cmd_verify_suite(args: argparse.Namespace) -> int:
         dims = [int(d) for d in args.dims.split(",") if d.strip()]
     except ValueError as exc:
         raise AbscompatError(f"--dims must be a comma list of ints: {exc}") from exc
-    tol = ToleranceConfig.from_scalar(args.tol)
+    tol = ToleranceConfig(relation=args.tol)
     results = run_all_suites(dims, args.trials, args.seed, tol)
     if args.as_json:
         print(dumps_canonical({
@@ -173,7 +173,7 @@ def cmd_verify_suite(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    tol = ToleranceConfig.from_scalar(args.tol)
+    tol = ToleranceConfig(relation=args.tol)
     tmap = load_map(args.map_file, tol)
     try:
         cls = classify_triple_hom(tmap, tol)
@@ -210,7 +210,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_fuzz(args: argparse.Namespace) -> int:
     if args.budget < 1:
         raise AbscompatError("--budget must be >= 1")
-    tol = ToleranceConfig.from_scalar(args.tol)
+    tol = ToleranceConfig(relation=args.tol)
     tmap = load_map(args.map_file, tol)
     witness = fuzz_counterexample(
         tmap, CompatKind(args.kind), args.budget, args.seed, tol)

@@ -118,12 +118,12 @@ def op_norm(a: np.ndarray) -> float:
 def herm_eig(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
-    Raises NotHermitian when |a - a*| exceeds tol.herm * max(1, |a|).
+    Raises NotHermitian when |a - a*| exceeds tol.relation * max(1, |a|).
     """
     a = as_square_matrix(a)
     scale = max(1.0, op_norm(a))
-    if op_norm(a - a.conj().T) > tol.herm * scale:
-        raise NotHermitian(f"matrix is not Hermitian within {tol.herm:g}")
+    if op_norm(a - a.conj().T) > tol.relation * scale:
+        raise NotHermitian(f"matrix is not Hermitian within {tol.relation:g}")
     w, v = _eigh(_hermitize(a))
     return HermitianEig(w, v)
 

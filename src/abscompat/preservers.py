@@ -13,7 +13,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from itertools import islice
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -30,13 +31,7 @@ from .errors import (
 from .linalg import _svd, op_norm
 from .relations import CompatKind, compat_defect, is_partial_isometry
 from .reports import RelationReport
-from .sampling import (
-    PairGenerator,
-    PairStrategy,
-    generate_compat_pair,
-    known_witness_pairs,
-    rand_contraction,
-)
+from .sampling import compatible_pairs, rand_contraction
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
@@ -425,7 +420,8 @@ def is_triple_hom(T: LinearMap, tol: ToleranceConfig = DEFAULT_TOL) -> RelationR
 
 @dataclass(frozen=True)
 class Witness:
-    """A compatible input pair whose image violates compatibility."""
+    """A compatible input pair and the compatibility defect of its image: a
+    witness against preservation when that defect exceeds the tolerance."""
 
     a: AlgebraElement
     b: AlgebraElement
@@ -462,82 +458,66 @@ class PreservationReport:
         }
 
 
-def _image_defect(
-    T: LinearMap, a: AlgebraElement, b: AlgebraElement,
-    kind: CompatKind, tol: ToleranceConfig, source: str,
-) -> tuple[float, str]:
-    """Compatibility defect of the image pair and the witness label; images
+def _judged_pairs(
+    T: LinearMap, kind: CompatKind, output_kind: CompatKind, n_pairs: int,
+    seed: int, tol: ToleranceConfig,
+) -> Iterator[Witness]:
+    """The first ``n_pairs`` pairs of ``compatible_pairs`` at ``kind``, each
+    with the compatibility defect of its image at ``output_kind``. Images
     escaping the unit ball are themselves violations (the relation is only
-    defined on the ball), labelled ``source+noncontractive-image``."""
-    ta, tb = T.apply(a), T.apply(b)
-    try:
-        return compat_defect(ta, tb, kind, tol).defect, source
-    except NotContraction:
-        excess = max(op_norm(ta.matrix), op_norm(tb.matrix)) - 1.0
-        return excess, f"{source}+noncontractive-image"
+    defined on the ball), with their norm excess as defect, labelled
+    ``source+noncontractive-image``."""
+    stream = compatible_pairs(T.domain_shape, kind, seed, tol)
+    for index, (source, a, b, in_defect) in enumerate(islice(stream, n_pairs)):
+        ta, tb = T.apply(a), T.apply(b)
+        try:
+            out_defect = compat_defect(ta, tb, output_kind, tol).defect
+        except NotContraction:
+            out_defect = max(op_norm(ta.matrix), op_norm(tb.matrix)) - 1.0
+            source += "+noncontractive-image"
+        yield Witness(a, b, in_defect, out_defect, source, index)
 
 
 def preserves_compat_sampled(
     T: LinearMap,
     kind: CompatKind,
-    gen: PairGenerator,
     n_pairs: int,
+    seed: int = 0,
     tol: ToleranceConfig = DEFAULT_TOL,
     output_kind: CompatKind | None = None,
-    seed_pairs: Sequence[tuple[AlgebraElement, AlgebraElement]] | None = None,
 ) -> PreservationReport:
-    """Generate pairs with compat_defect(a, b, kind) <= tol and audit the
-    images at ``output_kind`` (default: same kind; anti-homomorphisms are
-    audited with the swapped kind).
+    """Judge the first ``n_pairs`` pairs of ``compatible_pairs(shape, kind,
+    seed)`` (fixed witness pairs included) and report every image whose
+    defect at ``output_kind`` exceeds the tolerance (default: same kind;
+    anti-homomorphisms are audited with the swapped kind). The worst
+    violation is the witness. Raises GeneratorExhausted when every strategy
+    exhausts first.
 
     A quick sampled contractivity check runs first and warns (never blocks)
     if the map escapes the unit ball: the compatibility notion assumes
     contractive maps.
     """
     output_kind = output_kind or kind
-    spot = is_contractive_sampled(T, 16, seed=gen.seed ^ 0x9E3779B9, tol=tol)
+    spot = is_contractive_sampled(T, 16, seed=seed ^ 0x9E3779B9, tol=tol)
     if not spot.verdict:
         warnings.warn(
             f"map appears non-contractive (sampled defect {spot.defect:.3g}); "
             "preservation of compatibility presumes a contraction",
             UserWarning,
         )
-
-    violations = 0
-    worst: Witness | None = None
-    max_defect = 0.0
-    index = 0
-
-    def consider(a: AlgebraElement, b: AlgebraElement, in_defect: float, src: str) -> None:
-        nonlocal violations, worst, max_defect, index
-        out_defect, label = _image_defect(T, a, b, output_kind, tol, src)
-        max_defect = max(max_defect, out_defect)
-        if out_defect > tol.relation:
+    violations, worst, max_defect, judged = 0, None, 0.0, 0
+    for judged, w in enumerate(_judged_pairs(T, kind, output_kind, n_pairs, seed, tol), 1):
+        max_defect = max(max_defect, w.output_defect)
+        if w.output_defect > tol.relation:
             violations += 1
-            if worst is None or out_defect > worst.output_defect:
-                worst = Witness(a, b, in_defect, out_defect, label, index)
-        index += 1
-
-    for i, item in enumerate(seed_pairs or []):
-        label, a, b = item if len(item) == 3 else (f"seed_{i}", *item)
-        rep = compat_defect(a, b, kind, tol)
-        if not rep.verdict:
-            warnings.warn(
-                f"seed pair {label} is not {kind.value}-compatible "
-                f"(defect {rep.defect:.3g}); skipped",
-                UserWarning,
-            )
-            continue
-        consider(a, b, rep.defect, label)
-
-    for _ in range(n_pairs):
-        a, b, in_defect = generate_compat_pair(gen, T.domain_shape, kind, tol)
-        consider(a, b, in_defect, gen.strategy.value)
-
-    return PreservationReport(
-        kind, output_kind, index, violations, max_defect, worst,
-        violations == 0, tol.relation,
-    )
+            if worst is None or w.output_defect > worst.output_defect:
+                worst = w
+    if judged < n_pairs:
+        raise GeneratorExhausted(
+            f"every strategy exhausted after {judged} of {n_pairs} pairs "
+            f"on shape {T.domain_shape.block_dims}")
+    return PreservationReport(kind, output_kind, n_pairs, violations, max_defect,
+                              worst, violations == 0, tol.relation)
 
 
 # ---------------------------------------------------------------------------
@@ -621,55 +601,16 @@ def fuzz_counterexample(
     seed: int = 0,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> Witness | None:
-    """Search compatible pairs whose images violate compatibility.
+    """The first pair among the first ``budget`` of ``compatible_pairs(shape,
+    kind, seed)`` whose image violates compatibility at ``kind``, or None.
 
-    The stream starts with the fixed witness pairs (known-hard cases make
-    regressions deterministic), then round-robins every generation strategy.
-    Returns the first violating pair or None within the budget; identical
-    seeds replay identical searches.
+    The fixed witness pairs come first, so known-hard cases make regressions
+    deterministic; identical seeds replay identical searches.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    shape = T.domain_shape
-    evaluated = 0
-
-    def check(a, b, in_defect, src) -> Witness | None:
-        nonlocal evaluated
-        out_defect, label = _image_defect(T, a, b, kind, tol, src)
-        evaluated += 1
-        if out_defect > tol.relation:
-            return Witness(a, b, in_defect, out_defect, label, evaluated - 1)
-        return None
-
-    for label, a, b in known_witness_pairs(shape):
-        if evaluated >= budget:
-            return None
-        rep = compat_defect(a, b, kind, tol)
-        if not rep.verdict:
-            continue  # this fixed pair is not compatible at the requested kind
-        found = check(a, b, rep.defect, label)
-        if found is not None:
-            return found
-
-    child_seeds = np.random.SeedSequence(seed).generate_state(len(PairStrategy))
-    gens = [
-        PairGenerator(strategy, int(s))
-        for strategy, s in zip(PairStrategy, child_seeds)
-    ]
-    active = [g for g in gens if g.supports(shape)]
-    while evaluated < budget and active:
-        for gen in list(active):
-            if evaluated >= budget:
-                break
-            try:
-                a, b, in_defect = generate_compat_pair(gen, shape, kind, tol)
-            except GeneratorExhausted:
-                active.remove(gen)
-                continue
-            found = check(a, b, in_defect, gen.strategy.value)
-            if found is not None:
-                return found
-    return None
+    judged = _judged_pairs(T, kind, kind, budget, seed, tol)
+    return next((w for w in judged if w.output_defect > tol.relation), None)
 
 
 def range_version_adapter(T: LinearMap) -> LinearMap:

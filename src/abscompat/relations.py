@@ -234,7 +234,7 @@ def check_orth_characterization(
     herm_gap = max(
         op_norm(a.matrix - a.matrix.conj().T), op_norm(b.matrix - b.matrix.conj().T)
     )
-    if herm_gap <= tol.herm:
+    if herm_gap <= tol.relation:
         clauses.append(
             make_clause(
                 "self-adjoint: a orthogonal b",
@@ -252,8 +252,8 @@ def _unit_interval_gate(
     x: AlgebraElement, tol: ToleranceConfig, label: str
 ) -> None:
     herm_gap = op_norm(x.matrix - x.matrix.conj().T)
-    if herm_gap > tol.herm:
-        raise NotInUnitInterval(f"{label} is not Hermitian within {tol.herm:g}")
+    if herm_gap > tol.relation:
+        raise NotInUnitInterval(f"{label} is not Hermitian within {tol.relation:g}")
     lam = _herm_eigvals(x.matrix)
     if lam[0] < -tol.relation or lam[-1] > 1.0 + tol.relation:
         raise NotInUnitInterval(

@@ -137,7 +137,7 @@ def suite_linalg_invariants(
                 m = np.diag(rng.uniform(0, 2, n)).astype(np.complex128)
             p = abs_value(m)
             d = op_norm(abs_value(p) - p)
-            yield d, d > tol.recon * max(1.0, op_norm(p))
+            yield d, d > tol.relation * max(1.0, op_norm(p))
 
     def polar_reconstruction():
         for i in range(trials):
@@ -408,9 +408,6 @@ def suite_preservers(
     hom_checks, unit_checks = [], []
     passing_hom_defects = []
     violations, worst_out = 0, 0.0
-    audited = 0
-    # the fixed witness pairs and their input defects depend on the shape only
-    seeds: dict[AlgebraShape, list] = {}
     for i, (_, tmap) in enumerate(maps):
         hom_defect = is_triple_hom(tmap, tol).defect
         hom_checks.append((hom_defect, hom_defect > 1e-9))
@@ -419,19 +416,9 @@ def suite_preservers(
         pi_defect = is_partial_isometry(e, tol).defect
         unit_checks.append((pi_defect, pi_defect > 1e-9))
 
-        gen = PairGenerator(PairStrategy.DIRECT_SUM_MIX, seed + 101 * i)
-        shape = tmap.domain_shape
-        if shape not in seeds:
-            seeds[shape] = [
-                (label, a_, b_) for label, a_, b_ in known_witness_pairs(shape)
-                if compat_defect(a_, b_, CompatKind.FULL, tol).verdict
-            ]
-        audit = preserves_compat_sampled(
-            tmap, CompatKind.FULL, gen, n_pairs, tol, seed_pairs=seeds[shape],
-        )
+        audit = preserves_compat_sampled(tmap, CompatKind.FULL, n_pairs, seed + 101 * i, tol)
         violations += audit.violations
         worst_out = max(worst_out, audit.max_output_defect)
-        audited += audit.n_pairs
         if audit.verdict:
             passing_hom_defects.append(hom_defect)
     # report only: how far from a triple hom a map passing the audit can be
@@ -439,17 +426,16 @@ def suite_preservers(
     results = [
         _tally("builders are triple homomorphisms", hom_checks),
         _tally("unit image is a partial isometry", unit_checks),
-        SuiteResult("triple homs preserve compatibility", audited, violations, 0,
+        SuiteResult("triple homs preserve compatibility", n_pairs * len(maps), violations, 0,
                     worst_out, violations == 0, note=f"{len(maps)} maps"),
         SuiteResult("preservation vs triple-hom calibration",
                     len(passing_hom_defects), 0, 0, worst_cal, True,
-                    note="max triple-hom defect among maps passing preservation: "
-                         f"{worst_cal:.3g} over {len(passing_hom_defects)} maps "
+                    note="max triple-hom defect among maps passing preservation "
                          "(report only)"),
     ]
 
     # anti-homomorphisms swap domain and range compatibility
-    swap_violations, swap_audited, worst_swap = 0, 0, 0.0
+    swap_violations, worst_swap = 0, 0.0
     for i, d in enumerate(dims):
         shape = AlgebraShape((d,))
         w = rand_unitary(rng, shape).blocks()[0]
@@ -458,14 +444,12 @@ def suite_preservers(
             (CompatKind.DOMAIN, CompatKind.RANGE),
             (CompatKind.RANGE, CompatKind.DOMAIN),
         ):
-            gen = PairGenerator(PairStrategy.DIRECT_SUM_MIX, seed + 977 * i)
             audit = preserves_compat_sampled(
-                anti, in_kind, gen, n_pairs, tol, output_kind=out_kind)
+                anti, in_kind, n_pairs, seed + 977 * i, tol, output_kind=out_kind)
             swap_violations += audit.violations
-            swap_audited += audit.n_pairs
             worst_swap = max(worst_swap, audit.max_output_defect)
     results.append(SuiteResult("anti-homs swap domain/range compatibility",
-                               swap_audited, swap_violations, 0, worst_swap,
+                               2 * n_pairs * len(dims), swap_violations, 0, worst_swap,
                                swap_violations == 0))
 
     # symmetric triple homs factor through a Jordan *-homomorphism
@@ -559,14 +543,14 @@ def suite_determinism(
     runs = []
     for _ in range(2):
         w = fuzz_counterexample(transpose_map(shape), CompatKind.DOMAIN, 50, seed, tol)
-        runs.append((w.index, w.source, w.output_defect, w.a.matrix.tobytes()))
+        # a missing witness fails the fuzzing regressions; here only replay counts
+        runs.append(None if w is None else
+                    (w.index, w.source, w.output_defect, w.a.matrix.tobytes()))
     fails += runs[0] != runs[1]
 
     reports = []
     for _ in range(2):
-        gen = PairGenerator(PairStrategy.DIRECT_SUM_MIX, seed)
-        rep = preserves_compat_sampled(
-            identity_map(shape), CompatKind.FULL, gen, 25, tol)
+        rep = preserves_compat_sampled(identity_map(shape), CompatKind.FULL, 25, seed, tol)
         reports.append((rep.verdict, rep.violations, rep.max_output_defect))
     fails += reports[0] != reports[1]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -9,27 +10,23 @@ from dataclasses import dataclass
 class ToleranceConfig:
     """Numerical thresholds used by decompositions and relation verdicts.
 
-    relation : verdict threshold for relation defects (and unit-ball slack).
-    herm     : Hermiticity pre-checks, absolute after scaling by max(1, |a|).
-    recon    : reconstruction invariants of decompositions.
+    relation : verdict threshold for relation defects, unit-ball slack,
+               Hermiticity gates (scaled by max(1, |a|) in ``herm_eig``) and
+               reconstruction invariants.
     rank     : singular values below rank * sigma_max are treated as zero.
+
+    Both must be finite and positive: a NaN threshold makes every comparison
+    false and an infinite one every comparison true.
     """
 
     relation: float = 1e-8
-    herm: float = 1e-8
-    recon: float = 1e-8
     rank: float = 1e-10
 
     def __post_init__(self) -> None:
-        for name in ("relation", "herm", "recon", "rank"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"tolerance {name!r} must be positive")
-
-    @classmethod
-    def from_scalar(cls, tol: float) -> "ToleranceConfig":
-        """One-knob constructor: verdict/hermiticity/reconstruction thresholds
-        all set to ``tol``; the rank cut keeps its default."""
-        return cls(relation=float(tol), herm=float(tol), recon=float(tol))
+        for name in ("relation", "rank"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"tolerance {name!r} must be finite and positive, got {value}")
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -100,6 +100,32 @@ class TestCheck:
                    "--kind", "domain", "--tol", "0.5"])
         assert rc == 0
 
+    def test_tolerance_flag_reaches_the_hermiticity_gate(self, tmp_path, capsys):
+        # p00 needs both inputs Hermitian within --tol; a has a 5e-7 gap
+        a, zero = tmp_path / "a.json", tmp_path / "zero.json"
+        save_matrix(AlgebraElement.single(np.array([[0.5, 5e-7], [0.0, 0.25]])), a)
+        save_matrix(AlgebraElement.single(np.zeros((2, 2))), zero)
+        assert main(["check", "p00", str(a), str(zero)]) == 2
+        assert "not Hermitian" in capsys.readouterr().err
+        assert main(["check", "p00", str(a), str(zero), "--tol", "1e-6"]) == 0
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tolerance_exit_two(fixtures, tmp_path, capsys, tol):
+    # a NaN tolerance would make every verdict false, an infinite one every verdict true
+    commands = [
+        ["check", "contraction", fixtures["a"]],
+        ["verify-suite", "--dims", "2", "--trials", "10"],
+        ["classify", fixtures["transpose"]],
+        ["fuzz", fixtures["transpose"], "--out-dir", str(tmp_path)],
+    ]
+    for argv in commands:
+        assert main(argv + ["--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert "finite and positive" in captured.err
+        assert captured.out == ""
+
 
 class TestVerifySuite:
     def test_small_run_passes(self, capsys):
@@ -121,6 +147,14 @@ class TestVerifySuite:
     def test_zero_trials_rejected(self, capsys):
         assert main(["verify-suite", "--trials", "0"]) == 2
         capsys.readouterr()
+
+    def test_loose_tolerance_fails_without_traceback(self, capsys):
+        # at 0.5 the transpose is not refuted; that fails the fuzzing rows
+        rc = main(["verify-suite", "--dims", "2", "--trials", "10", "--tol", "0.5"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        failed = [line.split()[1:4] for line in out.splitlines() if line.startswith("FAIL")]
+        assert ["counterexample", "fuzzing", "regressions"] in failed
 
     def test_bad_dims_rejected(self, capsys):
         assert main(["verify-suite", "--dims", "2,x"]) == 2

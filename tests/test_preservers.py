@@ -33,6 +33,7 @@ from abscompat import (
 from abscompat import preservers
 from abscompat.errors import (
     AmbiguousBlock,
+    GeneratorExhausted,
     NotTripleHom,
     NotUnitary,
     ShapeIncompatible,
@@ -334,47 +335,64 @@ class TestIsTripleHom:
 class TestPreservesCompat:
     def test_star_hom_zero_violations(self):
         T = build_star_hom(SH2, SH22, [0, 0])
-        gen = PairGenerator(PairStrategy.DIRECT_SUM_MIX, 23)
-        rep = preserves_compat_sampled(T, CompatKind.FULL, gen, 40)
+        rep = preserves_compat_sampled(T, CompatKind.FULL, 40, seed=23)
         assert rep.verdict and rep.violations == 0
+        assert rep.n_pairs == 40
 
-    def test_transpose_refuted_by_seeded_witness(self, isometry_pair):
-        e, v = isometry_pair
-        gen = PairGenerator(PairStrategy.ORTHOGONAL, 23)
-        rep = preserves_compat_sampled(
-            transpose_map(SH2), CompatKind.DOMAIN, gen, 10,
-            seed_pairs=[("crossed", e, v)],
-        )
+    def test_transpose_refuted_by_seeded_witness(self):
+        # at domain kind the fixed prefix is the positive pair, the crossed
+        # isometries and the two saturated pairs; only the crossed pair fails
+        rep = preserves_compat_sampled(transpose_map(SH2), CompatKind.DOMAIN, 4, seed=23)
         assert not rep.verdict
+        assert rep.violations == 1
         assert rep.worst is not None
-        assert rep.worst.source == "crossed"
+        assert (rep.worst.source, rep.worst.index) == ("crossed_isometries_2x2", 1)
         assert rep.worst.output_defect == pytest.approx(np.sqrt(2) - 1, abs=1e-12)
 
     def test_anti_hom_swaps_kinds(self, rng):
         w = rand_unitary(rng, SH2).blocks()[0]
         anti = build_star_anti_hom(SH2, SH2, [0], [w])
-        gen = PairGenerator(PairStrategy.DIRECT_SUM_MIX, 5)
         rep = preserves_compat_sampled(
-            anti, CompatKind.DOMAIN, gen, 40, output_kind=CompatKind.RANGE)
+            anti, CompatKind.DOMAIN, 40, seed=5, output_kind=CompatKind.RANGE)
         assert rep.verdict
         assert rep.output_kind is CompatKind.RANGE
 
     def test_noncontractive_map_warns(self):
-        gen = PairGenerator(PairStrategy.ORTHOGONAL, 2)
         with pytest.warns(UserWarning, match="non-contractive"):
-            rep = preserves_compat_sampled(
-                scale_map(SH2, 2.0), CompatKind.FULL, gen, 3)
+            rep = preserves_compat_sampled(scale_map(SH2, 2.0), CompatKind.FULL, 3, seed=2)
         assert not rep.verdict  # doubled images escape the ball
+        assert rep.worst.source.endswith("+noncontractive-image")
 
-    def test_incompatible_seed_pair_warns_and_skips(self, isometry_pair):
-        e, v = isometry_pair  # not range compatible
-        gen = PairGenerator(PairStrategy.ORTHOGONAL, 2)
-        with pytest.warns(UserWarning, match="skipped"):
-            rep = preserves_compat_sampled(
-                identity_map(SH2), CompatKind.RANGE, gen, 3,
-                seed_pairs=[("crossed", e, v)],
-            )
-        assert rep.verdict
+    def test_stream_ending_early_raises(self, monkeypatch):
+        monkeypatch.setattr(preservers, "compatible_pairs", lambda *args: iter([]))
+        with pytest.raises(GeneratorExhausted, match="after 0 of 3 pairs"):
+            preserves_compat_sampled(identity_map(SH2), CompatKind.FULL, 3)
+
+    @pytest.mark.parametrize("kind", list(CompatKind))
+    @pytest.mark.parametrize("name", ["transpose", "scale 0.5", "sandwich"])
+    def test_first_violation_is_the_fuzz_witness(self, rng, name, kind):
+        # both read one stream: the audit finds no violation before the fuzz
+        # witness and finds exactly it when the witness is the last pair judged
+        T = {"transpose": lambda: transpose_map(SH2),
+             "scale 0.5": lambda: scale_map(SH2, 0.5),
+             "sandwich": lambda: build_sandwich(rand_unitary(rng, SH2),
+                                                rand_unitary(rng, SH2))}[name]()
+        budget = 60
+        for seed in range(3):
+            w = fuzz_counterexample(T, kind, budget, seed)
+            clean = budget if w is None else w.index
+            if clean:
+                assert preserves_compat_sampled(T, kind, clean, seed).violations == 0
+            if w is None:
+                continue
+            rep = preserves_compat_sampled(T, kind, w.index + 1, seed)
+            assert rep.violations == 1
+            found = rep.worst
+            assert (found.index, found.source) == (w.index, w.source)
+            assert (found.input_defect, found.output_defect) == (w.input_defect,
+                                                                  w.output_defect)
+            np.testing.assert_array_equal(found.a.matrix, w.a.matrix)
+            np.testing.assert_array_equal(found.b.matrix, w.b.matrix)
 
 
 class TestClassify:

@@ -441,8 +441,9 @@ class TestAdjointDuality:
 
 
 def test_tolerance_config_validation():
-    with pytest.raises(ValueError):
-        ToleranceConfig(relation=0.0)
-    cfg = ToleranceConfig.from_scalar(1e-6)
-    assert cfg.relation == cfg.herm == cfg.recon == 1e-6
-    assert cfg.rank == 1e-10
+    # a NaN threshold makes every verdict false, an infinite one every verdict true
+    for field in ("relation", "rank"):
+        for value in (0.0, -1e-8, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=field):
+                ToleranceConfig(**{field: value})
+    assert ToleranceConfig(relation=1e-6) == ToleranceConfig(1e-6, 1e-10)
