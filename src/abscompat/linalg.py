@@ -5,9 +5,11 @@ squared and no singular value is floored, so absolute values stay accurate on
 spectra spanning many decades. Polar decompositions and the functional
 calculus are built on the same kernel.
 
-All functions take and return plain ``numpy`` arrays (square, complex128).
-Eigenvector phases are never canonicalized; every guarantee is phrased through
-reconstructions.
+Public functions take and return plain 2-D ``numpy`` arrays (square,
+complex128). The private kernel (``_abs_parts``, ``_abs_herm`` and the helpers
+under them) also takes stacks ``(N, n, n)`` and works matrix by matrix through
+numpy's broadcasting ``svd``/``eigh``/``eigvalsh``. Eigenvector phases are
+never canonicalized; every guarantee is phrased through reconstructions.
 """
 
 from __future__ import annotations
@@ -76,23 +78,27 @@ def _eigh(h: np.ndarray, vectors: bool = True):
 
 
 def _hermitize(x: np.ndarray) -> np.ndarray:
-    return (x + x.conj().T) / 2.0
+    return (x + x.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _weighted_gram(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """w diag(s) w*, made exactly Hermitian."""
-    return _hermitize((w * s) @ w.conj().T)
+    return _hermitize((w * s[..., None, :]) @ w.conj().swapaxes(-1, -2))
 
 
-def _abs_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """|x|, |x*| and the operator norm of x, from one SVD."""
+def _abs_parts(
+    x: np.ndarray, domain: bool = True, range_: bool = True
+) -> tuple[np.ndarray, np.ndarray | float]:
+    """|x| (if domain) and |x*| (if range_), stacked in that order along a new
+    first axis, and the operator norm of x (of each x in a stack), from one
+    SVD."""
     left, sigma, right_h = _svd(x)
-    norm = float(sigma[0]) if sigma.size else 0.0
-    return _weighted_gram(right_h.conj().T, sigma), _weighted_gram(left, sigma), norm
+    w = np.array([right_h.conj().swapaxes(-1, -2)] * domain + [left] * range_)
+    return _weighted_gram(w, sigma), sigma[..., 0] if sigma.size else 0.0
 
 
 def _abs_herm(h: np.ndarray) -> np.ndarray:
-    """|h| for Hermitian h, from one eigh."""
+    """|h| for Hermitian h (each h in a stack), from one eigh."""
     lam, w = _eigh(h)
     return _weighted_gram(w, np.abs(lam))
 
@@ -147,7 +153,7 @@ def abs_value(a: np.ndarray) -> np.ndarray:
     """|a| = (a* a)^(1/2) = V S V*, positive semidefinite, from the SVD
     a = U S V*. No Gram product is formed and no singular value is floored,
     so the error is roundoff relative to the largest singular value."""
-    return _abs_parts(as_square_matrix(a))[0]
+    return _abs_parts(as_square_matrix(a), range_=False)[0][0]
 
 
 def polar(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> PolarDecomposition:

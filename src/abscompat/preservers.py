@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -29,9 +29,11 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import _svd, op_norm
-from .relations import CompatKind, compat_defect, is_partial_isometry
+from .relations import CompatKind, _compat_stack, compat_defect, is_partial_isometry
 from .reports import RelationReport
-from .sampling import compatible_pairs, rand_contraction
+from .sampling import (
+    _growing_chunks, compatible_pairs, known_witness_pairs, rand_contraction,
+)
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
@@ -458,6 +460,28 @@ class PreservationReport:
         }
 
 
+def _judge(T: LinearMap, pairs: list, output_kind: CompatKind,
+           tol: ToleranceConfig) -> list[tuple[float, str]]:
+    """The compatibility defect at ``output_kind`` of the images of each
+    (source, a, b, defect) in ``pairs`` (for an image outside the unit ball,
+    its norm excess) and a source suffix. One pair goes through ``T.apply``
+    and ``compat_defect``; a stack through one product with the action and
+    one kernel call."""
+    if len(pairs) == 1:
+        ta, tb = T.apply(pairs[0][1]), T.apply(pairs[0][2])
+        try:
+            return [(compat_defect(ta, tb, output_kind, tol).defect, "")]
+        except NotContraction:
+            return [(max(op_norm(ta.matrix), op_norm(tb.matrix)) - 1.0, "+noncontractive-image")]
+    n, m = len(pairs), T.codomain_shape.total_dim
+    x = np.stack([p[1].matrix for p in pairs] + [p[2].matrix for p in pairs])
+    images = (x.reshape(2 * n, -1) @ T.action.T).reshape(2 * n, m, m)
+    k = _compat_stack(images[:n], images[n:], T.codomain_shape, output_kind, tol)
+    excess = np.maximum(k.norm_a, k.norm_b) - 1.0
+    return [(float(d), "") if e <= tol.relation else (float(e), "+noncontractive-image")
+            for d, e in zip(k.defect, excess)]
+
+
 def _judged_pairs(
     T: LinearMap, kind: CompatKind, output_kind: CompatKind, n_pairs: int,
     seed: int, tol: ToleranceConfig,
@@ -466,16 +490,16 @@ def _judged_pairs(
     with the compatibility defect of its image at ``output_kind``. Images
     escaping the unit ball are themselves violations (the relation is only
     defined on the ball), with their norm excess as defect, labelled
-    ``source+noncontractive-image``."""
-    stream = compatible_pairs(T.domain_shape, kind, seed, tol)
-    for index, (source, a, b, in_defect) in enumerate(islice(stream, n_pairs)):
-        ta, tb = T.apply(a), T.apply(b)
-        try:
-            out_defect = compat_defect(ta, tb, output_kind, tol).defect
-        except NotContraction:
-            out_defect = max(op_norm(ta.matrix), op_norm(tb.matrix)) - 1.0
-            source += "+noncontractive-image"
-        yield Witness(a, b, in_defect, out_defect, source, index)
+    ``source+noncontractive-image``. The fixed pairs are judged one at a
+    time, so a refutation among them draws nothing; the rest in stacks."""
+    stream = islice(compatible_pairs(T.domain_shape, kind, seed, tol), n_pairs)
+    fixed = islice(stream, len(known_witness_pairs(T.domain_shape)))
+    index = 0
+    for pairs in chain(([pair] for pair in fixed), _growing_chunks(stream)):
+        for (source, a, b, in_defect), (out_defect, suffix) in zip(
+                pairs, _judge(T, pairs, output_kind, tol)):
+            yield Witness(a, b, in_defect, out_defect, source + suffix, index)
+            index += 1
 
 
 def preserves_compat_sampled(

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import warnings
 from enum import Enum
+from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraElement, _block_diag, is_positive, jordan, unit
+from .algebra import AlgebraElement, AlgebraShape, _block_diag, is_positive, jordan, unit
 from .errors import (
     CrossCheckMismatch,
     EndpointAmbiguity,
@@ -71,36 +73,70 @@ class IntervalBoundary(Enum):
         return self in (IntervalBoundary.CLOSED_CLOSED, IntervalBoundary.OPEN_CLOSED)
 
 
-def _unit_ball_abs(
-    a: AlgebraElement, tol: ToleranceConfig, label: str
-) -> tuple[AlgebraElement, list[np.ndarray], list[np.ndarray]]:
-    """Unit-ball gate with slack, and the blocks of |a| and |a*|, from one SVD
-    per block: norms in (1, 1+tol] are renormalized to 1 (a is returned
-    rescaled), anything larger raises NotContraction."""
-    parts = [_abs_parts(a.matrix[sl, sl]) for sl in a.shape.block_slices()]
-    norm = max(p[2] for p in parts)
-    if norm > 1.0 + tol.relation:
-        raise NotContraction(f"{label} has operator norm {norm:.6g} > 1")
-    if norm > 1.0:
-        a = AlgebraElement._wrap(a.shape, a.matrix / norm)
-        parts = [(x / norm, y / norm, n) for x, y, n in parts]
-    return a, [p[0] for p in parts], [p[1] for p in parts]
+class _CompatStack(NamedTuple):
+    """Per pair: the defect at the kind asked for, each side's defect, both
+    operands' norms, and the identity's terms by witness name, per block."""
+
+    defect: np.ndarray
+    sides: dict[CompatKind, np.ndarray]
+    norm_a: np.ndarray
+    norm_b: np.ndarray
+    terms: dict[str, list[np.ndarray]]
 
 
-def _compat_residual(
-    abs_a: list[np.ndarray], abs_b: list[np.ndarray]
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Defect of | |a|-|b| | + | 1-|a|-|b| | = 1 and both terms, block by block
-    from the blocks of |a| and |b|; the terms and the residual norm use eigh."""
-    defect, diffs, gaps = 0.0, [], []
-    for x, y in zip(abs_a, abs_b):
-        one = np.eye(x.shape[0])
-        diff, gap = _abs_herm(x - y), _abs_herm(one - x - y)
-        lam = _eigh(diff + gap - one, vectors=False)
-        defect = max(defect, float(max(-lam[0], lam[-1])))
+def _compat_stack(
+    a: np.ndarray, b: np.ndarray, shape: AlgebraShape, kind: CompatKind,
+    tol: ToleranceConfig,
+) -> _CompatStack:
+    """Defect of | |a|-|b| | + | 1-|a|-|b| | = 1 for each pair (a[k], b[k]) of
+    (N, n, n) stacks of ``shape``, or for one pair of matrices: domain uses
+    |a|, |b|, range |a*|, |b*|, full both, at once. A direct sum's norm and
+    defect are its largest block's; norms in (1, 1+tol] are renormalized to 1."""
+    sides = (CompatKind.DOMAIN, CompatKind.RANGE) if kind is CompatKind.FULL else (kind,)
+    wanted = (CompatKind.DOMAIN in sides, CompatKind.RANGE in sides)
+    absolutes, norms = [], []  # per operand: (sides, ..., d, d) stacks per block
+    for m in (a, b):
+        blocks, block_norms = zip(*(_abs_parts(m[..., sl, sl], *wanted)
+                                    for sl in shape.block_slices()))
+        norm = reduce(np.maximum, block_norms)
+        if norm.max() > 1.0:
+            band = (norm > 1.0) & (norm <= 1.0 + tol.relation)
+            scale = np.where(band, norm, 1.0)[..., None, None]
+            blocks = [x / scale for x in blocks]
+        absolutes.append(blocks)
+        norms.append(norm)
+    residuals, diffs, gaps = [], [], []
+    for x, y in zip(*absolutes):
+        one = np.eye(x.shape[-1])
+        diff, gap = _abs_herm(np.array((x - y, one - x - y)))
         diffs.append(diff)
         gaps.append(gap)
-    return defect, diffs, gaps
+        # the residual's norm: its eigenvalue of largest modulus
+        residuals.append(np.abs(_eigh(diff + gap - one, vectors=False)).max(-1))
+    per_side = reduce(np.maximum, residuals)
+    terms = {}
+    for s, side in enumerate(sides):
+        suffix = "_adj" if side is CompatKind.RANGE else ""
+        for key, blocks in zip(("abs_a", "abs_b", "abs_diff", "unit_gap"),
+                               (*absolutes, diffs, gaps)):
+            terms[key + suffix] = [blk[s] for blk in blocks]
+    return _CompatStack(per_side.max(axis=0), dict(zip(sides, per_side)), *norms, terms)
+
+
+def _compat_pair(
+    a: AlgebraElement, b: AlgebraElement, kind: CompatKind, tol: ToleranceConfig
+) -> tuple[_CompatStack, AlgebraElement, AlgebraElement]:
+    """``_compat_stack`` of one pair of contractions, and a, b gated into the
+    unit ball: renormalized from (1, 1+tol], NotContraction beyond."""
+    a._check_same_shape(b)
+    k = _compat_stack(a.matrix, b.matrix, a.shape, kind, tol)
+    gated = []
+    for label, x, norm in (("first operand", a, k.norm_a), ("second operand", b, k.norm_b)):
+        if norm > 1.0 + tol.relation:
+            raise NotContraction(f"{label}: operator norm 1 + {norm - 1.0:.2g} "
+                                 f"exceeds 1 + tol ({tol.relation:g})")
+        gated.append(AlgebraElement._wrap(x.shape, x.matrix / norm) if norm > 1.0 else x)
+    return k, gated[0], gated[1]
 
 
 def compat_defect(
@@ -114,24 +150,10 @@ def compat_defect(
     Domain uses |a|, |b|; Range uses |a*|, |b*|; Full is the max of both.
     Witnesses carry the absolute values and both terms of the identity.
     """
-    a._check_same_shape(b)
-    _, abs_a, abs_as = _unit_ball_abs(a, tol, "first operand")
-    _, abs_b, abs_bs = _unit_ball_abs(b, tol, "second operand")
-
-    sides = []
-    if kind in (CompatKind.DOMAIN, CompatKind.FULL):
-        sides.append(("", abs_a, abs_b))
-    if kind in (CompatKind.RANGE, CompatKind.FULL):
-        sides.append(("_adj", abs_as, abs_bs))
-    defect, witnesses = 0.0, {}
-    for suffix, x, y in sides:
-        d, term_diff, term_gap = _compat_residual(x, y)
-        defect = max(defect, d)
-        for key, blocks in (("abs_a", x), ("abs_b", y), ("abs_diff", term_diff),
-                            ("unit_gap", term_gap)):
-            witnesses[key + suffix] = _block_diag(a.shape, blocks)
+    k = _compat_pair(a, b, kind, tol)[0]
+    witnesses = {key: _block_diag(a.shape, blocks) for key, blocks in k.terms.items()}
     return RelationReport.from_defect(
-        f"compat_{kind.value}", defect, tol.relation, witnesses
+        f"compat_{kind.value}", k.defect, tol.relation, witnesses
     )
 
 
@@ -185,17 +207,15 @@ def check_orth_characterization(
     (c)  a orthogonal b  <=>  both norm conditions and both compatibilities;
     plus the self-adjoint clause when both inputs are Hermitian.
     """
-    a._check_same_shape(b)
-    a, abs_a, abs_as = _unit_ball_abs(a, tol, "first operand")
-    b, abs_b, abs_bs = _unit_ball_abs(b, tol, "second operand")
+    k, a, b = _compat_pair(a, b, CompatKind.FULL, tol)
     t = tol.relation
 
-    dom = _compat_residual(abs_a, abs_b)[0]
+    dom = float(k.sides[CompatKind.DOMAIN])
     # |(a*)*| = |a|: range compat of the adjoints is domain compat of a, b,
     # and domain compat of the adjoints is range compat of a, b
-    rng_ = _compat_residual(abs_as, abs_bs)[0]
-    gap = _norm_sum_gap(abs_a, abs_b)
-    gap_adj = _norm_sum_gap(abs_as, abs_bs)
+    rng_ = float(k.sides[CompatKind.RANGE])
+    gap = _norm_sum_gap(k.terms["abs_a"], k.terms["abs_b"])
+    gap_adj = _norm_sum_gap(k.terms["abs_a_adj"], k.terms["abs_b_adj"])
 
     ab_star = op_norm(a.matrix @ b.matrix.conj().T)
     bstar_a = op_norm(b.matrix.conj().T @ a.matrix)
@@ -317,10 +337,9 @@ def check_tripotent_characterization(
 ) -> ConsistencyReport:
     """Self-compatibility against the partial-isometry identity: for a
     contraction a, a compat a holds exactly when a a* a = a."""
-    a, abs_a, abs_as = _unit_ball_abs(a, tol, "operand")
+    k, a, _ = _compat_pair(a, a, CompatKind.FULL, tol)
     t = tol.relation
-    d_compat = max(_compat_residual(abs_a, abs_a)[0],
-                   _compat_residual(abs_as, abs_as)[0])
+    d_compat = float(k.defect)
     d_piso = is_partial_isometry(a, tol).defect
     clause = make_clause(
         "self-compat vs partial isometry",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .algebra import AlgebraElement, AlgebraShape, adjoint, unit
 from .errors import GeneratorExhausted, ShapeMismatch
 from .linalg import op_norm
-from .relations import CompatKind, compat_defect
+from .relations import CompatKind, _compat_stack
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
@@ -316,28 +317,66 @@ class PairGenerator:
         return _blockpair(self.rng, shape, _STRATEGY_BLOCKS[self.strategy])
 
 
+_RETRIES = 100  # rejected draws in a row that end a strategy
+_STACK_MAX = 64  # most pairs drawn ahead, or judged, in one kernel call
+
+
+def _passing(pairs: list, shape: AlgebraShape, kind: CompatKind,
+             tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The defects at ``kind`` of the pairs ending the tuples in ``pairs``, from
+    one kernel call, and which pass: within tol, both operands in the ball."""
+    a, b = (np.stack([p[i].matrix for p in pairs]) for i in (-2, -1))
+    k = _compat_stack(a, b, shape, kind, tol)
+    ball = np.maximum(k.norm_a, k.norm_b) <= 1.0 + tol.relation
+    return k.defect, ball & (k.defect <= tol.relation)
+
+
 def generate_compat_pair(
     gen: PairGenerator,
     shape: AlgebraShape,
     kind: CompatKind = CompatKind.FULL,
     tol: ToleranceConfig = DEFAULT_TOL,
-    retries: int = 100,
+    retries: int = _RETRIES,
 ) -> tuple[AlgebraElement, AlgebraElement, float]:
-    """Draw until the pair passes compat_defect at ``kind`` and return it
-    with that defect.
+    """Draw until the pair passes compatibility at ``kind`` and return it
+    with its defect; a draw outside the unit ball counts as rejected.
 
     The strategies are heuristic constructions; the defining identity is the
     oracle, so every emitted pair is post-checked against it.
     """
     for _ in range(retries):
         a, b = gen.draw(shape)
-        rep = compat_defect(a, b, kind, tol)
-        if rep.verdict:
-            return a, b, rep.defect
+        defect, ok = _passing([(a, b)], shape, kind, tol)
+        if ok[0]:
+            return a, b, float(defect[0])
     raise GeneratorExhausted(
         f"strategy {gen.strategy.value} produced no compatible pair "
         f"in {retries} attempts on shape {shape.block_dims}"
     )
+
+
+def _growing_chunks(items: Iterator) -> Iterator[list]:
+    """Lists of the next 1, 2, 4, ... items, at most ``_STACK_MAX`` at a time."""
+    size = 1
+    while chunk := list(islice(items, size)):
+        yield chunk
+        size = min(2 * size, _STACK_MAX)
+
+
+def _accepted_draws(
+    gen: PairGenerator, shape: AlgebraShape, kind: CompatKind, tol: ToleranceConfig
+) -> Iterator[tuple[str, AlgebraElement, AlgebraElement, float]]:
+    """The draws of ``gen`` that pass at ``kind``, in draw order, judged a
+    stack at a time (drawing ahead changes no pair: every strategy has its own
+    generator); ``_RETRIES`` rejections in a row end the strategy."""
+    rejected = 0
+    for pairs in _growing_chunks(iter(lambda: gen.draw(shape), None)):
+        for (a, b), defect, ok in zip(pairs, *_passing(pairs, shape, kind, tol)):
+            rejected = 0 if ok else rejected + 1
+            if ok:
+                yield gen.strategy.value, a, b, float(defect)
+            elif rejected == _RETRIES:
+                return
 
 
 def compatible_pairs(
@@ -350,25 +389,27 @@ def compatible_pairs(
 
     First the ``known_witness_pairs`` compatible at ``kind`` (known-hard
     cases make regressions deterministic), then one accepted draw from each
-    strategy in turn, each strategy seeded by its own child of ``seed``. A
-    strategy that exhausts, or does not support ``shape``, leaves the
-    rotation; the stream ends when every strategy has. Identical arguments
-    replay identical streams.
+    strategy in turn, each strategy seeded by its own child of ``seed`` and
+    drawing ahead in stacks. A draw outside the unit ball is rejected. A
+    strategy leaves the rotation after ``_RETRIES`` rejections in a row, or
+    at once if it does not support ``shape``; the stream ends when every
+    strategy has. Identical arguments replay identical streams.
     """
-    for label, a, b in known_witness_pairs(shape):
-        rep = compat_defect(a, b, kind, tol)
-        if rep.verdict:
-            yield label, a, b, rep.defect
+    fixed = known_witness_pairs(shape)
+    for (label, a, b), defect, ok in zip(fixed, *_passing(fixed, shape, kind, tol)):
+        if ok:
+            yield label, a, b, float(defect)
     child_seeds = np.random.SeedSequence(seed).generate_state(len(PairStrategy))
-    active = [PairGenerator(strategy, int(s)) for strategy, s in zip(PairStrategy, child_seeds)]
+    active = [_accepted_draws(PairGenerator(strategy, int(s)), shape, kind, tol)
+              for strategy, s in zip(PairStrategy, child_seeds)]
     while active:
-        for gen in list(active):
+        for draws in list(active):
             try:
-                a, b, defect = generate_compat_pair(gen, shape, kind, tol)
-            except GeneratorExhausted:
-                active.remove(gen)
+                pair = next(draws)
+            except (StopIteration, GeneratorExhausted):  # exhausted or unsupported
+                active.remove(draws)
                 continue
-            yield gen.strategy.value, a, b, defect
+            yield pair
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +156,14 @@ class TestVerifySuite:
         assert rc == 1
         failed = [line.split()[1:4] for line in out.splitlines() if line.startswith("FAIL")]
         assert ["counterexample", "fuzzing", "regressions"] in failed
+
+    def test_tolerance_below_roundoff_exits_two_with_the_excess(self, capsys):
+        # some operand overshoots the unit ball by roundoff, more than 1e-16
+        rc = main(["verify-suite", "--dims", "2", "--trials", "10", "--tol", "1e-16"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert re.search(r"operator norm 1 \+ \S+ exceeds 1 \+ tol \(1e-16\)", captured.err)
+        assert "Traceback" not in captured.err + captured.out
 
     def test_bad_dims_rejected(self, capsys):
         assert main(["verify-suite", "--dims", "2,x"]) == 2

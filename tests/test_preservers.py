@@ -41,7 +41,9 @@ from abscompat.errors import (
 )
 from abscompat.linalg import op_norm
 from abscompat.preservers import MAX_TOTAL_DIM, LinearMap
-from abscompat.sampling import known_witness_pairs, rand_contraction, rand_unitary
+from abscompat.sampling import (
+    compatible_pairs, known_witness_pairs, rand_contraction, rand_unitary,
+)
 from abscompat.tolerance import ToleranceConfig
 
 SH2 = AlgebraShape((2,))
@@ -362,6 +364,33 @@ class TestPreservesCompat:
             rep = preserves_compat_sampled(scale_map(SH2, 2.0), CompatKind.FULL, 3, seed=2)
         assert not rep.verdict  # doubled images escape the ball
         assert rep.worst.source.endswith("+noncontractive-image")
+
+    @pytest.mark.parametrize("name", ["transpose", "doubling", "mixed", "scale 1.5"])
+    def test_stacked_judge_matches_one_pair_judge(self, name):
+        # drawn pairs are judged in stacks; the reference maps each pair
+        # with T.apply and judges it with compat_defect
+        sh23 = AlgebraShape((2, 3))
+        T = {"transpose": lambda: transpose_map(SH2),
+             "doubling": lambda: build_star_hom(SH2, SH22, [0, 0]),
+             "mixed": lambda: build_block_map(sh23, sh23, [0, 1], [False, True]),
+             "scale 1.5": lambda: scale_map(SH2, 1.5)}[name]()
+        tol = ToleranceConfig()
+        for kind in CompatKind:
+            judged = list(preservers._judged_pairs(T, kind, kind, 150, 4, tol))
+            stream = compatible_pairs(T.domain_shape, kind, 4, tol)
+            assert len(judged) == 150
+            for w, (source, a, b, in_defect) in zip(judged, stream):
+                ta, tb = T.apply(a), T.apply(b)
+                assert w.a.matrix.tobytes() == a.matrix.tobytes()
+                assert w.b.matrix.tobytes() == b.matrix.tobytes()
+                assert w.input_defect == in_defect
+                if max(op_norm(ta.matrix), op_norm(tb.matrix)) > 1.0 + tol.relation:
+                    assert w.source == source + "+noncontractive-image"
+                    expected = max(op_norm(ta.matrix), op_norm(tb.matrix)) - 1.0
+                else:
+                    assert w.source == source
+                    expected = compat_defect(ta, tb, kind, tol).defect
+                assert abs(w.output_defect - expected) <= 1e-15
 
     def test_stream_ending_early_raises(self, monkeypatch):
         monkeypatch.setattr(preservers, "compatible_pairs", lambda *args: iter([]))

@@ -34,6 +34,7 @@ from abscompat.errors import (
     NotInUnitInterval,
 )
 from abscompat.linalg import abs_value, op_norm
+from abscompat.relations import _compat_stack
 from abscompat.sampling import (
     rand_partial_isometry,
     rand_unitary_block,
@@ -159,6 +160,62 @@ def _log_uniform_moduli(rng: np.random.Generator, n: int) -> np.ndarray:
     x[rng.random(n) < 0.15] = 0.0
     x[rng.random(n) < 0.15] = 1.0
     return x
+
+
+class TestStackedKernel:
+    """The stacked kernel against a per-pair compat_defect loop, the reference."""
+
+    @staticmethod
+    def _assert_matches_loop(pairs, shape, kind, tol=ToleranceConfig()):
+        a, b = (np.stack([p[i].matrix for p in pairs]) for i in (0, 1))
+        k = _compat_stack(a, b, shape, kind, tol)
+        ball = 1.0 + tol.relation
+        for i, (x, y) in enumerate(pairs):
+            for norm, ref in ((k.norm_a[i], op_norm(x.matrix)), (k.norm_b[i], op_norm(y.matrix))):
+                # near the ball to roundoff; outside it on the same side
+                assert abs(norm - ref) <= 1e-15 if ref <= ball else norm > ball
+            if max(k.norm_a[i], k.norm_b[i]) > ball:
+                with pytest.raises(NotContraction, match="exceeds 1 \\+ tol"):
+                    compat_defect(x, y, kind, tol)
+            else:
+                assert abs(k.defect[i] - compat_defect(x, y, kind, tol).defect) <= 1e-15
+
+    @pytest.mark.parametrize("kind", list(CompatKind))
+    @pytest.mark.parametrize("dims", [(d,) for d in range(1, 9)] + [(1, 2), (2, 2), (2, 3, 4)])
+    def test_matches_one_pair_loop(self, rng, dims, kind):
+        shape = AlgebraShape(dims)
+        pairs = [sample_general_pair(rng, shape) for _ in range(12)]
+        t = ToleranceConfig().relation
+
+        def scaled(x, norm):
+            size = op_norm(x.matrix)
+            return x if size == 0.0 else x * (norm / size)
+
+        # norms in the renormalized band (1, 1+tol] and beyond it
+        pairs += [(scaled(x, 1.0 + t / 2), scaled(y, 1.0 + t / 4)) for x, y in pairs[:3]]
+        pairs += [(scaled(x, 1.0 + 3 * t), y) for x, y in pairs[3:5]]
+        pairs += [(x, scaled(y, 1.5)) for x, y in pairs[5:7]]
+        self._assert_matches_loop(pairs, shape, kind)
+
+    def test_near_threshold_pair_flips_at_tol(self, rng):
+        # f = (1, d), g = (0, 0.5) with shared unitaries on both sides have
+        # |a|, |b| and |a*|, |b*| commuting with the defect exactly 2 d
+        shape, t = AlgebraShape((2,)), ToleranceConfig().relation
+        for ratio in (0.99, 1.01):
+            delta = ratio * t / 2.0
+            pairs = []
+            for _ in range(8):
+                w, v = rand_unitary_block(rng, 2), rand_unitary_block(rng, 2)
+                pairs.append(tuple(AlgebraElement.single(w @ np.diag(d) @ v.conj().T)
+                                   for d in ([1.0, delta], [0.0, 0.5])))
+            for kind in CompatKind:
+                a, b = (np.stack([p[i].matrix for p in pairs]) for i in (0, 1))
+                stacked = _compat_stack(a, b, shape, kind, ToleranceConfig()).defect
+                for d, (x, y) in zip(stacked, pairs):
+                    rep = compat_defect(x, y, kind)
+                    assert abs(d - 2.0 * delta) <= 1e-15
+                    assert abs(rep.defect - 2.0 * delta) <= 1e-15
+                    assert (d <= t) == rep.verdict == (ratio < 1.0)
 
 
 class TestOrthogonality:

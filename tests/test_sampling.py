@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -9,15 +11,18 @@ from abscompat import (
     PairGenerator,
     PairStrategy,
     compat_defect,
+    fuzz_counterexample,
     generate_compat_pair,
     is_orthogonal,
     is_partial_isometry,
     known_witness_pairs,
     partial_isometry_from_projections,
+    transpose_map,
 )
-from abscompat.errors import GeneratorExhausted, ShapeMismatch
+from abscompat.errors import GeneratorExhausted, NotContraction, ShapeMismatch
 from abscompat.linalg import op_norm
 from abscompat.sampling import (
+    compatible_pairs,
     crossed_isometry_pair_2x2,
     rand_partial_isometry,
     rand_positive_contraction,
@@ -165,3 +170,99 @@ def test_pair_samplers_accept_one_dimensional_blocks(sampler):
     for _ in range(40):
         a, b = sampler(rng, shape)
         assert a.shape == b.shape == shape
+
+
+# ---------------------------------------------------------------------------
+# the compatible-pair stream against a one-draw-at-a-time reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_stream(shape, kind, seed, tol=ToleranceConfig()):
+    """The stream one pair at a time through compat_defect: the fixed pairs
+    compatible at kind, then one accepted draw from each strategy in turn. A
+    draw outside the unit ball is rejected; 100 rejections in a row, or a
+    shape the strategy does not support, drop it from the rotation."""
+
+    def defect_if_compatible(a, b):
+        try:
+            rep = compat_defect(a, b, kind, tol)
+        except NotContraction:
+            return None
+        return rep.defect if rep.verdict else None
+
+    for label, a, b in known_witness_pairs(shape):
+        if (defect := defect_if_compatible(a, b)) is not None:
+            yield label, a, b, defect
+    seeds = np.random.SeedSequence(seed).generate_state(len(PairStrategy))
+    active = [PairGenerator(strategy, int(s)) for strategy, s in zip(PairStrategy, seeds)]
+    while active:
+        for gen in list(active):
+            pair = None
+            try:
+                for _ in range(100):
+                    a, b = gen.draw(shape)
+                    if (defect := defect_if_compatible(a, b)) is not None:
+                        pair = gen.strategy.value, a, b, defect
+                        break
+            except GeneratorExhausted:
+                pass
+            if pair is None:
+                active.remove(gen)
+            else:
+                yield pair
+
+
+def _assert_same_pairs(stream, reference):
+    assert len(stream) == len(reference)
+    for (src, a, b, d), (ref_src, ref_a, ref_b, ref_d) in zip(stream, reference):
+        assert src == ref_src
+        assert a.matrix.tobytes() == ref_a.matrix.tobytes()
+        assert b.matrix.tobytes() == ref_b.matrix.tobytes()
+        assert d == pytest.approx(ref_d, abs=1e-15)
+
+
+@pytest.mark.parametrize("kind", list(CompatKind))
+@pytest.mark.parametrize("dims", [(1,), (2,), (3,), (2, 1), (2, 3)])
+def test_stream_replays_the_one_pair_rotation(dims, kind):
+    shape = AlgebraShape(dims)
+    for seed in range(3):
+        stream = list(islice(compatible_pairs(shape, kind, seed), 300))
+        _assert_same_pairs(stream, list(islice(_reference_stream(shape, kind, seed), 300)))
+
+
+@pytest.mark.parametrize("kind", list(CompatKind))
+@pytest.mark.parametrize("dims, relation, left", [
+    # the conjugated pair needs a 2x2 block
+    ((1, 1), 1e-8, {"conjugated_positive_pair"}),
+    # rounding alone rejects every orthogonal and conjugated draw; the
+    # diagonal ones are often exact and carry on
+    ((2,), 1e-300, {"orthogonal", "conjugated_positive_pair"}),
+])
+def test_strategies_leave_where_the_rotation_drops_them(dims, relation, left, kind):
+    shape, tol = AlgebraShape(dims), ToleranceConfig(relation=relation)
+    stream = list(islice(compatible_pairs(shape, kind, 1, tol), 300))
+    _assert_same_pairs(stream, list(islice(_reference_stream(shape, kind, 1, tol), 300)))
+    drawn = {strategy.value for strategy in PairStrategy}
+    assert {src for src, _, _, _ in stream[-100:]} == drawn - left
+
+
+def test_draw_outside_the_ball_is_a_rejection():
+    # unitaries drawn by the strategies overshoot norm 1 by roundoff > 1e-16
+    tol = ToleranceConfig(relation=1e-16)
+    shape = AlgebraShape((2,))
+    stream = list(islice(compatible_pairs(shape, CompatKind.FULL, 0, tol), 300))
+    assert len(stream) == 300
+    assert all(op_norm(a.matrix) <= 1.0 + 1e-16 and op_norm(b.matrix) <= 1.0 + 1e-16
+               for _, a, b, _ in stream)
+    reference = _reference_stream(shape, CompatKind.FULL, 0, tol)
+    _assert_same_pairs(stream, list(islice(reference, 300)))
+
+
+def test_refutation_in_the_fixed_pairs_draws_nothing(monkeypatch):
+    draws = []
+    original = PairGenerator.draw
+    monkeypatch.setattr(PairGenerator, "draw",
+                        lambda gen, shape: draws.append(gen) or original(gen, shape))
+    w = fuzz_counterexample(transpose_map(AlgebraShape((2,))), CompatKind.DOMAIN)
+    assert (w.index, w.source) == (1, "crossed_isometries_2x2")
+    assert draws == []
