@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ShapeMismatch
-from .linalg import _herm_eigvals, as_square_matrix, op_norm
+from .linalg import _herm_eigvals, _op_norm, as_square_matrix, op_norm
 from .reports import RelationReport
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
@@ -206,10 +206,15 @@ def adjoint(a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement._wrap(a.shape, a.matrix.conj().T.copy())
 
 
+def _jordan(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(x y + y x) / 2 of two matrices or of two (N, n, n) stacks, pair by pair."""
+    return (x @ y + y @ x) / 2.0
+
+
 def jordan(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Jordan product (a b + b a) / 2."""
     a._check_same_shape(b)
-    return AlgebraElement(a.shape, (a.matrix @ b.matrix + b.matrix @ a.matrix) / 2.0)
+    return AlgebraElement(a.shape, _jordan(a.matrix, b.matrix))
 
 
 def triple(a: AlgebraElement, b: AlgebraElement, c: AlgebraElement) -> AlgebraElement:
@@ -222,6 +227,13 @@ def triple(a: AlgebraElement, b: AlgebraElement, c: AlgebraElement) -> AlgebraEl
     )
 
 
+def _positive_defects(x: np.ndarray) -> list[float]:
+    """The ``is_positive`` defect of each matrix of an (N, n, n) stack."""
+    gaps = _op_norm(x - x.conj().swapaxes(-1, -2)).tolist()
+    lam_min = _herm_eigvals(x)[..., 0].tolist()
+    return [max(gap, max(0.0, -lam)) for gap, lam in zip(gaps, lam_min)]
+
+
 def is_positive(
     a: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL
 ) -> RelationReport:
@@ -229,10 +241,8 @@ def is_positive(
 
     defect = max(|a - a*|, max(0, -lambda_min)).
     """
-    gap = op_norm(a.matrix - a.matrix.conj().T)
-    lam_min = float(_herm_eigvals(a.matrix)[0])
-    defect = max(gap, max(0.0, -lam_min))
-    return RelationReport.from_defect("positive", defect, tol.relation)
+    return RelationReport.from_defect(
+        "positive", _positive_defects(a.matrix[None])[0], tol.relation)
 
 
 def is_contraction(

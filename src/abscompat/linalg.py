@@ -6,10 +6,11 @@ spectra spanning many decades. Polar decompositions and the functional
 calculus are built on the same kernel.
 
 Public functions take and return plain 2-D ``numpy`` arrays (square,
-complex128). The private kernel (``_abs_parts``, ``_abs_herm`` and the helpers
-under them) also takes stacks ``(N, n, n)`` and works matrix by matrix through
-numpy's broadcasting ``svd``/``eigh``/``eigvalsh``. Eigenvector phases are
-never canonicalized; every guarantee is phrased through reconstructions.
+complex128). The private kernel (``_abs_parts``, ``_abs_herm``, ``_op_norm``
+and the helpers under them) also takes stacks ``(N, n, n)``, skips input
+validation and works matrix by matrix through numpy's broadcasting
+``svd``/``eigh``/``eigvalsh``. Eigenvector phases are never canonicalized;
+every guarantee is phrased through reconstructions.
 """
 
 from __future__ import annotations
@@ -116,9 +117,14 @@ def _rank_cut_svd(a: np.ndarray, rank_tol: float):
     return left[:, keep] @ right_h[keep, :], sigma, right_h, int(np.count_nonzero(keep))
 
 
+def _op_norm(x: np.ndarray) -> np.ndarray:
+    """Largest singular value of x (of each x in a stack); no validation."""
+    return _svd(x, compute_uv=False).max(-1, initial=0.0)
+
+
 def op_norm(a: np.ndarray) -> float:
     """Largest singular value."""
-    return float(_svd(as_square_matrix(a), compute_uv=False).max(initial=0.0))
+    return float(_op_norm(as_square_matrix(a)))
 
 
 def herm_eig(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> HermitianEig:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, _block_diag, is_positive, jordan, unit
+from .algebra import AlgebraElement, AlgebraShape, _block_diag, _jordan, _positive_defects
 from .errors import (
     CrossCheckMismatch,
     EndpointAmbiguity,
@@ -26,7 +26,7 @@ from .errors import (
     NotInUnitInterval,
 )
 from .linalg import (
-    _abs_herm, _abs_parts, _eigh, _herm_eigvals, _hermitize, _rank_cut_svd, op_norm,
+    _abs_herm, _abs_parts, _eigh, _herm_eigvals, _hermitize, _op_norm, _rank_cut_svd, op_norm,
 )
 from .reports import (
     ConsistencyReport,
@@ -91,22 +91,26 @@ def _compat_stack(
     """Defect of | |a|-|b| | + | 1-|a|-|b| | = 1 for each pair (a[k], b[k]) of
     (N, n, n) stacks of ``shape``, or for one pair of matrices: domain uses
     |a|, |b|, range |a*|, |b*|, full both, at once. A direct sum's norm and
-    defect are its largest block's; norms in (1, 1+tol] are renormalized to 1."""
+    defect are its largest block's. Only operands with norms in (1, 1+tol] are
+    divided by their norm (dividing by 1 can flip the sign of a zero), so a
+    pair's values do not depend on its stack. ``b is a`` takes |a| once."""
     sides = (CompatKind.DOMAIN, CompatKind.RANGE) if kind is CompatKind.FULL else (kind,)
     wanted = (CompatKind.DOMAIN in sides, CompatKind.RANGE in sides)
-    absolutes, norms = [], []  # per operand: (sides, ..., d, d) stacks per block
-    for m in (a, b):
+
+    def absolutes(m):  # (sides, ..., d, d) stacks per block, and the norms
         blocks, block_norms = zip(*(_abs_parts(m[..., sl, sl], *wanted)
                                     for sl in shape.block_slices()))
         norm = reduce(np.maximum, block_norms)
         if norm.max() > 1.0:
-            band = (norm > 1.0) & (norm <= 1.0 + tol.relation)
-            scale = np.where(band, norm, 1.0)[..., None, None]
-            blocks = [x / scale for x in blocks]
-        absolutes.append(blocks)
-        norms.append(norm)
+            band = ((norm > 1.0) & (norm <= 1.0 + tol.relation))[..., None, None]
+            scale = np.where(band, norm[..., None, None], 1.0)
+            blocks = [np.where(band, x / scale, x) for x in blocks]
+        return blocks, norm
+
+    abs_a, norm_a = parts_a = absolutes(a)
+    abs_b, norm_b = parts_a if b is a else absolutes(b)
     residuals, diffs, gaps = [], [], []
-    for x, y in zip(*absolutes):
+    for x, y in zip(abs_a, abs_b):
         one = np.eye(x.shape[-1])
         diff, gap = _abs_herm(np.array((x - y, one - x - y)))
         diffs.append(diff)
@@ -118,24 +122,34 @@ def _compat_stack(
     for s, side in enumerate(sides):
         suffix = "_adj" if side is CompatKind.RANGE else ""
         for key, blocks in zip(("abs_a", "abs_b", "abs_diff", "unit_gap"),
-                               (*absolutes, diffs, gaps)):
+                               (abs_a, abs_b, diffs, gaps)):
             terms[key + suffix] = [blk[s] for blk in blocks]
-    return _CompatStack(per_side.max(axis=0), dict(zip(sides, per_side)), *norms, terms)
+    return _CompatStack(per_side.max(axis=0), dict(zip(sides, per_side)), norm_a, norm_b,
+                        terms)
 
 
-def _compat_pair(
-    a: AlgebraElement, b: AlgebraElement, kind: CompatKind, tol: ToleranceConfig
-) -> tuple[_CompatStack, AlgebraElement, AlgebraElement]:
-    """``_compat_stack`` of one pair of contractions, and a, b gated into the
-    unit ball: renormalized from (1, 1+tol], NotContraction beyond."""
-    a._check_same_shape(b)
-    k = _compat_stack(a.matrix, b.matrix, a.shape, kind, tol)
+def _operand(label: str, i: int, n: int) -> str:
+    """An operand's name in a message: with its pair in a stack of several."""
+    return label if n == 1 else f"{label} of pair {i}"
+
+
+def _gated(
+    a: np.ndarray, b: np.ndarray, shape: AlgebraShape, kind: CompatKind,
+    tol: ToleranceConfig,
+) -> tuple[_CompatStack, np.ndarray, np.ndarray]:
+    """``_compat_stack`` of (N, n, n) stacks of contractions, and a, b gated
+    into the unit ball: renormalized from (1, 1+tol], NotContraction beyond."""
+    k = _compat_stack(a, b, shape, kind, tol)
+    if np.maximum(k.norm_a, k.norm_b).max() <= 1.0:
+        return k, a, b
     gated = []
     for label, x, norm in (("first operand", a, k.norm_a), ("second operand", b, k.norm_b)):
-        if norm > 1.0 + tol.relation:
-            raise NotContraction(f"{label}: operator norm 1 + {norm - 1.0:.2g} "
-                                 f"exceeds 1 + tol ({tol.relation:g})")
-        gated.append(AlgebraElement._wrap(x.shape, x.matrix / norm) if norm > 1.0 else x)
+        i = norm.argmax()
+        if norm[i] > 1.0 + tol.relation:
+            raise NotContraction(f"{_operand(label, i, len(x))}: operator norm 1 + "
+                                 f"{norm[i] - 1.0:.2g} exceeds 1 + tol ({tol.relation:g})")
+        scale = np.maximum(norm, 1.0)[:, None, None]
+        gated.append(np.where(scale > 1.0, x / scale, x))
     return k, gated[0], gated[1]
 
 
@@ -150,11 +164,17 @@ def compat_defect(
     Domain uses |a|, |b|; Range uses |a*|, |b*|; Full is the max of both.
     Witnesses carry the absolute values and both terms of the identity.
     """
-    k = _compat_pair(a, b, kind, tol)[0]
+    a._check_same_shape(b)
+    k = _gated(a.matrix[None], b.matrix[None], a.shape, kind, tol)[0]
     witnesses = {key: _block_diag(a.shape, blocks) for key, blocks in k.terms.items()}
-    return RelationReport.from_defect(
-        f"compat_{kind.value}", k.defect, tol.relation, witnesses
-    )
+    return RelationReport.from_defect(f"compat_{kind.value}", k.defect[0], tol.relation,
+                                      witnesses)
+
+
+def _star_norms(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|a b*| and |b* a| of two matrices or of each pair of two stacks."""
+    bh = b.conj().swapaxes(-1, -2)
+    return _op_norm(a @ bh), _op_norm(bh @ a)
 
 
 def is_orthogonal(
@@ -162,8 +182,7 @@ def is_orthogonal(
 ) -> RelationReport:
     """a b* = b* a = 0; defect = max(|a b*|, |b* a|)."""
     a._check_same_shape(b)
-    bh = b.matrix.conj().T
-    defect = max(op_norm(a.matrix @ bh), op_norm(bh @ a.matrix))
+    defect = max(*_star_norms(a.matrix, b.matrix))
     return RelationReport.from_defect("orthogonal", defect, tol.relation)
 
 
@@ -176,24 +195,29 @@ def is_projection(
     return RelationReport.from_defect("projection", defect, tol.relation)
 
 
+def _piso_defects(m: np.ndarray) -> np.ndarray:
+    """|m m* m - m| of a matrix or of each matrix of a stack."""
+    return _op_norm(m @ m.conj().swapaxes(-1, -2) @ m - m)
+
+
 def is_partial_isometry(
     a: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL
 ) -> RelationReport:
     """u u* u = u; defect = |a a* a - a|."""
-    m = a.matrix
-    defect = op_norm(m @ m.conj().T @ m - m)
-    return RelationReport.from_defect("partial_isometry", defect, tol.relation)
+    return RelationReport.from_defect("partial_isometry", _piso_defects(a.matrix),
+                                      tol.relation)
 
 
 # ---------------------------------------------------------------------------
-# characterizations
+# characterizations: each public check is the N=1 case of one on (N, n, n) stacks
 # ---------------------------------------------------------------------------
 
 
-def _norm_sum_gap(abs_a: list[np.ndarray], abs_b: list[np.ndarray]) -> float:
-    """max(0, lambda_max(|a| + |b|) - 1):  zero iff |a| + |b| <= 1."""
-    lam_max = max(_herm_eigvals(x + y)[-1] for x, y in zip(abs_a, abs_b))
-    return max(0.0, float(lam_max) - 1.0)
+def _report(name: str, clauses: list, t: float) -> ConsistencyReport:
+    """A report from ``(clause name, [(side label, defect), ...])`` pairs."""
+    return make_consistency(name, [
+        make_clause(clause, [SideCheck(label, d <= t, d) for label, d in sides], t)
+        for clause, sides in clauses], t)
 
 
 def check_orth_characterization(
@@ -207,78 +231,60 @@ def check_orth_characterization(
     (c)  a orthogonal b  <=>  both norm conditions and both compatibilities;
     plus the self-adjoint clause when both inputs are Hermitian.
     """
-    k, a, b = _compat_pair(a, b, CompatKind.FULL, tol)
+    a._check_same_shape(b)
+    return _orth_reports(a.matrix[None], b.matrix[None], a.shape, tol)[0]
+
+
+def _orth_reports(
+    a: np.ndarray, b: np.ndarray, shape: AlgebraShape, tol: ToleranceConfig
+) -> list[ConsistencyReport]:
+    k, a, b = _gated(a, b, shape, CompatKind.FULL, tol)
+    # lambda_max of |a| + |b| and of |a*| + |b*|: a norm sum is <= 1 iff it is
+    lam_max = (reduce(np.maximum, (_herm_eigvals(x + y)[..., -1] for x, y in
+                                   zip(k.terms["abs_a" + suffix], k.terms["abs_b" + suffix])))
+               for suffix in ("", "_adj"))
+    herm_gaps = np.maximum(*(_op_norm(x - x.conj().swapaxes(-1, -2)) for x in (a, b)))
+    rows = zip(*(x.tolist() for x in (k.sides[CompatKind.DOMAIN], k.sides[CompatKind.RANGE],
+                                      *lam_max, *_star_norms(a, b), herm_gaps)))
+    t, reports = tol.relation, []
+    for dom, rng_, lam, lam_adj, ab_star, bstar_a, herm_gap in rows:
+        gap, gap_adj = max(0.0, lam - 1.0), max(0.0, lam_adj - 1.0)
+        both, full = max(ab_star, bstar_a), max(gap, dom, rng_)
+        # |(a*)*| = |a|: range compat of the adjoints is domain compat of a, b,
+        # and domain compat of the adjoints is range compat of a, b
+        clauses = [
+            ("a: a b* = 0", [("a b* = 0", ab_star),
+                             ("|a|+|b| <= 1 and domain compat", max(gap, dom)),
+                             ("|a|+|b| <= 1 and adjoints range compat", max(gap, dom))]),
+            ("b: b* a = 0", [("b* a = 0", bstar_a),
+                             ("|a*|+|b*| <= 1 and range compat", max(gap_adj, rng_)),
+                             ("|a*|+|b*| <= 1 and adjoints domain compat",
+                              max(gap_adj, rng_))]),
+            ("c: a orthogonal b", [("a b* = b* a = 0", both),
+                                   ("norm sums <= 1 and both compat",
+                                    max(gap, gap_adj, dom, rng_))]),
+        ]
+        if herm_gap <= t:
+            clauses.append(("self-adjoint: a orthogonal b", [
+                ("a b* = b* a = 0", both), ("|a|+|b| <= 1 and full compat", full)]))
+        reports.append(_report("orthogonality_characterization", clauses, t))
+    return reports
+
+
+def _unit_interval_gate(x: np.ndarray, tol: ToleranceConfig, label: str) -> None:
+    """NotInUnitInterval unless each matrix of the stack x is Hermitian with
+    spectrum in [0, 1], within tol."""
     t = tol.relation
-
-    dom = float(k.sides[CompatKind.DOMAIN])
-    # |(a*)*| = |a|: range compat of the adjoints is domain compat of a, b,
-    # and domain compat of the adjoints is range compat of a, b
-    rng_ = float(k.sides[CompatKind.RANGE])
-    gap = _norm_sum_gap(k.terms["abs_a"], k.terms["abs_b"])
-    gap_adj = _norm_sum_gap(k.terms["abs_a_adj"], k.terms["abs_b_adj"])
-
-    ab_star = op_norm(a.matrix @ b.matrix.conj().T)
-    bstar_a = op_norm(b.matrix.conj().T @ a.matrix)
-
-    def side(label: str, defect: float) -> SideCheck:
-        return SideCheck(label, defect <= t, float(max(defect, 0.0)))
-
-    clause_a = make_clause(
-        "a: a b* = 0",
-        [
-            side("a b* = 0", ab_star),
-            side("|a|+|b| <= 1 and domain compat", max(gap, dom)),
-            side("|a|+|b| <= 1 and adjoints range compat", max(gap, dom)),
-        ],
-        t,
-    )
-    clause_b = make_clause(
-        "b: b* a = 0",
-        [
-            side("b* a = 0", bstar_a),
-            side("|a*|+|b*| <= 1 and range compat", max(gap_adj, rng_)),
-            side("|a*|+|b*| <= 1 and adjoints domain compat", max(gap_adj, rng_)),
-        ],
-        t,
-    )
-    clause_c = make_clause(
-        "c: a orthogonal b",
-        [
-            side("a b* = b* a = 0", max(ab_star, bstar_a)),
-            side("norm sums <= 1 and both compat", max(gap, gap_adj, dom, rng_)),
-        ],
-        t,
-    )
-    clauses = [clause_a, clause_b, clause_c]
-
-    herm_gap = max(
-        op_norm(a.matrix - a.matrix.conj().T), op_norm(b.matrix - b.matrix.conj().T)
-    )
-    if herm_gap <= tol.relation:
-        clauses.append(
-            make_clause(
-                "self-adjoint: a orthogonal b",
-                [
-                    side("a b* = b* a = 0", max(ab_star, bstar_a)),
-                    side("|a|+|b| <= 1 and full compat", max(gap, dom, rng_)),
-                ],
-                t,
-            )
-        )
-    return make_consistency("orthogonality_characterization", clauses, t)
-
-
-def _unit_interval_gate(
-    x: AlgebraElement, tol: ToleranceConfig, label: str
-) -> None:
-    herm_gap = op_norm(x.matrix - x.matrix.conj().T)
-    if herm_gap > tol.relation:
-        raise NotInUnitInterval(f"{label} is not Hermitian within {tol.relation:g}")
-    lam = _herm_eigvals(x.matrix)
-    if lam[0] < -tol.relation or lam[-1] > 1.0 + tol.relation:
-        raise NotInUnitInterval(
-            f"{label} has spectrum [{lam[0]:.4g}, {lam[-1]:.4g}] outside [0, 1]"
-        )
+    bad = np.flatnonzero(_op_norm(x - x.conj().swapaxes(-1, -2)) > t)
+    if bad.size:
+        raise NotInUnitInterval(f"{_operand(label, bad[0], len(x))} is not Hermitian "
+                                f"within {t:g}")
+    lam = _herm_eigvals(x)
+    bad = np.flatnonzero((lam[:, 0] < -t) | (lam[:, -1] > 1.0 + t))
+    if bad.size:
+        i = bad[0]
+        raise NotInUnitInterval(f"{_operand(label, i, len(x))} has spectrum "
+                                f"[{lam[i, 0]:.4g}, {lam[i, -1]:.4g}] outside [0, 1]")
 
 
 def check_p00_equivalences(
@@ -295,41 +301,37 @@ def check_p00_equivalences(
     sides must agree.
     """
     a._check_same_shape(b)
+    return _p00_reports(a.matrix[None], b.matrix[None], a.shape, tol)[0]
+
+
+def _p00_reports(
+    a: np.ndarray, b: np.ndarray, shape: AlgebraShape, tol: ToleranceConfig
+) -> list[ConsistencyReport]:
     _unit_interval_gate(a, tol, "first operand")
     _unit_interval_gate(b, tol, "second operand")
     t = tol.relation
-    one = unit(a.shape)
+    n, one = len(a), np.eye(shape.total_dim)
+    d_compat = _gated(a, b, shape, CompatKind.FULL, tol)[0].defect.tolist()
+    diff = a - b
+    abs_diff = np.zeros_like(diff)  # |a - b| block by block
+    for sl in shape.block_slices():
+        abs_diff[..., sl, sl] = _abs_herm(_hermitize(diff[..., sl, sl]))
+    d_jordan = _op_norm(2.0 * _jordan(a, b) - (a + b - abs_diff)).tolist()
 
-    d_compat = compat_defect(a, b, CompatKind.FULL, tol).defect
+    # a.b, (1-a).(1-b), a.(1-b), (1-a).b: positive, and the two pairs' products
+    prods = np.array([_jordan(a, b), _jordan(one - a, one - b),
+                      _jordan(a, one - b), _jordan(one - a, b)])
+    positive = _positive_defects(prods.reshape(4 * n, *one.shape))
+    products = _op_norm(prods[0::2] @ prods[1::2]).tolist()
 
-    lhs = 2.0 * jordan(a, b)
-    rhs = a + b - (a - b).map_blocks(lambda blk: _abs_herm(_hermitize(blk)))
-    d_jordan = op_norm((lhs - rhs).matrix)
-
-    prod1, prod2 = jordan(a, b), jordan(one - a, one - b)
-    d_complement = max(
-        is_positive(prod1, tol).defect, is_positive(prod2, tol).defect,
-        op_norm((prod1 @ prod2).matrix),
-    )
-
-    mix1, mix2 = jordan(a, one - b), jordan(one - a, b)
-    d_mixed = max(
-        is_positive(mix1, tol).defect, is_positive(mix2, tol).defect,
-        op_norm((mix1 @ mix2).matrix),
-    )
-
-    clause = make_clause(
-        "jordan-product equivalences",
-        [
-            SideCheck("absolute compatibility", d_compat <= t, d_compat),
-            SideCheck("2 a.b = a + b - |a-b|", d_jordan <= t, d_jordan),
-            SideCheck("complement products positive orthogonal",
-                      d_complement <= t, d_complement),
-            SideCheck("mixed products positive orthogonal", d_mixed <= t, d_mixed),
-        ],
-        t,
-    )
-    return make_consistency("jordan_product_equivalences", [clause], t)
+    p = [positive[j * n:(j + 1) * n] for j in range(4)]
+    rows = zip(d_compat, d_jordan, map(max, p[0], p[1], products[0]),
+               map(max, p[2], p[3], products[1]))
+    labels = ("absolute compatibility", "2 a.b = a + b - |a-b|",
+              "complement products positive orthogonal", "mixed products positive orthogonal")
+    return [_report("jordan_product_equivalences",
+                    [("jordan-product equivalences", list(zip(labels, row)))], t)
+            for row in rows]
 
 
 def check_tripotent_characterization(
@@ -337,19 +339,16 @@ def check_tripotent_characterization(
 ) -> ConsistencyReport:
     """Self-compatibility against the partial-isometry identity: for a
     contraction a, a compat a holds exactly when a a* a = a."""
-    k, a, _ = _compat_pair(a, a, CompatKind.FULL, tol)
-    t = tol.relation
-    d_compat = float(k.defect)
-    d_piso = is_partial_isometry(a, tol).defect
-    clause = make_clause(
-        "self-compat vs partial isometry",
-        [
-            SideCheck("self compat", d_compat <= t, d_compat),
-            SideCheck("a a* a = a", d_piso <= t, d_piso),
-        ],
-        t,
-    )
-    return make_consistency("tripotent_characterization", [clause], t)
+    return _tripotent_reports(a.matrix[None], a.shape, tol)[0]
+
+
+def _tripotent_reports(
+    a: np.ndarray, shape: AlgebraShape, tol: ToleranceConfig
+) -> list[ConsistencyReport]:
+    k, a, _ = _gated(a, a, shape, CompatKind.FULL, tol)
+    return [_report("tripotent_characterization", [("self-compat vs partial isometry", [
+                ("self compat", d_compat), ("a a* a = a", d_piso)])], tol.relation)
+            for d_compat, d_piso in zip(k.defect.tolist(), _piso_defects(a).tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,20 @@
 characterization, used by the ``verify-suite`` command and the acceptance
 tests. Each suite returns a SuiteResult with trial counts, failures,
 indeterminate (near-threshold) counts and the worst defect observed.
+
+The relation-invariant and characterization batteries draw their operands as
+a one-pair loop would and judge them in (N, n, n) stacks, at most
+``_STACK_MAX`` trials per shape; the commutative cross-check is per pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
 from .algebra import (
-    AlgebraElement,
     AlgebraShape,
     adjoint,
     jordan,
@@ -36,14 +40,15 @@ from .preservers import (
 )
 from .relations import (
     CompatKind,
-    check_orth_characterization,
-    check_p00_equivalences,
-    check_tripotent_characterization,
+    _gated,
+    _orth_reports,
+    _p00_reports,
+    _star_norms,
+    _tripotent_reports,
     commutative_compat_check,
-    compat_defect,
-    is_orthogonal,
 )
 from .sampling import (
+    _STACK_MAX,
     PairGenerator,
     PairStrategy,
     known_witness_pairs,
@@ -218,46 +223,64 @@ def suite_algebra_products(
 # ---------------------------------------------------------------------------
 
 
+def _in_stacks(trials, judge):
+    """``judge(shape, *stacks)`` of each trial (a tuple of operands of one shape)
+    in draw order, ``_STACK_MAX`` trials at a time; judging draws nothing."""
+    trials = iter(trials)
+    while chunk := list(islice(trials, _STACK_MAX)):
+        results = [None] * len(chunk)
+        for shape in dict.fromkeys(trial[0].shape for trial in chunk):
+            index = [i for i, trial in enumerate(chunk) if trial[0].shape == shape]
+            stacks = (np.stack([chunk[i][j].matrix for i in index])
+                      for j in range(len(chunk[0])))
+            for i, result in zip(index, judge(shape, *stacks)):
+                results[i] = result
+        yield from results
+
+
 def suite_relation_invariants(
     seed: int, trials: int, shapes: list[AlgebraShape],
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> list[SuiteResult]:
     rng = np.random.default_rng(seed)
+    t = tol.relation
 
-    def symmetry():
+    def pairs(draw):
+        return (draw(_cycle(shapes, i)) for i in range(trials))
+
+    def symmetry(shape, a, b):
         # one trial per pair, one failure per kind whose defects differ; the
         # FULL defect is the max of the DOMAIN and RANGE ones, so its
         # difference is at most theirs and is not compared again
-        for i in range(trials):
-            a, b = sample_general_pair(rng, _cycle(shapes, i))
-            diffs = [
-                abs(compat_defect(a, b, kind, tol).defect
-                    - compat_defect(b, a, kind, tol).defect)
-                for kind in (CompatKind.DOMAIN, CompatKind.RANGE)
-            ]
-            yield max(diffs), sum(d > 1e-12 for d in diffs)
+        ab, ba = (_gated(x, y, shape, CompatKind.FULL, tol)[0].sides
+                  for x, y in ((a, b), (b, a)))
+        diffs = zip(*(np.abs(ab[kind] - ba[kind]).tolist()
+                      for kind in (CompatKind.DOMAIN, CompatKind.RANGE)))
+        return [(max(d), sum(x > 1e-12 for x in d)) for d in diffs]
 
-    def adjoint_duality():
-        for i in range(trials):
-            a, b = sample_general_pair(rng, _cycle(shapes, i))
-            lhs = compat_defect(a, b, CompatKind.DOMAIN, tol).verdict
-            rhs = compat_defect(adjoint(a), adjoint(b), CompatKind.RANGE, tol).verdict
-            yield 0.0, lhs != rhs
+    def adjoint_duality(shape, a, b):
+        lhs = _gated(a, b, shape, CompatKind.DOMAIN, tol)[0].defect <= t
+        a, b = (x.conj().swapaxes(-1, -2) for x in (a, b))
+        rhs = _gated(a, b, shape, CompatKind.RANGE, tol)[0].defect <= t
+        return [(0.0, failed) for failed in (lhs != rhs).tolist()]
 
-    def orthogonal_pairs():
-        gen = PairGenerator(PairStrategy.ORTHOGONAL, seed ^ 0x0F0F0F0F)
-        for i in range(trials):
-            a, b = gen.draw(_cycle(shapes, i))
-            if not is_orthogonal(a, b, tol).verdict:  # construction guarantee
-                yield 0.0, True
-                continue
-            d = compat_defect(a, b, CompatKind.FULL, tol).defect
-            yield d, d > tol.relation
+    def orthogonal_pairs(shape, a, b):
+        # a draw that is not orthogonal breaks the construction: it fails unjudged
+        orth = np.maximum(*_star_norms(a, b)) <= t
+        defects = np.zeros(len(a))
+        if orth.any():
+            defects[orth] = _gated(a[orth], b[orth], shape, CompatKind.FULL, tol)[0].defect
+        return [(d, d > t) if ok else (0.0, True)
+                for ok, d in zip(orth.tolist(), defects.tolist())]
 
+    gen = PairGenerator(PairStrategy.ORTHOGONAL, seed ^ 0x0F0F0F0F)
     return [
-        _tally("compat symmetry", symmetry()),
-        _tally("adjoint duality of verdicts", adjoint_duality()),
-        _tally("orthogonality implies compatibility", orthogonal_pairs()),
+        _tally("compat symmetry", _in_stacks(
+            pairs(lambda shape: sample_general_pair(rng, shape)), symmetry)),
+        _tally("adjoint duality of verdicts", _in_stacks(
+            pairs(lambda shape: sample_general_pair(rng, shape)), adjoint_duality)),
+        _tally("orthogonality implies compatibility", _in_stacks(
+            pairs(gen.draw), orthogonal_pairs)),
     ]
 
 
@@ -267,15 +290,10 @@ def _consistency_battery(name: str, trials: int, reports) -> SuiteResult:
     fails = indet = 0
     worst = 0.0
     for report in reports:
-        any_indet = any(c.indeterminate for c in report.clauses)
-        ok = all(c.agree or c.indeterminate for c in report.clauses)
-        for c in report.clauses:
-            for s in c.sides:
-                worst = max(worst, s.defect if not s.verdict else 0.0)
-        if not ok:
-            fails += 1
-        elif any_indet:
-            indet += 1
+        fails += not report.consistent
+        indet += report.consistent and any(c.indeterminate for c in report.clauses)
+        worst = max([worst] + [s.defect for c in report.clauses for s in c.sides
+                               if not s.verdict])
     passed = fails == 0 and indet <= 0.01 * trials
     return SuiteResult(name, trials, fails, indet, worst, passed)
 
@@ -285,13 +303,9 @@ def suite_orth_characterization(
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> SuiteResult:
     rng = np.random.default_rng(seed)
-
-    def reports():
-        for i in range(trials):
-            a, b = sample_general_pair(rng, _cycle(shapes, i))
-            yield check_orth_characterization(a, b, tol)
-
-    return _consistency_battery("orthogonality characterization", trials, reports())
+    pairs = (sample_general_pair(rng, _cycle(shapes, i)) for i in range(trials))
+    reports = _in_stacks(pairs, lambda shape, a, b: _orth_reports(a, b, shape, tol))
+    return _consistency_battery("orthogonality characterization", trials, reports)
 
 
 def suite_p00_equivalences(
@@ -299,13 +313,9 @@ def suite_p00_equivalences(
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> SuiteResult:
     rng = np.random.default_rng(seed)
-
-    def reports():
-        for i in range(trials):
-            a, b = sample_positive_pair(rng, _cycle(shapes, i))
-            yield check_p00_equivalences(a, b, tol)
-
-    return _consistency_battery("jordan-product equivalences", trials, reports())
+    pairs = (sample_positive_pair(rng, _cycle(shapes, i)) for i in range(trials))
+    reports = _in_stacks(pairs, lambda shape, a, b: _p00_reports(a, b, shape, tol))
+    return _consistency_battery("jordan-product equivalences", trials, reports)
 
 
 def suite_tripotent_characterization(
@@ -317,17 +327,16 @@ def suite_tripotent_characterization(
     (indeterminate included) counts as a failure."""
     rng = np.random.default_rng(seed)
     n_isometries = max(1, trials // 10)
-    stream: list[AlgebraElement] = []
-    for i in range(trials):
-        stream.append(rand_contraction(rng, _cycle(shapes, i)))
-    for i in range(n_isometries):
-        stream.append(rand_partial_isometry(rng, _cycle(shapes, i)))
-    for i in range(n_isometries):
-        stream.append(0.9 * rand_partial_isometry(rng, _cycle(shapes, i)))
-
-    clauses = [check_tripotent_characterization(a, tol).clauses[0] for a in stream]
+    stream = chain(
+        (rand_contraction(rng, _cycle(shapes, i)) for i in range(trials)),
+        (rand_partial_isometry(rng, _cycle(shapes, i)) for i in range(n_isometries)),
+        (0.9 * rand_partial_isometry(rng, _cycle(shapes, i)) for i in range(n_isometries)),
+    )
+    reports = _in_stacks(((a,) for a in stream),
+                         lambda shape, a: _tripotent_reports(a, shape, tol))
     return _tally("tripotent characterization",
-                  ((min(s.defect for s in c.sides), not c.agree) for c in clauses),
+                  ((min(s.defect for s in r.clauses[0].sides), not r.clauses[0].agree)
+                   for r in reports),
                   note=f"{trials} random + 2x{n_isometries} isometries")
 
 

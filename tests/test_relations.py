@@ -33,12 +33,18 @@ from abscompat.errors import (
     NotContraction,
     NotInUnitInterval,
 )
+from abscompat.algebra import is_positive, zero
 from abscompat.linalg import abs_value, op_norm
-from abscompat.relations import _compat_stack
+from abscompat.relations import _compat_stack, _orth_reports, _p00_reports, _tripotent_reports
+from abscompat.reports import SideCheck, make_clause
 from abscompat.sampling import (
+    rand_contraction,
+    rand_hermitian_contraction,
     rand_partial_isometry,
+    rand_positive_contraction,
     rand_unitary_block,
     sample_general_pair,
+    sample_positive_pair,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -216,6 +222,155 @@ class TestStackedKernel:
                     assert abs(d - 2.0 * delta) <= 1e-15
                     assert abs(rep.defect - 2.0 * delta) <= 1e-15
                     assert (d <= t) == rep.verdict == (ratio < 1.0)
+
+
+def _scaled(x: AlgebraElement, norm: float) -> AlgebraElement:
+    size = op_norm(x.matrix)
+    return x if size == 0.0 else x * (norm / size)
+
+
+def _into_ball(x: AlgebraElement) -> AlgebraElement:
+    size = op_norm(x.matrix)
+    return x * (1.0 / size) if size > 1.0 else x
+
+
+def _ref_orth(a, b, tol):
+    """Side defects of each orthogonality clause, from the definitions."""
+    a, b = _into_ball(a), _into_ball(b)
+    dom, rng_ = (compat_defect(a, b, kind, tol).defect
+                 for kind in (CompatKind.DOMAIN, CompatKind.RANGE))
+
+    def gap(x, y):
+        return max(0.0, np.linalg.eigvalsh(abs_value(x) + abs_value(y))[-1] - 1.0)
+
+    g, g_adj = gap(a.matrix, b.matrix), gap(a.matrix.conj().T, b.matrix.conj().T)
+    ab, ba = op_norm(a.matrix @ b.matrix.conj().T), op_norm(b.matrix.conj().T @ a.matrix)
+    clauses = [[ab, max(g, dom), max(g, dom)], [ba, max(g_adj, rng_), max(g_adj, rng_)],
+               [max(ab, ba), max(g, g_adj, dom, rng_)]]
+    hermitian = max(op_norm((x - adjoint(x)).matrix) for x in (a, b)) <= tol.relation
+    return clauses + [[max(ab, ba), max(g, dom, rng_)]] * hermitian
+
+
+def _ref_p00(a, b, tol):
+    one = unit(a.shape)
+    lhs = 2.0 * jordan(a, b).matrix
+    rhs = a.matrix + b.matrix - abs_value((a - b).matrix)
+
+    def positive_orthogonal(x, y):
+        return max(is_positive(x, tol).defect, is_positive(y, tol).defect,
+                   op_norm((x @ y).matrix))
+
+    return [[compat_defect(a, b, CompatKind.FULL, tol).defect, op_norm(lhs - rhs),
+             positive_orthogonal(jordan(a, b), jordan(one - a, one - b)),
+             positive_orthogonal(jordan(a, one - b), jordan(one - a, b))]]
+
+
+def _ref_tripotent(a, tol):
+    a = _into_ball(a)
+    return [[compat_defect(a, a, CompatKind.FULL, tol).defect,
+             is_partial_isometry(a, tol).defect]]
+
+
+@pytest.mark.filterwarnings("error")
+class TestStackedCharacterizations:
+    """Each stacked characterization against the public one-pair functions
+    in a loop, the sides rebuilt from their definitions as the reference."""
+
+    SHAPES = [(1,), (2,), (3,), (2, 3), (1, 4)]
+    TOL = ToleranceConfig()
+
+    @classmethod
+    def _assert_matches(cls, reports, reference):
+        t = cls.TOL.relation
+        assert len(reports) == len(reference)
+        for report, clauses in zip(reports, reference):
+            assert len(report.clauses) == len(clauses)
+            for clause, defects in zip(report.clauses, clauses):
+                expected = make_clause(clause.name, [
+                    SideCheck(s.label, d <= t, d) for s, d in zip(clause.sides, defects)], t)
+                assert [s.verdict for s in clause.sides] == [s.verdict for s in expected.sides]
+                assert (clause.agree, clause.indeterminate) == \
+                    (expected.agree, expected.indeterminate)
+                np.testing.assert_allclose([s.defect for s in clause.sides], defects,
+                                           rtol=0.0, atol=1e-14)
+
+    @staticmethod
+    def _stacks(pairs):
+        return (np.stack([p[i].matrix for p in pairs]) for i in range(len(pairs[0])))
+
+    def _general_pairs(self, rng, shape):
+        t, z = self.TOL.relation, zero(shape)
+        pairs = [sample_general_pair(rng, shape) for _ in range(10)]
+        pairs += [(rand_hermitian_contraction(rng, shape), rand_hermitian_contraction(rng, shape))
+                  for _ in range(3)]
+        pairs += [(z, pairs[0][1]), (pairs[1][0], z), (z, z)]
+        pairs += [(_scaled(x, 1.0 + t / 2), _scaled(y, 1.0 + t / 4)) for x, y in pairs[2:5]]
+        return pairs
+
+    @pytest.mark.parametrize("dims", SHAPES)
+    def test_orthogonality(self, rng, dims):
+        shape = AlgebraShape(dims)
+        pairs = self._general_pairs(rng, shape)
+        reports = _orth_reports(*self._stacks(pairs), shape, self.TOL)
+        self._assert_matches(reports, [_ref_orth(a, b, self.TOL) for a, b in pairs])
+        assert any(len(r.clauses) == 4 for r in reports)  # the self-adjoint clause
+        assert reports == [check_orth_characterization(a, b, self.TOL) for a, b in pairs]
+
+    @pytest.mark.parametrize("dims", SHAPES)
+    def test_jordan_products(self, rng, dims):
+        shape = AlgebraShape(dims)
+        t, z = self.TOL.relation, zero(shape)
+        pairs = [sample_positive_pair(rng, shape) for _ in range(12)]
+        pairs += [(z, pairs[0][1]), (pairs[1][0], z), (z, z), (pairs[2][0], pairs[2][0])]
+        pairs += [(_scaled(rand_positive_contraction(rng, shape), 1.0 + t / 2), y)
+                  for _, y in pairs[3:5]]
+        reports = _p00_reports(*self._stacks(pairs), shape, self.TOL)
+        self._assert_matches(reports, [_ref_p00(a, b, self.TOL) for a, b in pairs])
+        assert reports == [check_p00_equivalences(a, b, self.TOL) for a, b in pairs]
+
+    @pytest.mark.parametrize("dims", SHAPES)
+    def test_tripotents(self, rng, dims):
+        shape = AlgebraShape(dims)
+        t = self.TOL.relation
+        elements = [rand_contraction(rng, shape) for _ in range(6)]
+        elements += [rand_partial_isometry(rng, shape) for _ in range(6)]
+        elements += [zero(shape), 0.9 * elements[6], _scaled(elements[7], 1.0 + t / 2)]
+        reports = _tripotent_reports(*self._stacks([(a,) for a in elements]), shape, self.TOL)
+        self._assert_matches(reports, [_ref_tripotent(a, self.TOL) for a in elements])
+        assert reports == [check_tripotent_characterization(a, self.TOL) for a in elements]
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_gates_name_the_operand(self, rng, which):
+        shape, tol = AlgebraShape((2, 3)), self.TOL
+        label = ("first operand", "second operand")[which]
+
+        def raises_as_one_pair(pairs, stacked, one_pair, error):
+            with pytest.raises(error) as single:
+                one_pair(*pairs[3])
+            assert label in str(single.value)
+            with pytest.raises(type(single.value), match=f"{label} of pair 3"):
+                stacked(*self._stacks(pairs), shape, tol)
+
+        def spoil(pairs, fn):
+            bad = list(pairs[3])
+            bad[which] = fn(bad[which])
+            pairs[3] = tuple(bad)
+            return pairs
+
+        beyond = lambda x: _scaled(x, 1.0 + 3 * tol.relation)
+        pairs = [sample_general_pair(rng, shape) for _ in range(5)]
+        raises_as_one_pair(spoil(pairs, beyond), _orth_reports, check_orth_characterization,
+                           NotContraction)
+        if which == 0:
+            elements = [(rand_contraction(rng, shape),) for _ in range(5)]
+            raises_as_one_pair(spoil(elements, beyond), _tripotent_reports,
+                               check_tripotent_characterization, NotContraction)
+        for outside in (lambda x: -1 * x, lambda x: _scaled(x, 1.5),
+                        lambda x: x + 1j * unit(shape)):
+            pairs = [sample_positive_pair(rng, shape) for _ in range(5)]
+            pairs[3] = tuple(_scaled(rand_positive_contraction(rng, shape), 0.9) for _ in "ab")
+            raises_as_one_pair(spoil(pairs, outside), _p00_reports, check_p00_equivalences,
+                               NotInUnitInterval)
 
 
 class TestOrthogonality:
