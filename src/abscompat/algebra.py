@@ -217,14 +217,17 @@ def jordan(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.shape, _jordan(a.matrix, b.matrix))
 
 
+def _triple(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(x y* z + z y* x) / 2 of three matrices or of three (N, n, n) stacks."""
+    yh = y.conj().swapaxes(-1, -2)
+    return (x @ yh @ z + z @ yh @ x) / 2.0
+
+
 def triple(a: AlgebraElement, b: AlgebraElement, c: AlgebraElement) -> AlgebraElement:
     """Triple product (a b* c + c b* a) / 2; conjugate-linear in the middle slot."""
     a._check_same_shape(b)
     a._check_same_shape(c)
-    bh = b.matrix.conj().T
-    return AlgebraElement(
-        a.shape, (a.matrix @ bh @ c.matrix + c.matrix @ bh @ a.matrix) / 2.0
-    )
+    return AlgebraElement(a.shape, _triple(a.matrix, b.matrix, c.matrix))
 
 
 def _positive_defects(x: np.ndarray) -> list[float]:

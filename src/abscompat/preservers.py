@@ -28,11 +28,11 @@ from .errors import (
     ShapeIncompatible,
     ShapeMismatch,
 )
-from .linalg import _svd, op_norm
+from .linalg import _op_norm, _svd, op_norm
 from .relations import CompatKind, _compat_stack, compat_defect, is_partial_isometry
 from .reports import RelationReport
 from .sampling import (
-    _growing_chunks, compatible_pairs, known_witness_pairs, rand_contraction,
+    _contraction_draw, _elements, _growing_chunks, compatible_pairs, known_witness_pairs,
 )
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
@@ -314,21 +314,18 @@ def is_contractive_sampled(
     a true verdict only means no violation was found."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    worst, worst_x = 0.0, None
-    samples = [AlgebraElement(T.domain_shape, e) for e in _basis_stack(T.domain_shape)]
-    for _ in range(n_samples):
-        x = rand_contraction(rng, T.domain_shape)
-        norm = op_norm(x.matrix)
-        if norm > 0:
-            samples.append(AlgebraElement(x.shape, x.matrix / norm))
-    for x in samples:
-        excess = op_norm(T.apply(x).matrix) - 1.0
-        if excess > worst:
-            worst, worst_x = excess, x
-    witnesses = {} if worst_x is None else {"worst_sample": worst_x.matrix}
-    return RelationReport.from_defect("contractive_sampled", worst, tol.relation,
-                                      witnesses)
+    shape, m = T.domain_shape, T.codomain_shape.total_dim
+    x = _elements(np.random.default_rng(seed), shape, _contraction_draw, n_samples)
+    norm = _op_norm(x)
+    samples = np.concatenate([_basis_stack(shape), x[norm > 0] / norm[norm > 0, None, None]])
+    # one matrix-vector product per sample, as T.apply takes it (a matrix
+    # product of the stack sums in another order for dense actions)
+    images = (T.action @ samples.reshape(len(samples), -1, 1)).reshape(-1, m, m)
+    excess = _op_norm(images) - 1.0
+    worst = int(excess.argmax())  # the first sample of largest excess
+    witnesses = {"worst_sample": samples[worst]} if excess[worst] > 0.0 else {}
+    return RelationReport.from_defect("contractive_sampled", max(0.0, float(excess[worst])),
+                                      tol.relation, witnesses)
 
 
 def _basis_stack(shape: AlgebraShape) -> np.ndarray:

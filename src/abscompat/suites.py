@@ -3,26 +3,21 @@ characterization, used by the ``verify-suite`` command and the acceptance
 tests. Each suite returns a SuiteResult with trial counts, failures,
 indeterminate (near-threshold) counts and the worst defect observed.
 
-The relation-invariant and characterization batteries draw their operands as
-a one-pair loop would and judge them in (N, n, n) stacks, at most
-``_STACK_MAX`` trials per shape; the commutative cross-check is per pair.
+The product-identity, relation-invariant and characterization batteries
+take their operands' random numbers trial by trial, in the order a one-trial
+loop takes them, and build and judge them in (N, n, n) stacks, at most
+``_STACK_MAX`` trials at a time; the commutative cross-check is per pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, cycle, islice
 
 import numpy as np
 
-from .algebra import (
-    AlgebraShape,
-    adjoint,
-    jordan,
-    triple,
-    unit,
-)
-from .linalg import abs_value, apply_function, op_norm, polar, range_projection
+from .algebra import AlgebraShape, _jordan, _triple, adjoint, unit
+from .linalg import _op_norm, abs_value, apply_function, op_norm, polar, range_projection
 from .preservers import (
     LinearMap,
     build_block_map,
@@ -51,13 +46,16 @@ from .sampling import (
     _STACK_MAX,
     PairGenerator,
     PairStrategy,
+    _assemble,
+    _blocks,
+    _contraction_draw,
+    _general_pair,
+    _hermitian_contraction_draw,
+    _partial_isometry_draw,
+    _positive_pair,
     known_witness_pairs,
-    rand_contraction,
     rand_hermitian_contraction,
-    rand_partial_isometry,
     rand_unitary,
-    sample_general_pair,
-    sample_positive_pair,
 )
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
@@ -95,8 +93,10 @@ def shapes_for_dims(dims: list[int]) -> list[AlgebraShape]:
     return shapes
 
 
-def _cycle(shapes: list[AlgebraShape], i: int) -> AlgebraShape:
-    return shapes[i % len(shapes)]
+def _trials(shapes: list[AlgebraShape], count: int, candidate):
+    """``(shape, candidate(shape))`` for ``count`` trials on the shapes in
+    turn, each drawn when it is taken."""
+    return ((shape, candidate(shape)) for shape in islice(cycle(shapes), count))
 
 
 def _tally(name: str, checks, note: str = "") -> SuiteResult:
@@ -201,17 +201,21 @@ def suite_algebra_products(
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> list[SuiteResult]:
     rng = np.random.default_rng(seed)
-    defects = []
-    for i in range(trials):
-        shape = _cycle(shapes, i)
-        a, b, c = (rand_contraction(rng, shape) for _ in range(3))
-        h = rand_hermitian_contraction(rng, shape)
-        defects.append([op_norm(x.matrix) for x in (
-            jordan(a, b) - jordan(b, a),
-            triple(a, b, c) - triple(c, b, a),
-            triple(a, 1j * b, c) + 1j * triple(a, b, c),
-            triple(h, h, h) - h @ h @ h,
-        )])
+
+    draws = [_contraction_draw] * 3 + [_hermitian_contraction_draw]  # a, b, c, then h
+
+    def operands(shape):
+        return [job for i, draw in enumerate(draws) for job in _blocks(rng, shape, draw, (i,))]
+
+    def identities(shape, a, b, c, h):
+        return zip(*(_op_norm(x).tolist() for x in (
+            _jordan(a, b) - _jordan(b, a),
+            _triple(a, b, c) - _triple(c, b, a),
+            _triple(a, 1j * b, c) + 1j * _triple(a, b, c),
+            _triple(h, h, h) - h @ h @ h,
+        )))
+
+    defects = list(_in_stacks(_trials(shapes, trials, operands), identities))
     return [
         _tally(name, ((row[k], row[k] > bound) for row in defects))
         for k, (name, bound) in enumerate(_PRODUCT_IDENTITIES)
@@ -224,15 +228,15 @@ def suite_algebra_products(
 
 
 def _in_stacks(trials, judge):
-    """``judge(shape, *stacks)`` of each trial (a tuple of operands of one shape)
-    in draw order, ``_STACK_MAX`` trials at a time; judging draws nothing."""
+    """``judge(shape, *stacks)`` of each trial, a candidate's ``(shape, draws)``
+    (``sampling._blocks``), in order: each chunk of ``_STACK_MAX`` trials is
+    drawn, then built and judged per shape in stacks, drawing nothing."""
     trials = iter(trials)
     while chunk := list(islice(trials, _STACK_MAX)):
         results = [None] * len(chunk)
-        for shape in dict.fromkeys(trial[0].shape for trial in chunk):
-            index = [i for i, trial in enumerate(chunk) if trial[0].shape == shape]
-            stacks = (np.stack([chunk[i][j].matrix for i in index])
-                      for j in range(len(chunk[0])))
+        for shape in dict.fromkeys(shape for shape, _ in chunk):
+            index = [i for i, trial in enumerate(chunk) if trial[0] == shape]
+            stacks = _assemble(shape, [chunk[i][1] for i in index])
             for i, result in zip(index, judge(shape, *stacks)):
                 results[i] = result
         yield from results
@@ -244,10 +248,6 @@ def suite_relation_invariants(
 ) -> list[SuiteResult]:
     rng = np.random.default_rng(seed)
     t = tol.relation
-
-    def pairs(draw):
-        return (draw(_cycle(shapes, i)) for i in range(trials))
-
     def symmetry(shape, a, b):
         # one trial per pair, one failure per kind whose defects differ; the
         # FULL defect is the max of the DOMAIN and RANGE ones, so its
@@ -274,13 +274,14 @@ def suite_relation_invariants(
                 for ok, d in zip(orth.tolist(), defects.tolist())]
 
     gen = PairGenerator(PairStrategy.ORTHOGONAL, seed ^ 0x0F0F0F0F)
+    general = lambda shape: _general_pair(rng, shape)
     return [
         _tally("compat symmetry", _in_stacks(
-            pairs(lambda shape: sample_general_pair(rng, shape)), symmetry)),
+            _trials(shapes, trials, general), symmetry)),
         _tally("adjoint duality of verdicts", _in_stacks(
-            pairs(lambda shape: sample_general_pair(rng, shape)), adjoint_duality)),
+            _trials(shapes, trials, general), adjoint_duality)),
         _tally("orthogonality implies compatibility", _in_stacks(
-            pairs(gen.draw), orthogonal_pairs)),
+            _trials(shapes, trials, gen._candidate), orthogonal_pairs)),
     ]
 
 
@@ -303,7 +304,7 @@ def suite_orth_characterization(
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> SuiteResult:
     rng = np.random.default_rng(seed)
-    pairs = (sample_general_pair(rng, _cycle(shapes, i)) for i in range(trials))
+    pairs = _trials(shapes, trials, lambda shape: _general_pair(rng, shape))
     reports = _in_stacks(pairs, lambda shape, a, b: _orth_reports(a, b, shape, tol))
     return _consistency_battery("orthogonality characterization", trials, reports)
 
@@ -313,7 +314,7 @@ def suite_p00_equivalences(
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> SuiteResult:
     rng = np.random.default_rng(seed)
-    pairs = (sample_positive_pair(rng, _cycle(shapes, i)) for i in range(trials))
+    pairs = _trials(shapes, trials, lambda shape: _positive_pair(rng, shape))
     reports = _in_stacks(pairs, lambda shape, a, b: _p00_reports(a, b, shape, tol))
     return _consistency_battery("jordan-product equivalences", trials, reports)
 
@@ -327,13 +328,16 @@ def suite_tripotent_characterization(
     (indeterminate included) counts as a failure."""
     rng = np.random.default_rng(seed)
     n_isometries = max(1, trials // 10)
+
+    def elements(count, draw):
+        return _trials(shapes, count, lambda shape: _blocks(rng, shape, draw, (0,)))
+
     stream = chain(
-        (rand_contraction(rng, _cycle(shapes, i)) for i in range(trials)),
-        (rand_partial_isometry(rng, _cycle(shapes, i)) for i in range(n_isometries)),
-        (0.9 * rand_partial_isometry(rng, _cycle(shapes, i)) for i in range(n_isometries)),
+        elements(trials, _contraction_draw),
+        elements(n_isometries, _partial_isometry_draw),
+        elements(n_isometries, lambda rng, n: _partial_isometry_draw(rng, n, 0.9)),
     )
-    reports = _in_stacks(((a,) for a in stream),
-                         lambda shape, a: _tripotent_reports(a, shape, tol))
+    reports = _in_stacks(stream, lambda shape, a: _tripotent_reports(a, shape, tol))
     return _tally("tripotent characterization",
                   ((min(s.defect for s in r.clauses[0].sides), not r.clauses[0].agree)
                    for r in reports),

@@ -254,6 +254,43 @@ class TestContractivity:
         with pytest.raises(ValueError):
             is_contractive_sampled(identity_map(SH2), 0)
 
+    @staticmethod
+    def _one_sample_loop(T, n_samples, seed):
+        """The certificate one sample at a time: matrix units, then unit-norm
+        contractions, each mapped by ``T.apply``; the first strict maximum."""
+        rng = np.random.default_rng(seed)
+        worst, worst_x = 0.0, None
+        samples = [AlgebraElement(T.domain_shape, e)
+                   for e in preservers._basis_stack(T.domain_shape)]
+        for _ in range(n_samples):
+            x = rand_contraction(rng, T.domain_shape)
+            norm = op_norm(x.matrix)
+            if norm > 0:
+                samples.append(AlgebraElement(x.shape, x.matrix / norm))
+        for x in samples:
+            excess = op_norm(T.apply(x).matrix) - 1.0
+            if excess > worst:
+                worst, worst_x = excess, x
+        return worst, None if worst_x is None else worst_x.matrix
+
+    def test_replays_the_one_sample_loop(self):
+        rng = np.random.default_rng(4)
+        sh12 = AlgebraShape((1, 2))
+        maps = [scale_map(SH2, 1.5), transpose_map(AlgebraShape((2, 3))),
+                build_sandwich(rand_unitary(rng, SH2), rand_unitary(rng, SH2)),
+                LinearMap(sh12, sh12, 0.6 * rng.standard_normal((9, 9)))]
+        for T in maps:
+            for seed in range(3):
+                for n_samples in (1, 16, 64):
+                    rep = is_contractive_sampled(T, n_samples, seed)
+                    worst, worst_x = self._one_sample_loop(T, n_samples, seed)
+                    assert rep.defect == worst
+                    assert rep.verdict == (worst <= 1e-8)
+                    sample = rep.witnesses.get("worst_sample")
+                    assert (sample is None) == (worst_x is None)
+                    if sample is not None:
+                        assert sample.tobytes() == worst_x.tobytes()
+
 
 class TestIsTripleHom:
     def test_star_hom_passes(self, rng):

@@ -19,6 +19,7 @@ from abscompat import (
     partial_isometry_from_projections,
     transpose_map,
 )
+from abscompat import sampling
 from abscompat.errors import GeneratorExhausted, NotContraction, ShapeMismatch
 from abscompat.linalg import op_norm
 from abscompat.sampling import (
@@ -32,6 +33,8 @@ from abscompat.sampling import (
     sample_positive_pair,
 )
 from abscompat.tolerance import ToleranceConfig
+
+import frozen_sampling as frozen
 
 
 def test_same_seed_same_stream():
@@ -173,15 +176,126 @@ def test_pair_samplers_accept_one_dimensional_blocks(sampler):
 
 
 # ---------------------------------------------------------------------------
+# stacked draws against the frozen one-candidate recipes (frozen_sampling.py)
+# ---------------------------------------------------------------------------
+
+FROZEN_DIMS = [(1,), (2,), (3,), (4,), (1, 2), (2, 3)]
+# stacks of 1, 2, 4 and 64 candidates, then a partial one
+STACK_COUNTS = (1, 2, 4, 64, 37)
+
+
+def _same_bytes(stacked, reference):
+    assert len(stacked) == len(reference)
+    for x, ref in zip(stacked, reference):
+        assert x.tobytes() == ref.matrix.tobytes()
+
+
+def test_stacked_linalg_gives_per_matrix_bytes():
+    """The environment assumption behind drawing in stacks: numpy's stacked
+    qr, matmul and svd give each matrix the bytes a call on that matrix alone
+    gives, also on column slices, conjugate-transposed views, real diagonal
+    factors and a broadcast constant."""
+    rng = np.random.default_rng(0)
+    adj = lambda m: m.conj().swapaxes(-1, -2)
+    for n in (1, 2, 3, 4, 6):
+        x, y = (rng.standard_normal((9, n, n)) + 1j * rng.standard_normal((9, n, n))
+                for _ in range(2))
+        d = np.zeros((9, n, n))
+        d[:, range(n), range(n)] = rng.uniform(size=(9, n))
+        const = rng.standard_normal((n, n)).astype(np.complex128)
+        k = n // 2
+        q, r = np.linalg.qr(x)
+        sigma = np.linalg.svd(x, compute_uv=False)
+        products = (x @ y, x @ adj(y), x[..., :k] @ adj(y[..., :k]), x @ d @ adj(y),
+                    x @ const @ adj(x))
+        for i in range(len(x)):
+            qi, ri = np.linalg.qr(x[i])
+            assert (q[i].tobytes(), r[i].tobytes()) == (qi.tobytes(), ri.tobytes())
+            assert sigma[i].tobytes() == np.linalg.svd(x[i], compute_uv=False).tobytes()
+            xi, yi = x[i], y[i]
+            expected = (xi @ yi, xi @ yi.conj().T, xi[:, :k] @ yi[:, :k].conj().T,
+                        xi @ d[i] @ yi.conj().T, xi @ const @ xi.conj().T)
+            for got, want in zip(products, expected):
+                assert got[i].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dims", FROZEN_DIMS)
+def test_strategy_candidates_match_the_frozen_recipes(dims):
+    shape = AlgebraShape(dims)
+    for seed in range(3):
+        for strategy in PairStrategy:
+            gen, rng = PairGenerator(strategy, seed), np.random.default_rng(seed)
+            if strategy is PairStrategy.CONJUGATED_POSITIVE_PAIR and max(dims) < 2:
+                with pytest.raises(GeneratorExhausted):
+                    gen._draw_stack(shape, 1)
+                with pytest.raises(GeneratorExhausted):
+                    frozen.draw(strategy, rng, shape)
+                continue
+            for count in STACK_COUNTS:
+                a, b = gen._draw_stack(shape, count)
+                reference = [frozen.draw(strategy, rng, shape) for _ in range(count)]
+                _same_bytes(a, [p[0] for p in reference])
+                _same_bytes(b, [p[1] for p in reference])
+            a, b = gen.draw(shape)  # the case N = 1
+            _same_bytes([a.matrix, b.matrix], frozen.draw(strategy, rng, shape))
+
+
+_ELEMENT_SAMPLERS = [
+    ("rand_contraction", sampling._contraction_draw),
+    ("rand_hermitian_contraction", sampling._hermitian_contraction_draw),
+    ("rand_positive_contraction", sampling._positive_contraction_draw),
+    ("rand_projection", sampling._projection_draw),
+    ("rand_partial_isometry", sampling._partial_isometry_draw),
+    ("rand_unitary", sampling._unitary_draw),
+]
+
+
+@pytest.mark.parametrize("dims", FROZEN_DIMS)
+def test_samplers_match_the_frozen_recipes(dims):
+    shape = AlgebraShape(dims)
+    for seed in range(3):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for name, draw in _ELEMENT_SAMPLERS:
+            frozen_sampler = getattr(frozen, name)
+            for _ in range(5):
+                x = getattr(sampling, name)(rng, shape)
+                _same_bytes([x.matrix], [frozen_sampler(ref, shape)])
+            for count in STACK_COUNTS:
+                _same_bytes(sampling._elements(rng, shape, draw, count),
+                            [frozen_sampler(ref, shape) for _ in range(count)])
+        for name, candidate in (("sample_general_pair", sampling._general_pair),
+                                ("sample_positive_pair", sampling._positive_pair)):
+            frozen_sampler = getattr(frozen, name)
+            for _ in range(20):
+                a, b = getattr(sampling, name)(rng, shape)
+                _same_bytes([a.matrix, b.matrix], frozen_sampler(ref, shape))
+            for count in STACK_COUNTS:
+                a, b = sampling._assemble(shape, [candidate(rng, shape) for _ in range(count)])
+                reference = [frozen_sampler(ref, shape) for _ in range(count)]
+                _same_bytes(a, [p[0] for p in reference])
+                _same_bytes(b, [p[1] for p in reference])
+        x = rng.standard_normal(4)
+        assert x.tobytes() == ref.standard_normal(4).tobytes()  # nothing drawn extra
+
+
+def test_unitary_block_matches_the_frozen_recipe():
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    for n in (1, 2, 3, 5):
+        u = sampling.rand_unitary_block(rng, n)
+        assert u.tobytes() == frozen.rand_unitary_block(ref, n).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # the compatible-pair stream against a one-draw-at-a-time reference
 # ---------------------------------------------------------------------------
 
 
 def _reference_stream(shape, kind, seed, tol=ToleranceConfig()):
-    """The stream one pair at a time through compat_defect: the fixed pairs
-    compatible at kind, then one accepted draw from each strategy in turn. A
-    draw outside the unit ball is rejected; 100 rejections in a row, or a
-    shape the strategy does not support, drop it from the rotation."""
+    """The stream one pair at a time through compat_defect and the frozen
+    recipes: the fixed pairs compatible at kind, then one accepted draw from
+    each strategy in turn. A draw outside the unit ball is rejected; 100
+    rejections in a row, or a shape the strategy does not support, drop it
+    from the rotation."""
 
     def defect_if_compatible(a, b):
         try:
@@ -194,20 +308,21 @@ def _reference_stream(shape, kind, seed, tol=ToleranceConfig()):
         if (defect := defect_if_compatible(a, b)) is not None:
             yield label, a, b, defect
     seeds = np.random.SeedSequence(seed).generate_state(len(PairStrategy))
-    active = [PairGenerator(strategy, int(s)) for strategy, s in zip(PairStrategy, seeds)]
+    active = [(strategy, np.random.default_rng(int(s)))
+              for strategy, s in zip(PairStrategy, seeds)]
     while active:
-        for gen in list(active):
+        for strategy, rng in list(active):
             pair = None
             try:
                 for _ in range(100):
-                    a, b = gen.draw(shape)
+                    a, b = frozen.draw(strategy, rng, shape)
                     if (defect := defect_if_compatible(a, b)) is not None:
-                        pair = gen.strategy.value, a, b, defect
+                        pair = strategy.value, a, b, defect
                         break
             except GeneratorExhausted:
                 pass
             if pair is None:
-                active.remove(gen)
+                active.remove((strategy, rng))
             else:
                 yield pair
 
@@ -222,7 +337,7 @@ def _assert_same_pairs(stream, reference):
 
 
 @pytest.mark.parametrize("kind", list(CompatKind))
-@pytest.mark.parametrize("dims", [(1,), (2,), (3,), (2, 1), (2, 3)])
+@pytest.mark.parametrize("dims", [(1,), (2,), (3,), (2, 1), (2, 3), (4,), (1, 2)])
 def test_stream_replays_the_one_pair_rotation(dims, kind):
     shape = AlgebraShape(dims)
     for seed in range(3):
@@ -259,10 +374,11 @@ def test_draw_outside_the_ball_is_a_rejection():
 
 
 def test_refutation_in_the_fixed_pairs_draws_nothing(monkeypatch):
+    # the stream draws every candidate through PairGenerator._draw_stack
     draws = []
-    original = PairGenerator.draw
-    monkeypatch.setattr(PairGenerator, "draw",
-                        lambda gen, shape: draws.append(gen) or original(gen, shape))
+    original = PairGenerator._draw_stack
+    monkeypatch.setattr(PairGenerator, "_draw_stack", lambda gen, shape, count:
+                        draws.append(gen) or original(gen, shape, count))
     w = fuzz_counterexample(transpose_map(AlgebraShape((2,))), CompatKind.DOMAIN)
     assert (w.index, w.source) == (1, "crossed_isometries_2x2")
     assert draws == []

@@ -12,11 +12,15 @@ from abscompat import (
     check_tripotent_characterization,
     compat_defect,
     is_orthogonal,
+    jordan,
+    triple,
 )
+from abscompat.linalg import op_norm
 from abscompat.sampling import (
     PairGenerator,
     PairStrategy,
     rand_contraction,
+    rand_hermitian_contraction,
     rand_partial_isometry,
     sample_general_pair,
     sample_positive_pair,
@@ -29,6 +33,7 @@ from abscompat.suites import (
     suite_classification,
     suite_determinism,
     suite_fuzz_regressions,
+    suite_algebra_products,
     suite_linalg_invariants,
     suite_orth_characterization,
     suite_p00_equivalences,
@@ -104,8 +109,27 @@ def test_preservers_report_the_calibration_row():
     assert names.count(cal.name) == 1
 
 
-# The four stacked batteries replayed one trial at a time: the same draws in
+# The five stacked batteries replayed one trial at a time: the same draws in
 # the same order, each judged by the public one-pair functions.
+
+
+def _one_pair_products(seed, trials, shapes, tol):
+    rng = np.random.default_rng(seed)
+    defects = []
+    for i in range(trials):
+        shape = shapes[i % len(shapes)]
+        a, b, c = (rand_contraction(rng, shape) for _ in range(3))
+        h = rand_hermitian_contraction(rng, shape)
+        defects.append([op_norm(x.matrix) for x in (
+            jordan(a, b) - jordan(b, a),
+            triple(a, b, c) - triple(c, b, a),
+            triple(a, 1j * b, c) + 1j * triple(a, b, c),
+            triple(h, h, h) - h @ h @ h,
+        )])
+    bounds = (("jordan commutativity (exact)", 0.0), ("triple outer symmetry", 1e-12),
+              ("triple middle conjugate-linearity", 1e-12), ("hermitian triple cube", 1e-10))
+    return [_tally(name, ((row[k], row[k] > bound) for row in defects))
+            for k, (name, bound) in enumerate(bounds)]
 
 
 def _one_pair_relation_invariants(seed, trials, shapes, tol):
@@ -163,6 +187,7 @@ def _one_pair_tripotents(seed, trials, shapes, tol):
 
 
 _REPLAYED = [
+    (suite_algebra_products, _one_pair_products),
     (suite_relation_invariants, _one_pair_relation_invariants),
     (suite_orth_characterization, _one_pair_consistency(
         "orthogonality characterization", check_orth_characterization, sample_general_pair)),
