@@ -18,7 +18,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, _block_diag, adjoint, unit
+from .algebra import AlgebraElement, AlgebraShape, _block_diag, unit
 from .errors import (
     AmbiguousBlock,
     GeneratorExhausted,
@@ -348,67 +348,58 @@ def _max_op_norm(stack: np.ndarray, floor: float) -> float:
     return max(floor, float(_svd(stack[keep], compute_uv=False)[:, 0].max()))
 
 
-_CHUNK_ENTRIES = 8192  # complex entries (128 KiB) per chunk of triple differences
-
-
-def _triple_defect(images: np.ndarray, domain: AlgebraShape, floor: float) -> float:
-    """``is_triple_hom``'s defect, at least floor, from the unit images
-    ``images[p, q] = T(e_pq)`` in one codomain block of size m."""
-    m = images.shape[-1]
-    rows, cols = np.array(domain.basis_coords()).T
-    size = rows.size
-    index = np.zeros(images.shape[:2], dtype=np.intp)
-    index[rows, cols] = np.arange(size)
-    t_basis = images[rows, cols]
-    t_adj = t_basis.conj().swapaxes(1, 2)
-    # every T(z) stacked (rows (z, a)) and side by side (columns (z, b))
-    z_tall, z_wide = t_basis.reshape(-1, m), t_basis.transpose(1, 0, 2).reshape(m, -1)
-    step = max(1, _CHUNK_ENTRIES // (size * m * m))
-    defect = floor
-    for sl in domain.block_slices():
-        k, l = np.mgrid[sl, sl]
-        for i, j in zip(k.ravel(), l.ravel()):
-            # x = e_ij: T{x,y,z} is T(e_il) / 2 at y = e_kj, z = e_kl plus
-            # T(e_lj) / 2 at y = e_ik, z = e_lk, as (y, z, p, q) with T(e_pq)
-            terms = [(index[k, j], index[k, l], np.full_like(k, i), l),
-                     (index[i, k], index[l, k], l, np.full_like(k, j))]
-            left = (images[i, j] @ t_adj).reshape(-1, m)  # Tx Ty*: rows (y, a)
-            right = (t_adj @ images[i, j]).transpose(1, 0, 2).reshape(m, -1)  # Ty* Tx
-            for y0 in range(0, size, step):
-                c, ys = min(step, size - y0), slice(y0 * m, (y0 + step) * m)
-                # -(Tx Ty* Tz + Tz Ty* Tx) / 2 in place, axes (y, a, z, b)
-                prod = (left[ys] @ z_wide).reshape(c, m, size, m)
-                prod += (z_tall @ right[:, ys]).reshape(size, m, c, m).transpose(2, 1, 0, 3)
-                prod *= -0.5
-                diff = prod.transpose(0, 2, 1, 3)
-                for y, z, p, q in terms:
-                    sel = (y >= y0) & (y < y0 + c)
-                    diff[y[sel] - y0, z[sel]] += 0.5 * images[p[sel], q[sel]]
+def _pair_pass(T: LinearMap, e: np.ndarray, split: bool) -> tuple[float, list[list[float]]]:
+    """``is_triple_hom``'s defect, from one pass over pairs of matrix units per
+    codomain block with e = T(1), and with ``split`` the largest
+    |e*(T(xy) - Tx e* Ty)| and |e*(T(xy) - Ty e* Tx)| over the pairs inside
+    each domain block. No product is mapped: for x = e_ij and y = e_kl,
+    T(xy) = δ_jk T(e_il) and T(yx) = δ_li T(e_kj) are columns of the action."""
+    shape, n, m = T.domain_shape, T.domain_shape.total_dim, T.codomain_shape.total_dim
+    rows, cols = np.array(shape.basis_coords()).T
+    index = np.zeros((n, n), dtype=np.intp)
+    index[rows, cols] = np.arange(rows.size)
+    full = T.action.T.reshape(n, n, m, m)  # full[p, q] = T(e_pq)
+    defect, residuals = 0.0, [[0.0, 0.0] for _ in shape.block_dims]
+    for cs in T.codomain_shape.block_slices():
+        images, eb = full[:, :, cs, cs], e[cs, cs]
+        mc, eb_adj, t = len(eb), eb.conj().T, images[rows, cols]  # t[x] = T(x)
+        defect = _max_op_norm(images[cols, rows] - eb @ t.conj().swapaxes(1, 2) @ eb, defect)
+        t_wide, t_tall = t.transpose(1, 0, 2).reshape(mc, -1), t.reshape(-1, mc)
+        for bi, sl in enumerate(shape.block_slices()):
+            block = slice(index[sl.start, sl.start], index[sl.stop - 1, sl.stop - 1] + 1)
+            for i, j in zip(rows[block], cols[block]):
+                tx = t[index[i, j]]  # Tx e* Ty and Ty e* Tx for every y, as two products
+                xy = (tx @ eb_adj @ t_wide).reshape(mc, -1, mc).transpose(1, 0, 2)
+                yx = (t_tall @ (eb_adj @ tx)).reshape(-1, mc, mc)
+                right, left = index[j, sl], index[sl, i]  # y = e_jl and y = e_ki
+                diff = -0.5 * (xy + yx)
+                diff[right] += 0.5 * images[i, sl]
+                diff[left] += 0.5 * images[sl, j]
                 defect = _max_op_norm(diff, defect)
-    return defect
+                if split:
+                    t_xy = np.zeros_like(xy[block])
+                    t_xy[right - block.start] = images[i, sl]
+                    residuals[bi] = [_max_op_norm(eb_adj @ (t_xy - prod[block]), floor)
+                                     for prod, floor in zip((xy, yx), residuals[bi])]
+    return defect, residuals
 
 
 def is_triple_hom(T: LinearMap, tol: ToleranceConfig = DEFAULT_TOL) -> RelationReport:
-    """Triple-product preservation over all canonical basis triples.
+    """Triple-product preservation, checked over pairs of matrix units.
 
-    defect = max over matrix-unit triples (x, y, z) of
-    |T{x,y,z} - {Tx,Ty,Tz}|. Real basis triples suffice although the triple
-    product is conjugate-linear in the middle slot: T is complex-linear, so
-    scaling y by a complex c scales both sides by conj(c), and the identity
-    on the basis extends to every triple.
+    With e = T(1), T is a triple homomorphism exactly when, for all matrix
+    units x and y, J: T(x∘y) = (Tx e* Ty + Ty e* Tx) / 2 and A: T(x*) =
+    e (Tx)* e. *Only if:* put 1 in the middle slot, then in both outer slots.
+    *If:* J gives e = ee*e and puts T in ee* B e*e, a C*-algebra with product
+    a e* b, involution e a* e and unit e, where T is a Jordan *-homomorphism,
+    which preserves triple products. Both identities are (conjugate-)linear.
 
-    No product is mapped: T(e_pq) is a column of the action and, for x = e_ij,
-    y = e_kl, z = e_mn, ``{x,y,z} = (δ_jl δ_km e_in + δ_nl δ_ki e_mj) / 2``.
-    The right side for one x and all (y, z) is two matrix products, in chunks
-    of about ``_CHUNK_ENTRIES`` entries (at least one y) along y, per codomain
-    block (both sides are block diagonal there). SVDs are taken only where
-    ``‖D‖₂ ≥ ‖D‖_F / √m`` allows the maximum, so the defect stays exact.
-    """
-    n, m = T.domain_shape.total_dim, T.codomain_shape.total_dim
-    full = T.action.T.reshape(n, n, m, m)  # full[p, q] = T(e_pq)
-    defect = 0.0
-    for cs in T.codomain_shape.block_slices():
-        defect = _triple_defect(full[:, :, cs, cs], T.domain_shape, defect)
+    defect = the largest residual of J over all unit pairs and of A over all
+    units. It is not the unit-triple maximum d_triple, but at most n^2 d_triple
+    for a domain of total dimension n: J sums the n triple residuals at
+    {x, e_kk, y}, A the n^2 at {e_kk, x, e_ll}. For x -> c x both are
+    |c| (1 - |c|^2), exactly: ``_max_op_norm`` prunes SVDs without loss."""
+    defect, _ = _pair_pass(T, T.apply(unit(T.domain_shape)).matrix, split=False)
     return RelationReport.from_defect("triple_homomorphism", defect, tol.relation)
 
 
@@ -462,8 +453,8 @@ def _judge(T: LinearMap, pairs: list, output_kind: CompatKind,
     """The compatibility defect at ``output_kind`` of the images of each
     (source, a, b, defect) in ``pairs`` (for an image outside the unit ball,
     its norm excess) and a source suffix. One pair goes through ``T.apply``
-    and ``compat_defect``; a stack through one product with the action and
-    one kernel call."""
+    and ``compat_defect``; a stack through one matrix-vector product per
+    element, as ``T.apply`` takes it, and one kernel call."""
     if len(pairs) == 1:
         ta, tb = T.apply(pairs[0][1]), T.apply(pairs[0][2])
         try:
@@ -472,7 +463,7 @@ def _judge(T: LinearMap, pairs: list, output_kind: CompatKind,
             return [(max(op_norm(ta.matrix), op_norm(tb.matrix)) - 1.0, "+noncontractive-image")]
     n, m = len(pairs), T.codomain_shape.total_dim
     x = np.stack([p[1].matrix for p in pairs] + [p[2].matrix for p in pairs])
-    images = (x.reshape(2 * n, -1) @ T.action.T).reshape(2 * n, m, m)
+    images = (T.action @ x.reshape(2 * n, -1, 1)).reshape(2 * n, m, m)
     k = _compat_stack(images[:n], images[n:], T.codomain_shape, output_kind, tol)
     excess = np.maximum(k.norm_a, k.norm_b) - 1.0
     return [(float(d), "") if e <= tol.relation else (float(e), "+noncontractive-image")
@@ -566,48 +557,25 @@ def classify_triple_hom(
 ) -> TripleHomClassification:
     """Split the domain blocks of a triple homomorphism into homomorphic and
     anti-homomorphic parts of phi = e* T(.), by per-block multiplicativity
-    defects over matrix-unit pairs. One-dimensional blocks (both defects
-    zero) go to the homomorphic side by convention.
-
-    Products are looked up, not mapped: ``e_ij e_kl = δ_jk e_il``, so phi(x y)
-    over the block's units y is the row phi(e_i.) at y = e_j. and 0 elsewhere."""
-    rep = is_triple_hom(T, tol)
-    if not rep.verdict:
-        raise NotTripleHom(f"triple-homomorphism defect {rep.defect:.3g}")
+    defects |phi(xy) - phi(x) phi(y)| and |phi(xy) - phi(y) phi(x)| over
+    matrix-unit pairs inside the block, taken in the pass that gives the
+    triple-homomorphism verdict (phi(x) phi(y) = e* Tx e* Ty). One-dimensional
+    blocks (both defects zero) go to the homomorphic side by convention."""
     e = T.apply(unit(T.domain_shape))
+    defect, split = _pair_pass(T, e.matrix, split=True)
+    if defect > tol.relation:
+        raise NotTripleHom(f"triple-homomorphism defect {defect:.3g}")
     pi = is_partial_isometry(e, tol)
     if not pi.verdict:
-        raise NotTripleHom(
-            f"unit image is not a partial isometry (defect {pi.defect:.3g})"
-        )
-    n, m = T.domain_shape.total_dim, T.codomain_shape.total_dim
-    full, e_star = T.action.T.reshape(n, n, m, m), adjoint(e).matrix
-
-    hom: set[int] = set()
-    anti: set[int] = set()
-    residuals: dict[int, tuple[float, float]] = {}
-    for bi, sl in enumerate(T.domain_shape.block_slices()):
-        phi = e_star @ full[sl, sl]  # phi[k, l] = e* T(e_kl) within the block
-        phis = phi.reshape(-1, m, m)
-        mult = anti_mult = 0.0
-        for i, j in np.ndindex(phi.shape[:2]):
-            # phi(x y) against phi(x) phi(y) and phi(y) phi(x), all y at once
-            targets = np.zeros_like(phis)
-            targets[j * len(phi) : (j + 1) * len(phi)] = phi[i]
-            mult = _max_op_norm(targets - phi[i, j] @ phis, mult)
-            anti_mult = _max_op_norm(targets - phis @ phi[i, j], anti_mult)
-        residuals[bi] = (mult, anti_mult)
-        if mult <= tol.relation:
-            hom.add(bi)
-        elif anti_mult <= tol.relation:
-            anti.add(bi)
-        else:
-            raise AmbiguousBlock(
-                f"block {bi}: multiplicativity defect {mult:.3g} and "
-                f"anti-multiplicativity defect {anti_mult:.3g} both exceed "
-                f"{tol.relation:g}"
-            )
-    return TripleHomClassification(e, frozenset(hom), frozenset(anti), residuals)
+        raise NotTripleHom(f"unit image is not a partial isometry (defect {pi.defect:.3g})")
+    residuals = {bi: (mult, anti) for bi, (mult, anti) in enumerate(split)}
+    hom = frozenset(bi for bi, (mult, _) in residuals.items() if mult <= tol.relation)
+    for bi, (mult, anti) in residuals.items():
+        if bi not in hom and anti > tol.relation:
+            raise AmbiguousBlock(f"block {bi}: multiplicativity defect {mult:.3g} and "
+                                 f"anti-multiplicativity defect {anti:.3g} both exceed "
+                                 f"{tol.relation:g}")
+    return TripleHomClassification(e, hom, frozenset(residuals) - hom, residuals)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .algebra import AlgebraShape, _jordan, _triple, adjoint, unit
 from .linalg import _op_norm, abs_value, apply_function, op_norm, polar, range_projection
 from .preservers import (
     LinearMap,
+    _check_map_shapes,
     build_block_map,
     build_sandwich,
     build_star_anti_hom,
@@ -585,6 +586,8 @@ def run_all_suites(
         raise ValueError("dims must be a nonempty list of positive integers")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    # the preserver zoo's largest maps, before any battery runs
+    _check_map_shapes(AlgebraShape((max(dims),) * 2), AlgebraShape(tuple(dims)))
     shapes = shapes_for_dims(dims)
     ss = np.random.SeedSequence(seed).generate_state(16)
     s = [int(x) for x in ss]

@@ -23,6 +23,7 @@ from abscompat import (
     identity_map,
     is_contractive_sampled,
     is_triple_hom,
+    jordan,
     preserves_compat_sampled,
     range_version_adapter,
     scale_map,
@@ -69,6 +70,22 @@ def brute_force_triple_defect(T) -> float:
         for y, ty in zip(units, images):
             for z, tz in zip(units, images):
                 diff = T.apply(triple(x, y, z)) - triple(tx, ty, tz)
+                worst = max(worst, op_norm(diff.matrix))
+    return worst
+
+
+def brute_force_pair_defect(T, scalars=(1.0,)) -> float:
+    """max of |T(x∘y) - {Tx, e, Ty}| and |T(x*) - {e, Tx, e}| with e = T(1), by
+    applying T to every matrix-unit pair (x, c y) and unit c x, c in scalars."""
+    units = matrix_units(T.domain_shape)
+    e = T.apply(unit(T.domain_shape))
+    worst = 0.0
+    for x in units:
+        for c in scalars:
+            diff = T.apply(adjoint(c * x)) - triple(e, T.apply(c * x), e)
+            worst = max(worst, op_norm(diff.matrix))
+            for y in units:
+                diff = T.apply(jordan(x, c * y)) - triple(T.apply(x), e, T.apply(c * y))
                 worst = max(worst, op_norm(diff.matrix))
     return worst
 
@@ -316,32 +333,27 @@ class TestIsTripleHom:
         assert rep.defect == pytest.approx(0.375, abs=1e-12)
         assert is_triple_hom(scale_map(SH2, 1j)).verdict
 
+    @pytest.mark.parametrize("c", [0.5, 0.5j, 0.3 + 0.4j, 0.9])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_scale_map_defect_is_exact(self, d, c):
+        # both sides of J and A are c x against c |c|^2 x for unit-norm x
+        rep = is_triple_hom(scale_map(AlgebraShape((d,)), c))
+        assert not rep.verdict
+        assert abs(rep.defect - abs(c) * (1 - abs(c) ** 2)) <= 1e-15
+
     def test_defect_covers_imaginary_middle_slot(self, rng):
-        # a complex-linear T scales both sides by conj(c) when y -> c y, so the
-        # matrix-unit triples already give the worst i-scaled triple as well
+        # both identities are (conjugate-)linear in each unit, so scaling x or
+        # y by i moves no residual and the matrix units give the maximum
         action = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         T = LinearMap(SH2, SH2, action / 4.0)
-        units = matrix_units(SH2)
-        reference = 0.0
-        for x in units:
-            for y in units:
-                for z in units:
-                    for yy in (y, 1j * y):
-                        lhs = T.apply(triple(x, yy, z))
-                        rhs = triple(T.apply(x), T.apply(yy), T.apply(z))
-                        reference = max(reference, op_norm((lhs - rhs).matrix))
+        reference = brute_force_pair_defect(T, scalars=(1.0, 1j))
         assert reference > 0.1
         assert is_triple_hom(T).defect == pytest.approx(reference, rel=1e-12)
 
-    @pytest.mark.parametrize("chunk", [None, 1], ids=["default-chunks", "one-row-chunks"])
     @pytest.mark.parametrize("case", [
         "random M1+M2", "random M2 -> M2+M2", "perturbed identity M3", "doubling M2",
     ])
-    def test_matches_brute_force_over_unit_triples(self, rng, monkeypatch, case, chunk):
-        if chunk is not None:
-            # every chunk one y row: the Frobenius prune runs against the
-            # running defect of earlier chunks
-            monkeypatch.setattr(preservers, "_CHUNK_ENTRIES", chunk)
+    def test_matches_brute_force_over_unit_triples(self, rng, case):
         if case == "random M1+M2":  # complex action with a 1x1 block
             shape = AlgebraShape((1, 2))
             T = LinearMap(shape, shape, random_action(rng, shape, shape))
@@ -354,13 +366,32 @@ class TestIsTripleHom:
             T = LinearMap(shape, shape, action)
         else:
             T = build_star_hom(SH2, SH22, [0, 0])
-        reference = brute_force_triple_defect(T)
+        reference = brute_force_pair_defect(T)
+        triples = brute_force_triple_defect(T)
         defect = is_triple_hom(T).defect
         if case == "doubling M2":
-            assert reference == defect == 0.0
+            assert reference == triples == defect == 0.0
         else:
             assert reference > 1e-4
             assert defect == pytest.approx(reference, rel=1e-12)
+            # J sums n triple residuals {x, e_kk, y}, A sums n^2 {e_kk, x, e_ll}
+            assert defect <= T.domain_shape.total_dim ** 2 * triples
+
+    def test_verdicts_match_the_triple_check(self, rng):
+        sh12 = AlgebraShape((1, 2))
+        noisy = []
+        for size in (1e-3, 1e-6):
+            action = identity_map(SH2).action + size * random_action(rng, SH2, SH2)
+            noisy.append(LinearMap(SH2, SH2, action))
+        zoo = [transpose_map(SH2),
+               build_sandwich(rand_unitary(rng, SH2), rand_unitary(rng, SH2)),
+               build_star_hom(SH2, SH22, [0, 0]),
+               build_block_map(sh12, sh12, [0, 1], [False, True]),
+               scale_map(SH2, 0.5), scale_map(SH2, 0.9),
+               LinearMap(sh12, sh12, random_action(rng, sh12, sh12)), *noisy]
+        verdicts = [is_triple_hom(T).verdict for T in zoo]
+        assert verdicts == [brute_force_triple_defect(T) <= 1e-8 for T in zoo]
+        assert verdicts == [True] * 4 + [False] * 5
 
     def test_matches_direct_triple_evaluation(self, rng):
         T = build_sandwich(rand_unitary(rng, SH2), rand_unitary(rng, SH2))
@@ -402,15 +433,18 @@ class TestPreservesCompat:
         assert not rep.verdict  # doubled images escape the ball
         assert rep.worst.source.endswith("+noncontractive-image")
 
-    @pytest.mark.parametrize("name", ["transpose", "doubling", "mixed", "scale 1.5"])
+    @pytest.mark.parametrize("name", ["transpose", "doubling", "mixed", "scale 1.5", "sandwich"])
     def test_stacked_judge_matches_one_pair_judge(self, name):
         # drawn pairs are judged in stacks; the reference maps each pair
         # with T.apply and judges it with compat_defect
         sh23 = AlgebraShape((2, 3))
+        rng = np.random.default_rng(9)
         T = {"transpose": lambda: transpose_map(SH2),
              "doubling": lambda: build_star_hom(SH2, SH22, [0, 0]),
              "mixed": lambda: build_block_map(sh23, sh23, [0, 1], [False, True]),
-             "scale 1.5": lambda: scale_map(SH2, 1.5)}[name]()
+             "scale 1.5": lambda: scale_map(SH2, 1.5),
+             "sandwich": lambda: build_sandwich(rand_unitary(rng, SH2),
+                                                rand_unitary(rng, SH2))}[name]()
         tol = ToleranceConfig()
         for kind in CompatKind:
             judged = list(preservers._judged_pairs(T, kind, kind, 150, 4, tol))
@@ -422,12 +456,14 @@ class TestPreservesCompat:
                 assert w.b.matrix.tobytes() == b.matrix.tobytes()
                 assert w.input_defect == in_defect
                 if max(op_norm(ta.matrix), op_norm(tb.matrix)) > 1.0 + tol.relation:
+                    # the norm excess comes from another SVD call than op_norm's
                     assert w.source == source + "+noncontractive-image"
                     expected = max(op_norm(ta.matrix), op_norm(tb.matrix)) - 1.0
+                    assert abs(w.output_defect - expected) <= 1e-15
                 else:
+                    # the stack's images are T.apply's bytes
                     assert w.source == source
-                    expected = compat_defect(ta, tb, kind, tol).defect
-                assert abs(w.output_defect - expected) <= 1e-15
+                    assert w.output_defect == compat_defect(ta, tb, kind, tol).defect
 
     def test_stream_ending_early_raises(self, monkeypatch):
         monkeypatch.setattr(preservers, "compatible_pairs", lambda *args: iter([]))

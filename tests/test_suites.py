@@ -15,6 +15,8 @@ from abscompat import (
     jordan,
     triple,
 )
+from abscompat import suites
+from abscompat.errors import ShapeIncompatible
 from abscompat.linalg import op_norm
 from abscompat.sampling import (
     PairGenerator,
@@ -69,6 +71,18 @@ def test_run_all_suites_validates_inputs():
         run_all_suites([2], trials=0, seed=0)
     with pytest.raises(ValueError):
         run_all_suites([0], trials=10, seed=0)
+
+
+@pytest.mark.parametrize("dims", [[17], [10, 12, 11]], ids=["doubling-34", "direct-sum-33"])
+def test_run_all_suites_checks_dims_before_any_battery(monkeypatch, dims):
+    # M17 doubles to total dimension 34 and M10+M12+M11 sums to 33, both past
+    # the 32 a linear map may have; refused before the first battery runs
+    def first_battery(*args):
+        raise AssertionError("a battery ran before the dims were checked")
+
+    monkeypatch.setattr(suites, "suite_linalg_invariants", first_battery)
+    with pytest.raises(ShapeIncompatible, match="exceeds the limit"):
+        run_all_suites(dims, trials=10, seed=0)
 
 
 def test_individual_suites_pass():
