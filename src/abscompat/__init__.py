@@ -1,6 +1,8 @@
 """Absolute-compatibility relations and linear-preserver checks on
 finite-dimensional C*-algebras (direct sums of complex matrix blocks)."""
 
+from types import ModuleType as _ModuleType
+
 from .algebra import (
     AlgebraElement,
     AlgebraShape,
@@ -69,62 +71,6 @@ from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraElement",
-    "AlgebraShape",
-    "CompatKind",
-    "ConsistencyReport",
-    "DEFAULT_TOL",
-    "HermitianEig",
-    "IntervalBoundary",
-    "LinearMap",
-    "PairGenerator",
-    "PairStrategy",
-    "PolarDecomposition",
-    "PreservationReport",
-    "Provenance",
-    "RelationReport",
-    "ToleranceConfig",
-    "TripleHomClassification",
-    "Witness",
-    "abs_value",
-    "adjoint",
-    "apply_function",
-    "build_block_map",
-    "build_sandwich",
-    "build_star_anti_hom",
-    "build_star_hom",
-    "check_orth_characterization",
-    "check_p00_equivalences",
-    "check_tripotent_characterization",
-    "classify_triple_hom",
-    "commutative_compat_check",
-    "compat_defect",
-    "compatible_positive_pair_2x2",
-    "crossed_isometry_pair_2x2",
-    "fuzz_counterexample",
-    "generate_compat_pair",
-    "herm_eig",
-    "identity_map",
-    "is_contraction",
-    "is_contractive_sampled",
-    "is_orthogonal",
-    "is_partial_isometry",
-    "is_positive",
-    "is_projection",
-    "is_triple_hom",
-    "jordan",
-    "known_witness_pairs",
-    "op_norm",
-    "partial_isometry_from_projections",
-    "polar",
-    "preserves_compat_sampled",
-    "range_projection",
-    "range_version_adapter",
-    "scale_map",
-    "spectral_tripotent",
-    "transpose_map",
-    "triple",
-    "unit",
-    "zero",
-]
+# every public name imported above; the submodules are not exported
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -6,11 +6,12 @@ spectra spanning many decades. Polar decompositions and the functional
 calculus are built on the same kernel.
 
 Public functions take and return plain 2-D ``numpy`` arrays (square,
-complex128). The private kernel (``_abs_parts``, ``_abs_herm``, ``_op_norm``
-and the helpers under them) also takes stacks ``(N, n, n)``, skips input
-validation and works matrix by matrix through numpy's broadcasting
-``svd``/``eigh``/``eigvalsh``. Eigenvector phases are never canonicalized;
-every guarantee is phrased through reconstructions.
+complex128), validate them and call a private kernel (``_abs_parts``,
+``_abs_herm``, ``_op_norm``, ``_calculus``, ``_polar``, ``_range_projection``,
+``_rank_cut_svd`` and the helpers under them). The kernel also takes stacks
+``(N, n, n)``, skips input validation and works matrix by matrix through
+numpy's broadcasting ``svd``/``eigh``/``eigvalsh``. Eigenvector phases are
+never canonicalized; every guarantee is phrased through reconstructions.
 """
 
 from __future__ import annotations
@@ -109,12 +110,38 @@ def _herm_eigvals(a: np.ndarray) -> np.ndarray:
     return _eigh(_hermitize(a), vectors=False)
 
 
+def _diag(d: np.ndarray) -> np.ndarray:
+    """The diagonal matrix of each row of an (M, m) stack, like ``np.diag``."""
+    out = np.zeros(d.shape + d.shape[-1:], dtype=d.dtype)
+    i = np.arange(d.shape[-1])
+    out[..., i, i] = d
+    return out
+
+
 def _rank_cut_svd(a: np.ndarray, rank_tol: float):
-    """SVD a = L S R* cut at rank_tol * sigma_max: the partial isometry u (sum
-    of the surviving (left vec)(right vec)* terms), S, R* and the rank."""
+    """SVD a = L S R* cut at rank_tol * sigma_max, of a matrix or of each
+    matrix of a stack: the partial isometry u (sum of the surviving (left
+    vec)(right vec)* terms), S, R* and the rank. u is one sliced product per
+    rank (a product masked to the kept terms rounds rank one differently)."""
     left, sigma, right_h = _svd(a)
-    keep = sigma > rank_tol * (sigma[0] if sigma.size else 0.0)
-    return left[:, keep] @ right_h[keep, :], sigma, right_h, int(np.count_nonzero(keep))
+    rank = (sigma > rank_tol * sigma[..., :1]).sum(-1)
+    u = np.zeros_like(left)
+    for r in set(np.ravel(rank).tolist()):
+        rows = rank == r
+        u[rows] = left[rows][..., :r] @ right_h[rows][..., :r, :]
+    return u, sigma, right_h, rank
+
+
+def _polar(a: np.ndarray, rank_tol: float):
+    """``polar``'s u, |a| and rank (of each a in a stack); no validation."""
+    u, sigma, right_h, rank = _rank_cut_svd(a, rank_tol)
+    return u, _weighted_gram(right_h.conj().swapaxes(-1, -2), sigma), rank
+
+
+def _range_projection(a: np.ndarray, rank_tol: float) -> np.ndarray:
+    """u u* for the partial isometry u of ``_polar`` (of each a in a stack)."""
+    u = _rank_cut_svd(a, rank_tol)[0]
+    return _hermitize(u @ u.conj().swapaxes(-1, -2))
 
 
 def _op_norm(x: np.ndarray) -> np.ndarray:
@@ -127,17 +154,28 @@ def op_norm(a: np.ndarray) -> float:
     return float(_op_norm(as_square_matrix(a)))
 
 
+def _as_hermitian(a: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """``as_square_matrix``, refusing non-Hermitian a as ``herm_eig`` does."""
+    a = as_square_matrix(a)
+    scale = max(1.0, op_norm(a))
+    if op_norm(a - a.conj().T) > tol.relation * scale:
+        raise NotHermitian(f"matrix is not Hermitian within {tol.relation:g}")
+    return a
+
+
 def herm_eig(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
     Raises NotHermitian when |a - a*| exceeds tol.relation * max(1, |a|).
     """
-    a = as_square_matrix(a)
-    scale = max(1.0, op_norm(a))
-    if op_norm(a - a.conj().T) > tol.relation * scale:
-        raise NotHermitian(f"matrix is not Hermitian within {tol.relation:g}")
-    w, v = _eigh(_hermitize(a))
-    return HermitianEig(w, v)
+    return HermitianEig(*_eigh(_hermitize(_as_hermitian(a, tol))))
+
+
+def _calculus(h: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """f(h) = V diag(f(lambda)) V* from one eigh of the Hermitian part of h
+    (of each h in a stack); no validation."""
+    lam, w = _eigh(_hermitize(h))
+    return _weighted_gram(w, np.asarray(f(lam), dtype=np.float64))
 
 
 def apply_function(
@@ -150,9 +188,7 @@ def apply_function(
     ``f`` is applied to the real eigenvalue vector (vectorized callables are
     fine); the result is re-Hermitized to kill roundoff asymmetry.
     """
-    eig = herm_eig(a, tol)
-    fw = np.asarray(f(eig.eigenvalues), dtype=np.float64)
-    return _weighted_gram(eig.eigenvectors, fw)
+    return _calculus(_as_hermitian(a, tol), f)
 
 
 def abs_value(a: np.ndarray) -> np.ndarray:
@@ -169,12 +205,11 @@ def polar(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> PolarDecompositi
     sum of the surviving rank-one terms (left vec)(right vec)*, so u u* u = u
     and u* u is the range projection of |a|.
     """
-    u, sigma, right_h, rank = _rank_cut_svd(as_square_matrix(a), tol.rank)
-    return PolarDecomposition(u, _weighted_gram(right_h.conj().T, sigma), rank)
+    u, absolute, rank = _polar(as_square_matrix(a), tol.rank)
+    return PolarDecomposition(u, absolute, int(rank))
 
 
 def range_projection(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Smallest projection r with r a = a: the projection u u* onto the column
     space of a, with u the partial isometry of ``polar`` at the same rank cut."""
-    u = _rank_cut_svd(as_square_matrix(a), tol.rank)[0]
-    return _hermitize(u @ u.conj().T)
+    return _range_projection(as_square_matrix(a), tol.rank)

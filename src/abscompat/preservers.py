@@ -135,6 +135,13 @@ class LinearMap:
 
     __call__ = apply
 
+    def _apply_stack(self, x: np.ndarray) -> np.ndarray:
+        """T of each matrix of an (N, n, n) stack, unchecked: one matrix-vector
+        product per matrix, as ``apply`` takes it (a matrix product of the
+        stack sums in another order for dense actions)."""
+        m = self.codomain_shape.total_dim
+        return (self.action @ x.reshape(len(x), -1, 1)).reshape(len(x), m, m)
+
 
 def _map_from_block_action(
     domain: AlgebraShape,
@@ -314,14 +321,11 @@ def is_contractive_sampled(
     a true verdict only means no violation was found."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    shape, m = T.domain_shape, T.codomain_shape.total_dim
+    shape = T.domain_shape
     x = _elements(np.random.default_rng(seed), shape, _contraction_draw, n_samples)
     norm = _op_norm(x)
     samples = np.concatenate([_basis_stack(shape), x[norm > 0] / norm[norm > 0, None, None]])
-    # one matrix-vector product per sample, as T.apply takes it (a matrix
-    # product of the stack sums in another order for dense actions)
-    images = (T.action @ samples.reshape(len(samples), -1, 1)).reshape(-1, m, m)
-    excess = _op_norm(images) - 1.0
+    excess = _op_norm(T._apply_stack(samples)) - 1.0
     worst = int(excess.argmax())  # the first sample of largest excess
     witnesses = {"worst_sample": samples[worst]} if excess[worst] > 0.0 else {}
     return RelationReport.from_defect("contractive_sampled", max(0.0, float(excess[worst])),
@@ -461,9 +465,8 @@ def _judge(T: LinearMap, pairs: list, output_kind: CompatKind,
             return [(compat_defect(ta, tb, output_kind, tol).defect, "")]
         except NotContraction:
             return [(max(op_norm(ta.matrix), op_norm(tb.matrix)) - 1.0, "+noncontractive-image")]
-    n, m = len(pairs), T.codomain_shape.total_dim
-    x = np.stack([p[1].matrix for p in pairs] + [p[2].matrix for p in pairs])
-    images = (T.action @ x.reshape(2 * n, -1, 1)).reshape(2 * n, m, m)
+    n = len(pairs)
+    images = T._apply_stack(np.stack([p[i].matrix for i in (1, 2) for p in pairs]))
     k = _compat_stack(images[:n], images[n:], T.codomain_shape, output_kind, tol)
     excess = np.maximum(k.norm_a, k.norm_b) - 1.0
     return [(float(d), "") if e <= tol.relation else (float(e), "+noncontractive-image")

@@ -26,7 +26,8 @@ from .errors import (
     NotInUnitInterval,
 )
 from .linalg import (
-    _abs_herm, _abs_parts, _eigh, _herm_eigvals, _hermitize, _op_norm, _rank_cut_svd, op_norm,
+    _abs_herm, _abs_parts, _diag, _eigh, _herm_eigvals, _hermitize, _op_norm, _rank_cut_svd,
+    op_norm,
 )
 from .reports import (
     ConsistencyReport,
@@ -356,6 +357,26 @@ def _tripotent_reports(
 # ---------------------------------------------------------------------------
 
 
+def _commutative_defects(
+    a: np.ndarray, b: np.ndarray, tol: ToleranceConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``commutative_compat_check`` of each pair of (N, n, n) stacks of
+    diagonal matrices diag(f), diag(g) in the unit ball (within tol): the
+    pointwise defect, the identity's defect and whether their verdicts
+    disagree, warning as the one-pair check does."""
+    fa, ga = (np.minimum(np.abs(np.diagonal(x, axis1=-2, axis2=-1)), 1.0) for x in (a, b))
+    pointwise = (2.0 * np.minimum.reduce([fa, ga, 1.0 - fa, 1.0 - ga])).max(-1, initial=0.0)
+    shape = AlgebraShape((a.shape[-1],))
+    identity = _gated(a, b, shape, CompatKind.DOMAIN, tol)[0].defect
+    t = tol.relation
+    split = (pointwise <= t) != (identity <= t)
+    near = (np.abs(pointwise - t) <= 10.0 * t) & (np.abs(identity - t) <= 10.0 * t)
+    for p, i in zip(pointwise[split & ~near].tolist(), identity[split & ~near].tolist()):
+        warnings.warn("pointwise characterization disagrees with the defining identity on "
+                      f"diagonals (defects {p:.3g} vs {i:.3g})", CrossCheckMismatch)
+    return pointwise, identity, split
+
+
 def commutative_compat_check(
     f: np.ndarray, g: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
 ) -> RelationReport:
@@ -365,10 +386,11 @@ def commutative_compat_check(
 
     Per-coordinate defect 2 min(|f|, |g|, 1-|f|, 1-|g|), which is exactly the
     scalar residual of the defining identity; the overall defect is the worst
-    coordinate. The verdict is always cross-validated against compat_defect
-    on diag(f), diag(g), whose defect is kept as the 0-d witness
-    ``identity_defect``; a disagreement outside the near-threshold band
-    raises a CrossCheckMismatch warning.
+    coordinate. The verdict is always cross-validated against the defining
+    identity (domain kind) on diag(f), diag(g), whose defect is kept as the
+    0-d witness ``identity_defect``; a disagreement outside the
+    near-threshold band raises a CrossCheckMismatch warning. Values outside
+    the disk raise NotContraction, other non-finite values ValueError.
     """
     f = np.atleast_1d(np.asarray(f, dtype=np.complex128))
     g = np.atleast_1d(np.asarray(g, dtype=np.complex128))
@@ -377,35 +399,16 @@ def commutative_compat_check(
     if f.shape != g.shape:
         raise LengthMismatch(f"length mismatch: {f.shape[0]} vs {g.shape[0]}")
     t = tol.relation
-    fa, ga = np.abs(f), np.abs(g)
-    if fa.max(initial=0.0) > 1.0 + t or ga.max(initial=0.0) > 1.0 + t:
+    if np.abs(f).max(initial=0.0) > 1.0 + t or np.abs(g).max(initial=0.0) > 1.0 + t:
         raise NotContraction("function values must lie in the closed unit disk")
-    fa = np.minimum(fa, 1.0)
-    ga = np.minimum(ga, 1.0)
-
-    per_coord = 2.0 * np.minimum.reduce([fa, ga, 1.0 - fa, 1.0 - ga])
-    defect = float(per_coord.max(initial=0.0))
-    oracle = compat_defect(
-        AlgebraElement.single(np.diag(f)),
-        AlgebraElement.single(np.diag(g)),
-        CompatKind.DOMAIN,
-        tol,
-    )
-    report = RelationReport.from_defect(
+    if not (np.isfinite(f).all() and np.isfinite(g).all()):
+        raise ValueError("function values must be finite")
+    a, b = _diag(f[None]), _diag(g[None])
+    defect, identity = (float(x[0]) for x in _commutative_defects(a, b, tol)[:2])
+    return RelationReport.from_defect(
         "commutative_compat", defect, t,
-        {"diag_f": np.diag(f), "diag_g": np.diag(g),
-         "identity_defect": np.asarray(oracle.defect)},
+        {"diag_f": a[0], "diag_g": b[0], "identity_defect": np.asarray(identity)},
     )
-    if oracle.verdict != report.verdict:
-        near = abs(defect - t) <= 10.0 * t and abs(oracle.defect - t) <= 10.0 * t
-        if not near:
-            warnings.warn(
-                "pointwise characterization disagrees with the defining "
-                f"identity on diagonals (defects {defect:.3g} vs "
-                f"{oracle.defect:.3g})",
-                CrossCheckMismatch,
-            )
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape, _block_diag, adjoint, unit
 from .errors import GeneratorExhausted, ShapeMismatch
-from .linalg import _hermitize, _op_norm, _weighted_gram
+from .linalg import _diag, _hermitize, _op_norm, _weighted_gram
 from .relations import CompatKind, _compat_stack
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
@@ -69,14 +69,6 @@ def _ginibre(z: np.ndarray) -> np.ndarray:
 
 def _adj(x: np.ndarray) -> np.ndarray:
     return x.conj().swapaxes(-1, -2)
-
-
-def _diag(d: np.ndarray) -> np.ndarray:
-    """The diagonal matrix of each row of an (M, m) stack, like ``np.diag``."""
-    out = np.zeros(d.shape + d.shape[-1:], dtype=d.dtype)
-    i = np.arange(d.shape[-1])
-    out[..., i, i] = d
-    return out
 
 
 def _haar(z: np.ndarray) -> np.ndarray:
@@ -184,8 +176,8 @@ def _diagonal_compat_draw(rng: np.random.Generator, n: int):
     return _diagonal_build, None, (f, g)
 
 
-def _diagonal_build(key, f, g):
-    return _diag(f), _diag(g)
+def _diagonal_build(key, *diagonals):
+    return tuple(map(_diag, diagonals))
 
 
 def _conjugated_positive_draw(rng: np.random.Generator, n: int):

@@ -3,10 +3,13 @@ characterization, used by the ``verify-suite`` command and the acceptance
 tests. Each suite returns a SuiteResult with trial counts, failures,
 indeterminate (near-threshold) counts and the worst defect observed.
 
-The product-identity, relation-invariant and characterization batteries
-take their operands' random numbers trial by trial, in the order a one-trial
-loop takes them, and build and judge them in (N, n, n) stacks, at most
-``_STACK_MAX`` trials at a time; the commutative cross-check is per pair.
+Every randomized battery (linear-algebra invariants, product identities,
+relation invariants, the characterizations and the commutative cross-check)
+takes its operands' random numbers trial by trial, in the order a one-trial
+loop takes them, and builds and judges them in (N, n, n) stacks through
+``_in_stacks``, at most ``_STACK_MAX`` trials at a time. The symmetric
+factorization row draws each map's samples as one stack and maps them with
+one matrix-vector product per sample, as ``LinearMap.apply`` does.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from itertools import chain, cycle, islice
 import numpy as np
 
 from .algebra import AlgebraShape, _jordan, _triple, adjoint, unit
-from .linalg import _op_norm, abs_value, apply_function, op_norm, polar, range_projection
+from .linalg import _abs_parts, _calculus, _hermitize, _op_norm, _polar, _range_projection
 from .preservers import (
     LinearMap,
     _check_map_shapes,
@@ -36,26 +39,28 @@ from .preservers import (
 )
 from .relations import (
     CompatKind,
+    _commutative_defects,
     _gated,
     _orth_reports,
     _p00_reports,
     _star_norms,
     _tripotent_reports,
-    commutative_compat_check,
 )
 from .sampling import (
     _STACK_MAX,
     PairGenerator,
     PairStrategy,
+    _adj,
     _assemble,
     _blocks,
     _contraction_draw,
+    _diagonal_build,
+    _elements,
     _general_pair,
     _hermitian_contraction_draw,
     _partial_isometry_draw,
     _positive_pair,
     known_witness_pairs,
-    rand_hermitian_contraction,
     rand_unitary,
 )
 from .tolerance import DEFAULT_TOL, ToleranceConfig
@@ -114,73 +119,87 @@ def _tally(name: str, checks, note: str = "") -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
+def _square_draw(rng: np.random.Generator, n: int, deficient: bool = False):
+    """An n x n matrix with standard normal real and imaginary parts; a
+    ``deficient`` one has its last column copied onto its first."""
+    return _square_build, deficient, (rng.standard_normal((2, n, n)),)
+
+
+def _square_build(deficient, z):
+    m = z[:, 0] + 1j * z[:, 1]
+    if deficient:
+        m[..., 0] = m[..., -1]
+    return (m,)
+
+
+def _qr_projection_draw(rng: np.random.Generator, n: int):
+    """The projection onto the first k columns (k drawn after the matrix) of
+    the QR factor of a ``_square_draw`` matrix."""
+    z = rng.standard_normal((2, n, n))
+    return _qr_projection_build, int(rng.integers(0, n + 1)), (z,)
+
+
+def _qr_projection_build(k, z):
+    cols = np.linalg.qr(_square_build(False, z)[0])[0][..., :k]
+    return (cols @ _adj(cols),)
+
+
+def _uniform_diagonal_draw(rng: np.random.Generator, n: int):
+    """A diagonal matrix of n uniform values in [0, 2)."""
+    return _diagonal_build, None, (rng.uniform(0, 2, n),)
+
+
 def suite_linalg_invariants(
     seed: int, trials: int, tol: ToleranceConfig = DEFAULT_TOL
 ) -> list[SuiteResult]:
     rng = np.random.default_rng(seed)
 
-    def rand_square(n):
-        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-    def functional_calculus():
-        for _ in range(trials):
-            g = rand_square(int(rng.integers(1, 7)))
-            a = (g + g.conj().T) / 2.0
-            d = op_norm(apply_function(a, lambda t: t, tol) - a)
-            yield d, d > 1e-9 * max(1.0, op_norm(a))
-
-    def abs_idempotence():
+    def squares(draw=lambda rng, n, i: _square_draw(rng, n), outs=((0,),)):
+        """Trials of a drawn size 1 to 6; ``draw(rng, n, i)`` draws trial i's
+        matrices, one per output in ``outs``."""
         for i in range(trials):
-            n = int(rng.integers(1, 7))
-            kind = i % 3
-            if kind == 0:
-                m = rand_square(n)
-            elif kind == 1:
-                q, _ = np.linalg.qr(rand_square(n))
-                k = int(rng.integers(0, n + 1))
-                m = q[:, :k] @ q[:, :k].conj().T  # projection
-            else:
-                m = np.diag(rng.uniform(0, 2, n)).astype(np.complex128)
-            p = abs_value(m)
-            d = op_norm(abs_value(p) - p)
-            yield d, d > tol.relation * max(1.0, op_norm(p))
+            shape = AlgebraShape((int(rng.integers(1, 7)),))
+            yield shape, [job for o in outs for job in _blocks(
+                rng, shape, lambda rng, n: draw(rng, n, i), o)]
 
-    def polar_reconstruction():
-        for i in range(trials):
-            n = int(rng.integers(1, 7))
-            m = rand_square(n)
-            if i % 3 == 0 and n > 1:  # include rank-deficient inputs
-                m[:, 0] = m[:, -1]
-            dec = polar(m, tol=tol)
-            u, av = dec.partial_isometry, dec.absolute_value
-            d = max(
-                op_norm(u @ av - m),
-                op_norm(u @ u.conj().T @ u - u),
-                op_norm(u.conj().T @ u - range_projection(av, tol=tol)),
-            )
-            yield d, d > 1e-8 * max(1.0, op_norm(m))
+    def functional_calculus(shape, g):
+        a = _hermitize(g)
+        d = _op_norm(_calculus(a, lambda t: t) - a).tolist()
+        return [(x, x > 1e-9 * max(1.0, y)) for x, y in zip(d, _op_norm(a).tolist())]
 
-    def submultiplicativity():
-        for _ in range(trials):
-            n = int(rng.integers(1, 7))
-            x, y = rand_square(n), rand_square(n)
-            excess = op_norm(x @ y) - op_norm(x) * op_norm(y)
-            yield excess, excess > 1e-9
+    def abs_idempotence(shape, m):
+        p = _abs_parts(m, range_=False)[0][0]
+        d = _op_norm(_abs_parts(p, range_=False)[0][0] - p).tolist()
+        return [(x, x > tol.relation * max(1.0, y)) for x, y in zip(d, _op_norm(p).tolist())]
 
-    def cstar_identity():
-        for _ in range(trials):
-            x = rand_square(int(rng.integers(1, 7)))
-            lhs, rhs = op_norm(x.conj().T @ x), op_norm(x) ** 2
-            d = abs(lhs - rhs) / max(1.0, rhs)
-            yield d, d > 1e-8
+    def polar_reconstruction(shape, m):
+        u, av, _ = _polar(m, tol.rank)
+        uh = _adj(u)
+        rows = zip(*(_op_norm(x).tolist() for x in (
+            u @ av - m, u @ uh @ u - u, uh @ u - _range_projection(av, tol.rank), m)))
+        return [(max(d), max(d) > 1e-8 * max(1.0, norm)) for *d, norm in rows]
 
+    def submultiplicativity(shape, x, y):
+        excess = (_op_norm(x @ y) - _op_norm(x) * _op_norm(y)).tolist()
+        return [(e, e > 1e-9) for e in excess]
+
+    def cstar_identity(shape, x):
+        rows = zip(_op_norm(_adj(x) @ x).tolist(), _op_norm(x).tolist())
+        return [(d, d > 1e-8) for d in (abs(lhs - n ** 2) / max(1.0, n ** 2) for lhs, n in rows)]
+
+    abs_draws = (_square_draw, _qr_projection_draw, _uniform_diagonal_draw)
     # each battery drains the shared stream before the next one starts
     return [
-        _tally("functional-calculus identity", functional_calculus()),
-        _tally("abs-value idempotence", abs_idempotence()),
-        _tally("polar reconstruction", polar_reconstruction()),
-        _tally("operator-norm submultiplicativity", submultiplicativity()),
-        _tally("c-star norm identity", cstar_identity()),
+        _tally("functional-calculus identity",
+               _in_stacks(squares(), functional_calculus)),
+        _tally("abs-value idempotence", _in_stacks(
+            squares(lambda rng, n, i: abs_draws[i % 3](rng, n)), abs_idempotence)),
+        _tally("polar reconstruction", _in_stacks(
+            squares(lambda rng, n, i: _square_draw(rng, n, i % 3 == 0 and n > 1)),
+            polar_reconstruction)),
+        _tally("operator-norm submultiplicativity",
+               _in_stacks(squares(outs=((0,), (1,))), submultiplicativity)),
+        _tally("c-star norm identity", _in_stacks(squares(), cstar_identity)),
     ]
 
 
@@ -345,37 +364,38 @@ def suite_tripotent_characterization(
                   note=f"{trials} random + 2x{n_isometries} isometries")
 
 
+def _coordinate_pair_draw(rng: np.random.Generator, n: int):
+    """Function pairs f, g on n points, coordinate by coordinate, in one of
+    six equally likely cases: f or g alone in the disk, one on the circle and
+    one in the disk (either way), both in the disk, or both zero."""
+    f = np.zeros(n, dtype=np.complex128)
+    g = np.zeros(n, dtype=np.complex128)
+    circle = lambda: np.exp(2j * np.pi * rng.uniform())
+    disk = lambda: rng.uniform() * circle()
+    cases = (lambda: (disk(), 0), lambda: (0, disk()), lambda: (circle(), disk()),
+             lambda: (disk(), circle()), lambda: (disk(), disk()), lambda: (0, 0))
+    for t in range(n):
+        f[t], g[t] = cases[int(rng.integers(0, 6))]()
+    return _diagonal_build, None, (f, g)
+
+
 def suite_commutative_crosscheck(
     seed: int, trials: int, tol: ToleranceConfig = DEFAULT_TOL
 ) -> SuiteResult:
     """Pointwise characterization vs the defining identity on diagonals of
-    length 1 to 8: verdicts must agree exactly."""
+    length 1 to 8: verdicts must agree exactly. A disagreement outside the
+    near-threshold band also raises a CrossCheckMismatch warning."""
     rng = np.random.default_rng(seed)
 
-    def checks():
+    def pairs():
         for _ in range(trials):
-            n = int(rng.integers(1, 9))
-            f = np.zeros(n, dtype=np.complex128)
-            g = np.zeros(n, dtype=np.complex128)
-            for t in range(n):
-                case = int(rng.integers(0, 6))
-                phase = lambda: np.exp(2j * np.pi * rng.uniform())
-                if case == 0:
-                    f[t] = rng.uniform() * phase()
-                elif case == 1:
-                    g[t] = rng.uniform() * phase()
-                elif case == 2:
-                    f[t], g[t] = phase(), rng.uniform() * phase()
-                elif case == 3:
-                    f[t], g[t] = rng.uniform() * phase(), phase()
-                elif case == 4:
-                    f[t], g[t] = rng.uniform() * phase(), rng.uniform() * phase()
-                # case 5: both zero
-            pointwise = commutative_compat_check(f, g, tol)
-            identity = pointwise.witnesses["identity_defect"] <= tol.relation
-            yield 0.0, pointwise.verdict != identity
+            shape = AlgebraShape((int(rng.integers(1, 9)),))
+            yield shape, _blocks(rng, shape, _coordinate_pair_draw)
 
-    return _tally("commutative cross-validation", checks())
+    def agreement(shape, a, b):
+        return [(0.0, split) for split in _commutative_defects(a, b, tol)[2].tolist()]
+
+    return _tally("commutative cross-validation", _in_stacks(pairs(), agreement))
 
 
 # ---------------------------------------------------------------------------
@@ -476,19 +496,18 @@ def suite_preservers(
         u = rand_unitary(rng, shape)
         sym_maps.append(build_sandwich(u, adjoint(u), tol))
 
-    def factorizations():
-        for tmap in sym_maps:
-            e = tmap.apply(unit(tmap.domain_shape))
-            e_star = adjoint(e)
-            for _ in range(10):
-                x = rand_hermitian_contraction(rng, tmap.domain_shape)
-                phi_x = e_star @ tmap.apply(x)
-                phi_x2 = e_star @ tmap.apply(x @ x)
-                d_sq = op_norm((phi_x2 - phi_x @ phi_x).matrix)
-                d_fac = op_norm((tmap.apply(x) - e @ phi_x).matrix)
-                yield max(d_sq, d_fac), (d_sq > 1e-8) or (d_fac > 1e-10)
+    def factorization(tmap):
+        # ten Hermitian contractions x: |e* T(x^2) - (e* T x)^2| and |T x - e e* T x|
+        e = tmap.apply(unit(tmap.domain_shape))
+        e_star = adjoint(e).matrix
+        x = _elements(rng, tmap.domain_shape, _hermitian_contraction_draw, 10)
+        tx = tmap._apply_stack(x)
+        phi, phi2 = e_star @ tx, e_star @ tmap._apply_stack(x @ x)
+        rows = zip(_op_norm(phi2 - phi @ phi).tolist(), _op_norm(tx - e.matrix @ phi).tolist())
+        return [(max(d_sq, d_fac), d_sq > 1e-8 or d_fac > 1e-10) for d_sq, d_fac in rows]
 
-    results.append(_tally("symmetric factorization through e* T", factorizations()))
+    results.append(_tally("symmetric factorization through e* T",
+                          chain.from_iterable(map(factorization, sym_maps))))
     return results
 
 

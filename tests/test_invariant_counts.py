@@ -3,8 +3,11 @@ per-operation unit tests, lighter than the acceptance gate)."""
 
 from __future__ import annotations
 
+from types import ModuleType
+
 import pytest
 
+import abscompat
 from abscompat import AlgebraShape
 from abscompat.reports import RelationReport
 from abscompat.suites import suite_linalg_invariants, suite_relation_invariants
@@ -47,3 +50,33 @@ def test_clause_indeterminate_band():
     agreeing = make_clause("ok", [SideCheck("l", True, 0.0),
                                   SideCheck("r", True, 1e-9)], tol)
     assert agreeing.agree and not agreeing.indeterminate
+
+
+# the package's public surface, pinned so that a change to it is deliberate
+_EXPORTS = """
+    AlgebraElement AlgebraShape CompatKind ConsistencyReport DEFAULT_TOL
+    HermitianEig IntervalBoundary LinearMap PairGenerator PairStrategy
+    PolarDecomposition PreservationReport Provenance RelationReport
+    ToleranceConfig TripleHomClassification Witness abs_value adjoint
+    apply_function build_block_map build_sandwich build_star_anti_hom
+    build_star_hom check_orth_characterization check_p00_equivalences
+    check_tripotent_characterization classify_triple_hom
+    commutative_compat_check compat_defect compatible_positive_pair_2x2
+    crossed_isometry_pair_2x2 fuzz_counterexample generate_compat_pair herm_eig
+    identity_map is_contraction is_contractive_sampled is_orthogonal
+    is_partial_isometry is_positive is_projection is_triple_hom jordan
+    known_witness_pairs op_norm partial_isometry_from_projections polar
+    preserves_compat_sampled range_projection range_version_adapter scale_map
+    spectral_tripotent transpose_map triple unit zero
+""".split()
+
+
+def test_package_exports_are_its_public_names():
+    names = abscompat.__all__
+    assert names == _EXPORTS
+    assert names == sorted(set(names))
+    assert not [name for name in names if name.startswith("_")]
+    assert not [name for name in names if isinstance(getattr(abscompat, name), ModuleType)]
+    namespace: dict = {}
+    exec("from abscompat import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == names

@@ -570,6 +570,19 @@ class TestCommutativeCheck:
         with pytest.raises(NotContraction):
             commutative_compat_check(np.array([1.5]), np.array([0.1]))
 
+    @pytest.mark.parametrize("value, error", [
+        (np.nan, ValueError), (np.inf, NotContraction), (-np.inf, NotContraction),
+    ], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("side", [0, 1], ids=["f", "g"])
+    def test_rejects_non_finite_values(self, value, error, side):
+        # an infinite value lies outside the disk; NaN is rejected as not finite
+        # before any kernel sees it (an SVD of it would not converge)
+        pair = [np.array([0.0, 0.5]), np.array([0.5, 0.0])]
+        pair[side][0] = value
+        with pytest.raises(error) as info:
+            commutative_compat_check(*pair)
+        assert info.type is error
+
     def test_matches_diagonal_identity_route(self, rng):
         for _ in range(50):
             n = int(rng.integers(1, 9))

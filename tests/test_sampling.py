@@ -21,7 +21,7 @@ from abscompat import (
 )
 from abscompat import sampling
 from abscompat.errors import GeneratorExhausted, NotContraction, ShapeMismatch
-from abscompat.linalg import op_norm
+from abscompat.linalg import _rank_cut_svd, op_norm
 from abscompat.sampling import (
     compatible_pairs,
     crossed_isometry_pair_2x2,
@@ -191,10 +191,11 @@ def _same_bytes(stacked, reference):
 
 
 def test_stacked_linalg_gives_per_matrix_bytes():
-    """The environment assumption behind drawing in stacks: numpy's stacked
-    qr, matmul and svd give each matrix the bytes a call on that matrix alone
-    gives, also on column slices, conjugate-transposed views, real diagonal
-    factors and a broadcast constant."""
+    """The environment assumption behind drawing and judging in stacks:
+    numpy's stacked qr, svd (with and without vectors), eigh, eigvalsh and
+    matmul give each matrix the bytes a call on that matrix alone gives, also
+    on column slices, conjugate-transposed views, real diagonal factors and a
+    broadcast constant."""
     rng = np.random.default_rng(0)
     adj = lambda m: m.conj().swapaxes(-1, -2)
     for n in (1, 2, 3, 4, 6):
@@ -203,20 +204,49 @@ def test_stacked_linalg_gives_per_matrix_bytes():
         d = np.zeros((9, n, n))
         d[:, range(n), range(n)] = rng.uniform(size=(9, n))
         const = rng.standard_normal((n, n)).astype(np.complex128)
+        h = (x + adj(x)) / 2.0
         k = n // 2
         q, r = np.linalg.qr(x)
         sigma = np.linalg.svd(x, compute_uv=False)
+        svd, eigh, eigvalsh = np.linalg.svd(x), np.linalg.eigh(h), np.linalg.eigvalsh(h)
         products = (x @ y, x @ adj(y), x[..., :k] @ adj(y[..., :k]), x @ d @ adj(y),
-                    x @ const @ adj(x))
+                    x @ const @ adj(x), adj(x) @ x)
         for i in range(len(x)):
             qi, ri = np.linalg.qr(x[i])
             assert (q[i].tobytes(), r[i].tobytes()) == (qi.tobytes(), ri.tobytes())
             assert sigma[i].tobytes() == np.linalg.svd(x[i], compute_uv=False).tobytes()
+            for stacked, alone in ((svd, np.linalg.svd(x[i])), (eigh, np.linalg.eigh(h[i]))):
+                assert [f[i].tobytes() for f in stacked] == [f.tobytes() for f in alone]
+            assert eigvalsh[i].tobytes() == np.linalg.eigvalsh(h[i]).tobytes()
             xi, yi = x[i], y[i]
             expected = (xi @ yi, xi @ yi.conj().T, xi[:, :k] @ yi[:, :k].conj().T,
-                        xi @ d[i] @ yi.conj().T, xi @ const @ xi.conj().T)
+                        xi @ d[i] @ yi.conj().T, xi @ const @ xi.conj().T, xi.conj().T @ xi)
             for got, want in zip(products, expected):
                 assert got[i].tobytes() == want.tobytes()
+
+
+def test_stacked_rank_cut_gives_the_boolean_slice_bytes():
+    """``linalg._rank_cut_svd`` on a stack of matrices of every rank 0..n:
+    each partial isometry has the bytes of ``left[:, keep] @ right_h[keep, :]``
+    on that matrix alone. (A product masked to the kept terms does not: on
+    this build it rounds rank-one partial isometries differently.)"""
+    rng = np.random.default_rng(1)
+    for n in (1, 2, 3, 4, 6):
+        stack = []
+        for rank in [*range(n + 1)] * 3:
+            left, right = (rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+                           for _ in range(2))
+            stack.append(left @ right.conj().T)
+        stack.append(np.diag(rng.uniform(-1.0, 1.0, n)).astype(np.complex128))
+        stack = np.array(stack)
+        u, sigma, right_h, ranks = _rank_cut_svd(stack, 1e-12)
+        for i, m in enumerate(stack):
+            left_i, sigma_i, right_h_i = np.linalg.svd(m)
+            keep = sigma_i > 1e-12 * sigma_i[0]
+            assert ranks[i] == np.count_nonzero(keep)
+            assert u[i].tobytes() == (left_i[:, keep] @ right_h_i[keep, :]).tobytes()
+            assert (sigma[i].tobytes(), right_h[i].tobytes()) == (
+                sigma_i.tobytes(), right_h_i.tobytes())
 
 
 @pytest.mark.parametrize("dims", FROZEN_DIMS)

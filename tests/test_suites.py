@@ -1,29 +1,39 @@
 from __future__ import annotations
 
+import functools
+import warnings
+
 import numpy as np
 import pytest
 
 from abscompat import (
+    AlgebraShape,
     CompatKind,
     ToleranceConfig,
     adjoint,
+    build_sandwich,
+    build_star_anti_hom,
+    build_star_hom,
     check_orth_characterization,
     check_p00_equivalences,
     check_tripotent_characterization,
+    commutative_compat_check,
     compat_defect,
     is_orthogonal,
     jordan,
     triple,
+    unit,
 )
-from abscompat import suites
-from abscompat.errors import ShapeIncompatible
-from abscompat.linalg import op_norm
+from abscompat import relations, suites
+from abscompat.errors import CrossCheckMismatch, ShapeIncompatible
+from abscompat.linalg import abs_value, apply_function, op_norm, polar, range_projection
 from abscompat.sampling import (
     PairGenerator,
     PairStrategy,
     rand_contraction,
     rand_hermitian_contraction,
     rand_partial_isometry,
+    rand_unitary,
     sample_general_pair,
     sample_positive_pair,
 )
@@ -33,6 +43,7 @@ from abscompat.suites import (
     run_all_suites,
     shapes_for_dims,
     suite_classification,
+    suite_commutative_crosscheck,
     suite_determinism,
     suite_fuzz_regressions,
     suite_algebra_products,
@@ -123,8 +134,8 @@ def test_preservers_report_the_calibration_row():
     assert names.count(cal.name) == 1
 
 
-# The five stacked batteries replayed one trial at a time: the same draws in
-# the same order, each judged by the public one-pair functions.
+# The stacked batteries replayed one trial at a time: the same draws in the
+# same order, each judged by the public one-pair functions.
 
 
 def _one_pair_products(seed, trials, shapes, tol):
@@ -200,6 +211,112 @@ def _one_pair_tripotents(seed, trials, shapes, tol):
                   note=f"{trials} random + 2x{n_iso} isometries")
 
 
+def _one_trial_linalg_invariants(seed, trials, tol):
+    rng = np.random.default_rng(seed)
+
+    def rand_square(n):
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    def functional_calculus():
+        for _ in range(trials):
+            g = rand_square(int(rng.integers(1, 7)))
+            a = (g + g.conj().T) / 2.0
+            d = op_norm(apply_function(a, lambda t: t, tol) - a)
+            yield d, d > 1e-9 * max(1.0, op_norm(a))
+
+    def abs_idempotence():
+        for i in range(trials):
+            n = int(rng.integers(1, 7))
+            kind = i % 3
+            if kind == 0:
+                m = rand_square(n)
+            elif kind == 1:
+                q, _ = np.linalg.qr(rand_square(n))
+                k = int(rng.integers(0, n + 1))
+                m = q[:, :k] @ q[:, :k].conj().T  # projection
+            else:
+                m = np.diag(rng.uniform(0, 2, n)).astype(np.complex128)
+            p = abs_value(m)
+            d = op_norm(abs_value(p) - p)
+            yield d, d > tol.relation * max(1.0, op_norm(p))
+
+    def polar_reconstruction():
+        for i in range(trials):
+            n = int(rng.integers(1, 7))
+            m = rand_square(n)
+            if i % 3 == 0 and n > 1:  # include rank-deficient inputs
+                m[:, 0] = m[:, -1]
+            dec = polar(m, tol=tol)
+            u, av = dec.partial_isometry, dec.absolute_value
+            d = max(
+                op_norm(u @ av - m),
+                op_norm(u @ u.conj().T @ u - u),
+                op_norm(u.conj().T @ u - range_projection(av, tol=tol)),
+            )
+            yield d, d > 1e-8 * max(1.0, op_norm(m))
+
+    def submultiplicativity():
+        for _ in range(trials):
+            n = int(rng.integers(1, 7))
+            x, y = rand_square(n), rand_square(n)
+            excess = op_norm(x @ y) - op_norm(x) * op_norm(y)
+            yield excess, excess > 1e-9
+
+    def cstar_identity():
+        for _ in range(trials):
+            x = rand_square(int(rng.integers(1, 7)))
+            lhs, rhs = op_norm(x.conj().T @ x), op_norm(x) ** 2
+            d = abs(lhs - rhs) / max(1.0, rhs)
+            yield d, d > 1e-8
+
+    # each battery drains the shared stream before the next one starts
+    return [
+        _tally("functional-calculus identity", functional_calculus()),
+        _tally("abs-value idempotence", abs_idempotence()),
+        _tally("polar reconstruction", polar_reconstruction()),
+        _tally("operator-norm submultiplicativity", submultiplicativity()),
+        _tally("c-star norm identity", cstar_identity()),
+    ]
+
+
+def _one_trial_commutative_crosscheck(seed, trials, tol):
+    rng = np.random.default_rng(seed)
+
+    def checks():
+        for _ in range(trials):
+            n = int(rng.integers(1, 9))
+            f = np.zeros(n, dtype=np.complex128)
+            g = np.zeros(n, dtype=np.complex128)
+            for t in range(n):
+                case = int(rng.integers(0, 6))
+                phase = lambda: np.exp(2j * np.pi * rng.uniform())
+                if case == 0:
+                    f[t] = rng.uniform() * phase()
+                elif case == 1:
+                    g[t] = rng.uniform() * phase()
+                elif case == 2:
+                    f[t], g[t] = phase(), rng.uniform() * phase()
+                elif case == 3:
+                    f[t], g[t] = rng.uniform() * phase(), phase()
+                elif case == 4:
+                    f[t], g[t] = rng.uniform() * phase(), rng.uniform() * phase()
+                # case 5: both zero
+            pointwise = commutative_compat_check(f, g, tol)
+            identity = pointwise.witnesses["identity_defect"] <= tol.relation
+            yield 0.0, pointwise.verdict != identity
+
+    return _tally("commutative cross-validation", checks())
+
+
+def _any_shapes(battery):
+    """A ``battery(seed, trials, tol)`` that draws its own sizes, called as
+    ``(seed, trials, shapes, tol)``."""
+    @functools.wraps(battery)
+    def called(seed, trials, shapes, tol):
+        return battery(seed, trials, tol)
+    return called
+
+
 _REPLAYED = [
     (suite_algebra_products, _one_pair_products),
     (suite_relation_invariants, _one_pair_relation_invariants),
@@ -208,6 +325,8 @@ _REPLAYED = [
     (suite_p00_equivalences, _one_pair_consistency(
         "jordan-product equivalences", check_p00_equivalences, sample_positive_pair)),
     (suite_tripotent_characterization, _one_pair_tripotents),
+    (_any_shapes(suite_linalg_invariants), _any_shapes(_one_trial_linalg_invariants)),
+    (_any_shapes(suite_commutative_crosscheck), _any_shapes(_one_trial_commutative_crosscheck)),
 ]
 
 
@@ -217,3 +336,63 @@ def test_stacked_batteries_replay_the_one_pair_rows(stacked, one_pair, seed, tri
     # 130 trials leave a partial chunk after two full stacks of 64
     shapes, tol = shapes_for_dims([2, 3]), ToleranceConfig()
     assert stacked(seed, trials, shapes, tol) == one_pair(seed, trials, shapes, tol)
+
+
+def test_commutative_disagreement_warns_and_fails_the_row(monkeypatch):
+    # the defining identity made to read 1 everywhere: every compatible pair
+    # now disagrees with its pointwise verdict, far outside the near band
+    gated = relations._gated
+
+    def off_by_one(*args):
+        k, a, b = gated(*args)
+        return k._replace(defect=k.defect + 1.0), a, b
+
+    monkeypatch.setattr(relations, "_gated", off_by_one)
+    with pytest.warns(CrossCheckMismatch, match=r"vs 1\)"):
+        suite_commutative_crosscheck(0, 20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CrossCheckMismatch)
+        row = suite_commutative_crosscheck(0, 20)
+    assert row.trials == 20 and 0 < row.failures <= 20 and not row.passed
+
+
+def _one_sample_factorizations(seed, dims, tol):
+    """The factorization row of ``suite_preservers`` one sample at a time,
+    after replaying the draws of the rows before it (the preserver zoo, then
+    one unitary per dim for the anti-homomorphisms)."""
+    rng = np.random.default_rng(seed)
+    suites._built_triple_homs(rng, dims, tol)
+    for d in dims:
+        rand_unitary(rng, AlgebraShape((d,)))
+
+    sym_maps = []
+    for d in dims:
+        shape = AlgebraShape((d,))
+        w = rand_unitary(rng, shape).blocks()[0]
+        sym_maps.append(build_star_hom(shape, shape, [0], [w], tol))
+        sym_maps.append(build_star_anti_hom(shape, shape, [0], [w], tol))
+        u = rand_unitary(rng, shape)
+        sym_maps.append(build_sandwich(u, adjoint(u), tol))
+
+    def factorizations():
+        for tmap in sym_maps:
+            e = tmap.apply(unit(tmap.domain_shape))
+            e_star = adjoint(e)
+            for _ in range(10):
+                x = rand_hermitian_contraction(rng, tmap.domain_shape)
+                phi_x = e_star @ tmap.apply(x)
+                phi_x2 = e_star @ tmap.apply(x @ x)
+                d_sq = op_norm((phi_x2 - phi_x @ phi_x).matrix)
+                d_fac = op_norm((tmap.apply(x) - e @ phi_x).matrix)
+                yield max(d_sq, d_fac), (d_sq > 1e-8) or (d_fac > 1e-10)
+
+    return _tally("symmetric factorization through e* T", factorizations())
+
+
+@pytest.mark.parametrize("seed, dims", [(0, [2, 3]), (1, [2, 3]), (2, [1]), (3, [4])],
+                         ids=["0-M2,M3", "1-M2,M3", "2-M1", "3-M4"])
+def test_factorization_row_replays_the_one_sample_loop(seed, dims):
+    tol = ToleranceConfig()
+    row = suite_preservers(seed, 10, dims, tol)[-1]
+    assert row == _one_sample_factorizations(seed, dims, tol)
+    assert row.trials == 30 * len(dims)
