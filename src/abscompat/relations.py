@@ -390,7 +390,8 @@ def commutative_compat_check(
     identity (domain kind) on diag(f), diag(g), whose defect is kept as the
     0-d witness ``identity_defect``; a disagreement outside the
     near-threshold band raises a CrossCheckMismatch warning. Values outside
-    the disk raise NotContraction, other non-finite values ValueError.
+    the disk raise NotContraction; empty samples and other non-finite values
+    raise ValueError.
     """
     f = np.atleast_1d(np.asarray(f, dtype=np.complex128))
     g = np.atleast_1d(np.asarray(g, dtype=np.complex128))
@@ -398,6 +399,8 @@ def commutative_compat_check(
         raise LengthMismatch("function samples must be one-dimensional")
     if f.shape != g.shape:
         raise LengthMismatch(f"length mismatch: {f.shape[0]} vs {g.shape[0]}")
+    if not f.size:
+        raise ValueError("function samples must be nonempty")
     t = tol.relation
     if np.abs(f).max(initial=0.0) > 1.0 + t or np.abs(g).max(initial=0.0) > 1.0 + t:
         raise NotContraction("function values must lie in the closed unit disk")

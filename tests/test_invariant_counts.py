@@ -3,6 +3,7 @@ per-operation unit tests, lighter than the acceptance gate)."""
 
 from __future__ import annotations
 
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -80,3 +81,14 @@ def test_package_exports_are_its_public_names():
     namespace: dict = {}
     exec("from abscompat import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == names
+
+
+# `wc -l src/abscompat/*.py`, a tracked metric: growth is a deliberate edit of
+# this pin, recorded with its reason in CHANGES.md
+_SOURCE_LINES = 3623
+
+
+def test_source_line_count_is_pinned():
+    sources = Path(abscompat.__file__).parent.glob("*.py")
+    lines = sum(path.read_bytes().count(b"\n") for path in sources)
+    assert lines <= _SOURCE_LINES, f"{lines} source lines, pinned at {_SOURCE_LINES}"

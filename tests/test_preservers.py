@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abscompat import (
     AlgebraElement,
@@ -40,7 +42,7 @@ from abscompat.errors import (
     ShapeIncompatible,
     ShapeMismatch,
 )
-from abscompat.linalg import op_norm
+from abscompat.linalg import _svd, op_norm
 from abscompat.preservers import MAX_TOTAL_DIM, LinearMap
 from abscompat.sampling import (
     compatible_pairs, known_witness_pairs, rand_contraction, rand_unitary,
@@ -400,6 +402,71 @@ class TestIsTripleHom:
             lhs = T.apply(triple(x, y, z))
             rhs = triple(T.apply(x), T.apply(y), T.apply(z))
             assert op_norm((lhs - rhs).matrix) <= 1e-10
+
+    @pytest.mark.parametrize("case", [
+        "sandwich M5", "doubling M3", "block map M1+M2+M4", "perturbed identity M4",
+        "random M2+M3",
+    ])
+    def test_pass_does_not_depend_on_the_tiles(self, rng, monkeypatch, case):
+        # one pair a tile (every row in chunks), the default, and the whole
+        # table as one tile per domain block
+        if case == "sandwich M5":
+            shape = AlgebraShape((5,))
+            T = build_sandwich(rand_unitary(rng, shape), rand_unitary(rng, shape))
+        elif case == "doubling M3":
+            T = build_star_hom(AlgebraShape((3,)), AlgebraShape((3, 3)), [0, 0])
+        elif case == "block map M1+M2+M4":
+            shape = AlgebraShape((1, 2, 4))
+            ws = [rand_unitary(rng, AlgebraShape((d,))).blocks()[0] for d in (1, 2, 4)]
+            T = build_block_map(shape, shape, [0, 1, 2], [False, True, True], ws)
+        elif case == "perturbed identity M4":
+            shape = AlgebraShape((4,))
+            action = identity_map(shape).action + 1e-3 * random_action(rng, shape, shape)
+            T = LinearMap(shape, shape, action)
+        else:
+            shape = AlgebraShape((2, 3))
+            T = LinearMap(shape, shape, random_action(rng, shape, shape))
+        e = T.apply(unit(T.domain_shape)).matrix
+        runs = []
+        for entries in (1, preservers._TILE_ENTRIES, 1 << 40):
+            monkeypatch.setattr(preservers, "_TILE_ENTRIES", entries)
+            try:
+                cls = classify_triple_hom(T)
+                split = (cls.hom_block_indices, cls.antihom_block_indices)
+            except (NotTripleHom, AmbiguousBlock) as exc:
+                split = type(exc)
+            runs.append((is_triple_hom(T).verdict, split, *preservers._pair_pass(T, e, True)))
+        reference = brute_force_pair_defect(T)
+        for verdict, split, defect, residuals in runs:
+            assert (verdict, split) == runs[0][:2]
+            assert abs(defect - runs[0][2]) <= 1e-15
+            np.testing.assert_allclose(residuals, runs[0][3], rtol=0, atol=1e-15)
+            assert abs(defect - reference) <= 1e-12 * reference + 1e-14
+        assert runs[0][0] == (case not in ("perturbed identity M4", "random M2+M3"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), count=st.integers(0, 12),
+       rank_one=st.booleans(), norms=st.sampled_from(["free", "tied", "clustered", "zero"]),
+       floor=st.sampled_from(["zero", "inside", "above"]))
+def test_max_op_norm_is_the_exact_maximum(seed, m, count, rank_one, norms, floor):
+    # rank-one candidates have operator norm = Frobenius norm, where rounding
+    # alone decides which of two tied candidates is larger
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((count, m, m)) + 1j * rng.standard_normal((count, m, m))
+    if rank_one:
+        stack = stack[:, :, :1] @ stack[:, :1, :]
+    fro = np.linalg.norm(stack, axis=(1, 2))[:, None, None]
+    if norms == "tied":
+        stack /= fro
+    elif norms == "clustered":
+        stack *= (1.0 + 1e-15 * rng.integers(-8, 9, (count, 1, 1))) / fro
+    elif norms == "zero":
+        stack[:] = 0.0
+    sigma = _svd(stack, compute_uv=False)[:, 0] if count else np.zeros(0)
+    floor = {"zero": 0.0, "inside": float(np.median(sigma)) if count else 0.5,
+             "above": 1.5 * float(np.linalg.norm(stack, axis=(1, 2)).max(initial=1.0))}[floor]
+    assert preservers._max_op_norm(stack, floor) == max(floor, sigma.max(initial=floor))
 
 
 class TestPreservesCompat:

@@ -583,6 +583,11 @@ class TestCommutativeCheck:
             commutative_compat_check(*pair)
         assert info.type is error
 
+    def test_rejects_empty_samples(self):
+        # refused before any algebra shape is built from them
+        with pytest.raises(ValueError, match="function samples must be nonempty"):
+            commutative_compat_check([], [])
+
     def test_matches_diagonal_identity_route(self, rng):
         for _ in range(50):
             n = int(rng.integers(1, 9))
