@@ -32,7 +32,7 @@ from .linalg import _op_norm, _svd, op_norm
 from .relations import CompatKind, _compat_stack, compat_defect, is_partial_isometry
 from .reports import RelationReport
 from .sampling import (
-    _contraction_draw, _elements, _growing_chunks, compatible_pairs, known_witness_pairs,
+    _contraction_draw, _drawn_pairs, _elements, _fixed_pairs, _growing_chunks,
 )
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
@@ -112,6 +112,8 @@ class LinearMap:
         masked = action.copy()
         masked[~_inblock_mask(codomain_shape).reshape(-1), :] = 0.0
         masked[:, ~_inblock_mask(domain_shape).reshape(-1)] = 0.0
+        if not np.isfinite(masked).all():
+            raise ValueError("action entries must be finite")
         masked.flags.writeable = False
         object.__setattr__(self, "domain_shape", domain_shape)
         object.__setattr__(self, "codomain_shape", codomain_shape)
@@ -128,17 +130,15 @@ class LinearMap:
                 f"map expects shape {self.domain_shape.block_dims}, "
                 f"got {x.shape.block_dims}"
             )
-        m = self.codomain_shape.total_dim
-        out = (self.action @ x.matrix.reshape(-1)).reshape(m, m)
         # masked action rows put exact zeros off-block
-        return AlgebraElement._wrap(self.codomain_shape, out)
+        return AlgebraElement._wrap(self.codomain_shape, self._apply_stack(x.matrix[None])[0])
 
     __call__ = apply
 
     def _apply_stack(self, x: np.ndarray) -> np.ndarray:
         """T of each matrix of an (N, n, n) stack, unchecked: one matrix-vector
-        product per matrix, as ``apply`` takes it (a matrix product of the
-        stack sums in another order for dense actions)."""
+        product per matrix (a matrix product of the stack sums in another
+        order for dense actions)."""
         m = self.codomain_shape.total_dim
         return (self.action @ x.reshape(len(x), -1, 1)).reshape(len(x), m, m)
 
@@ -504,19 +504,22 @@ class PreservationReport:
         }
 
 
+def _judge_one(T: LinearMap, pair: tuple, output_kind: CompatKind,
+               tol: ToleranceConfig) -> tuple[float, str]:
+    """The compatibility defect at ``output_kind`` of the images of the
+    (source, a, b, defect) ``pair`` (for an image outside the unit ball, its
+    norm excess) and a source suffix, from ``T.apply`` and ``compat_defect``."""
+    ta, tb = T.apply(pair[1]), T.apply(pair[2])
+    try:
+        return compat_defect(ta, tb, output_kind, tol).defect, ""
+    except NotContraction:
+        return max(op_norm(ta.matrix), op_norm(tb.matrix)) - 1.0, "+noncontractive-image"
+
+
 def _judge(T: LinearMap, pairs: list, output_kind: CompatKind,
            tol: ToleranceConfig) -> list[tuple[float, str]]:
-    """The compatibility defect at ``output_kind`` of the images of each
-    (source, a, b, defect) in ``pairs`` (for an image outside the unit ball,
-    its norm excess) and a source suffix. One pair goes through ``T.apply``
-    and ``compat_defect``; a stack through one matrix-vector product per
-    element, as ``T.apply`` takes it, and one kernel call."""
-    if len(pairs) == 1:
-        ta, tb = T.apply(pairs[0][1]), T.apply(pairs[0][2])
-        try:
-            return [(compat_defect(ta, tb, output_kind, tol).defect, "")]
-        except NotContraction:
-            return [(max(op_norm(ta.matrix), op_norm(tb.matrix)) - 1.0, "+noncontractive-image")]
+    """``_judge_one`` of each pair in ``pairs``, from one matrix-vector product
+    per element, as ``T.apply`` takes it, and one kernel call."""
     n = len(pairs)
     images = T._apply_stack(np.stack([p[i].matrix for i in (1, 2) for p in pairs]))
     k = _compat_stack(images[:n], images[n:], T.codomain_shape, output_kind, tol)
@@ -534,15 +537,14 @@ def _judged_pairs(
     escaping the unit ball are themselves violations (the relation is only
     defined on the ball), with their norm excess as defect, labelled
     ``source+noncontractive-image``. The fixed pairs are judged one at a
-    time, so a refutation among them draws nothing; the rest in stacks."""
-    stream = islice(compatible_pairs(T.domain_shape, kind, seed, tol), n_pairs)
-    fixed = islice(stream, len(known_witness_pairs(T.domain_shape)))
-    index = 0
-    for pairs in chain(([pair] for pair in fixed), _growing_chunks(stream)):
-        for (source, a, b, in_defect), (out_defect, suffix) in zip(
-                pairs, _judge(T, pairs, output_kind, tol)):
-            yield Witness(a, b, in_defect, out_defect, source + suffix, index)
-            index += 1
+    time, so a refutation among them draws nothing; the drawn ones in stacks."""
+    fixed = _fixed_pairs(T.domain_shape, kind, tol)[:n_pairs]
+    drawn = islice(_drawn_pairs(T.domain_shape, kind, seed, tol), n_pairs - len(fixed))
+    judged = chain(((pair, _judge_one(T, pair, output_kind, tol)) for pair in fixed),
+                   chain.from_iterable(zip(pairs, _judge(T, pairs, output_kind, tol))
+                                       for pairs in _growing_chunks(drawn)))
+    for index, ((source, a, b, in_defect), (out_defect, suffix)) in enumerate(judged):
+        yield Witness(a, b, in_defect, out_defect, source + suffix, index)
 
 
 def preserves_compat_sampled(

@@ -483,6 +483,30 @@ def _accepted_draws(
         size = min(2 * size, _STACK_MAX)
 
 
+def _fixed_pairs(shape: AlgebraShape, kind: CompatKind, tol: ToleranceConfig) -> list[tuple]:
+    """The ``known_witness_pairs`` compatible at ``kind``, with their defects."""
+    fixed = known_witness_pairs(shape)
+    stacks = (np.stack([p[i].matrix for p in fixed]) for i in (1, 2))
+    defects, passed = _passing(*stacks, shape, kind, tol)
+    return [(*pair, float(d)) for pair, d, ok in zip(fixed, defects, passed) if ok]
+
+
+def _drawn_pairs(shape: AlgebraShape, kind: CompatKind, seed: int,
+                 tol: ToleranceConfig) -> Iterator[tuple]:
+    """One accepted draw from each strategy in turn (see ``compatible_pairs``)."""
+    child_seeds = np.random.SeedSequence(seed).generate_state(len(PairStrategy))
+    active = [_accepted_draws(PairGenerator(strategy, int(s)), shape, kind, tol)
+              for strategy, s in zip(PairStrategy, child_seeds)]
+    while active:
+        for draws in list(active):
+            try:
+                pair = next(draws)
+            except (StopIteration, GeneratorExhausted):  # exhausted or unsupported
+                active.remove(draws)
+                continue
+            yield pair
+
+
 def compatible_pairs(
     shape: AlgebraShape,
     kind: CompatKind,
@@ -499,22 +523,8 @@ def compatible_pairs(
     at once if it does not support ``shape``; the stream ends when every
     strategy has. Identical arguments replay identical streams.
     """
-    fixed = known_witness_pairs(shape)
-    stacks = (np.stack([p[i].matrix for p in fixed]) for i in (1, 2))
-    for (label, a, b), defect, ok in zip(fixed, *_passing(*stacks, shape, kind, tol)):
-        if ok:
-            yield label, a, b, float(defect)
-    child_seeds = np.random.SeedSequence(seed).generate_state(len(PairStrategy))
-    active = [_accepted_draws(PairGenerator(strategy, int(s)), shape, kind, tol)
-              for strategy, s in zip(PairStrategy, child_seeds)]
-    while active:
-        for draws in list(active):
-            try:
-                pair = next(draws)
-            except (StopIteration, GeneratorExhausted):  # exhausted or unsupported
-                active.remove(draws)
-                continue
-            yield pair
+    yield from _fixed_pairs(shape, kind, tol)
+    yield from _drawn_pairs(shape, kind, seed, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ coordinates.
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -48,48 +50,70 @@ class FileFormatError(AbscompatError):
     """Malformed matrix/map payload."""
 
 
-def _complex_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _read_json(path: str | Path) -> Any:
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a too-long int, deep nesting
+        raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _pair_to_complex(pair: Any, where: str) -> complex:
-    if (
-        not isinstance(pair, (list, tuple))
-        or len(pair) != 2
-        or not all(isinstance(x, (int, float)) for x in pair)
-    ):
-        raise FileFormatError(f"{where}: entries must be [re, im] pairs")
-    z = complex(float(pair[0]), float(pair[1]))
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        raise FileFormatError(f"{where}: entries must be finite")
-    return z
+def _pairs(x: np.ndarray) -> list:
+    """``x`` as nested lists of [re, im] pairs."""
+    return np.stack([x.real, x.imag], -1).tolist()
 
 
-def _block_to_lists(block: np.ndarray) -> list:
-    return [[_complex_to_pair(z) for z in row] for row in block]
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _lists_to_block(rows: Any, dim: int, where: str) -> np.ndarray:
-    if not isinstance(rows, list) or len(rows) != dim:
-        raise FileFormatError(f"{where}: expected {dim} rows")
-    block = np.zeros((dim, dim), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise FileFormatError(f"{where}: row {i} must have {dim} entries")
-        for j, pair in enumerate(row):
-            block[i, j] = _pair_to_complex(pair, f"{where}[{i}][{j}]")
-    return block
+def _is_number(x: Any) -> bool:
+    try:
+        return (_is_int(x) or isinstance(x, float)) and math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
-def _parse_shape(payload: Any, key: str) -> AlgebraShape:
-    dims = payload.get(key) if isinstance(payload, dict) else None
-    if (
-        not isinstance(dims, list)
-        or not dims
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
-    ):
-        raise FileFormatError(f"'{key}' must be a nonempty list of positive ints")
-    return AlgebraShape(dims)
+def _at(index: int, shape: tuple[int, ...]) -> str:
+    return "".join(f"[{i}]" for i in np.unravel_index(index, shape))
+
+
+def _complex_array(raw: Any, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """The complex array of ``shape`` written in ``raw`` as nested lists of
+    [re, im] pairs of finite numbers (bools and ints beyond the float range
+    are refused). The nesting is checked against ``shape`` one level at a
+    time, so nothing larger than ``raw`` is built before the array is."""
+    items = [raw]
+    for depth, n in enumerate((*shape, 2)):
+        pair = depth == len(shape)
+        kinds = (list, tuple) if pair else list  # a pair may be a tuple
+        bad = next((i for i, x in enumerate(items) if not (isinstance(x, kinds) and len(x) == n)),
+                   None)
+        if bad is not None:
+            what = "entries must be [re, im] pairs" if pair else f"expected {n} entries"
+            raise FileFormatError(f"{where}{_at(bad, shape[:depth])}: {what}")
+        items = list(chain.from_iterable(items)) if depth else raw  # rows checked in place
+    bad = next((i for i, x in enumerate(items) if not _is_number(x)), None)
+    if bad is not None:
+        raise FileFormatError(f"{where}{_at(bad // 2, shape)}: entries must be finite numbers")
+    return np.array(items, dtype=np.float64).view(np.complex128).reshape(shape)
+
+
+def _items(raw: Any, key: str, what: str, ok: Callable[[Any], bool],
+           count: int | None = None) -> list:
+    """The entries of the list ``raw`` (``count`` of them, or at least one),
+    each passing ``ok``."""
+    need = f"'{key}' must be a list of {count or 'one or more'} {what}"
+    if not isinstance(raw, list) or (not raw if count is None else len(raw) != count):
+        raise FileFormatError(need)
+    bad = next((i for i, x in enumerate(raw) if not ok(x)), None)
+    if bad is not None:
+        raise FileFormatError(f"{need}; entry {bad} is {raw[bad]!r:.20}")
+    return list(raw)
+
+
+def _shape(payload: dict, key: str) -> AlgebraShape:
+    return AlgebraShape(_items(payload.get(key), key, "positive ints",
+                               lambda d: _is_int(d) and d >= 1))
 
 
 # ---------------------------------------------------------------------------
@@ -98,34 +122,22 @@ def _parse_shape(payload: Any, key: str) -> AlgebraShape:
 
 
 def matrix_to_dict(el: AlgebraElement) -> dict:
-    return {
-        "shape": list(el.shape.block_dims),
-        "blocks": [_block_to_lists(b) for b in el.blocks()],
-    }
+    return {"shape": list(el.shape.block_dims), "blocks": [_pairs(b) for b in el.blocks()]}
 
 
 def matrix_from_dict(payload: Any) -> AlgebraElement:
     if not isinstance(payload, dict):
         raise FileFormatError("matrix payload must be an object")
-    shape = _parse_shape(payload, "shape")
-    blocks = payload.get("blocks")
-    if not isinstance(blocks, list) or len(blocks) != shape.num_blocks:
-        raise FileFormatError(
-            f"'blocks' must be a list of {shape.num_blocks} blocks"
-        )
-    mats = [
-        _lists_to_block(rows, dim, f"block {k}")
+    shape = _shape(payload, "shape")
+    blocks = _items(payload.get("blocks"), "blocks", "blocks", lambda _: True, shape.num_blocks)
+    return AlgebraElement.from_blocks(shape, [
+        _complex_array(rows, (dim, dim), f"block {k}")
         for k, (rows, dim) in enumerate(zip(blocks, shape.block_dims))
-    ]
-    return AlgebraElement.from_blocks(shape, mats)
+    ])
 
 
 def load_matrix(path: str | Path) -> AlgebraElement:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
-    return matrix_from_dict(payload)
+    return matrix_from_dict(_read_json(path))
 
 
 def save_matrix(el: AlgebraElement, path: str | Path) -> None:
@@ -136,10 +148,8 @@ def save_matrix(el: AlgebraElement, path: str | Path) -> None:
 # maps
 # ---------------------------------------------------------------------------
 
-_BUILDER_KINDS = (
-    "star_hom", "star_anti_hom", "block_map", "sandwich",
-    "transpose", "identity", "scale",
-)
+_BUILDER_KINDS = ("star_hom", "star_anti_hom", "block_map", "sandwich",
+                  "transpose", "identity", "scale")
 
 
 def map_to_dict(T: LinearMap) -> dict:
@@ -148,74 +158,38 @@ def map_to_dict(T: LinearMap) -> dict:
         "domain_shape": list(T.domain_shape.block_dims),
         "codomain_shape": list(T.codomain_shape.block_dims),
         "provenance": T.provenance.value,
-        "action": [[_complex_to_pair(z) for z in row] for row in T.action],
+        "action": _pairs(T.action),
     }
 
 
 def _parse_unitaries(raw: Any, codomain: AlgebraShape) -> list | None:
     if raw is None:
         return None
-    if not isinstance(raw, list) or len(raw) != codomain.num_blocks:
-        raise FileFormatError(
-            "'unitaries' must list one entry (or null) per codomain block"
-        )
-    out = []
-    for j, item in enumerate(raw):
-        if item is None:
-            out.append(None)
-        else:
-            out.append(_lists_to_block(item, codomain.block_dims[j], f"unitary {j}"))
-    return out
+    items = _items(raw, "unitaries", "matrices or nulls",
+                   lambda u: u is None or isinstance(u, list), codomain.num_blocks)
+    return [None if u is None else _complex_array(u, (dim, dim), f"unitary {j}")
+            for j, (u, dim) in enumerate(zip(items, codomain.block_dims))]
 
 
-def _parse_assignment(raw: Any, codomain: AlgebraShape) -> list:
-    if not isinstance(raw, list) or len(raw) != codomain.num_blocks:
-        raise FileFormatError(
-            "'block_assignment' must list one entry (or null) per codomain block"
-        )
-    for x in raw:
-        if x is not None and not isinstance(x, int):
-            raise FileFormatError("'block_assignment' entries must be ints or null")
-    return list(raw)
-
-
-def map_from_dict(
-    payload: Any, tol: ToleranceConfig = DEFAULT_TOL
-) -> LinearMap:
+def map_from_dict(payload: Any, tol: ToleranceConfig = DEFAULT_TOL) -> LinearMap:
     if not isinstance(payload, dict):
         raise FileFormatError("map payload must be an object")
-    domain = _parse_shape(payload, "domain_shape")
-    codomain = _parse_shape(payload, "codomain_shape")
+    domain = _shape(payload, "domain_shape")
+    codomain = _shape(payload, "codomain_shape")
     _check_map_shapes(domain, codomain)  # before a raw action is allocated
-    has_builder = "builder" in payload
-    has_action = "action" in payload
-    if has_builder == has_action:
+    if ("builder" in payload) == ("action" in payload):
         raise FileFormatError("map needs exactly one of 'builder' or 'action'")
-
-    if has_action:
-        n2 = domain.total_dim**2
-        m2 = codomain.total_dim**2
-        rows = payload["action"]
-        if not isinstance(rows, list) or len(rows) != m2:
-            raise FileFormatError(f"'action' must have {m2} rows")
-        action = np.zeros((m2, n2), dtype=np.complex128)
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != n2:
-                raise FileFormatError(f"'action' row {i} must have {n2} entries")
-            for j, pair in enumerate(row):
-                action[i, j] = _pair_to_complex(pair, f"action[{i}][{j}]")
+    if "action" in payload:
+        n, m = domain.total_dim, codomain.total_dim
+        action = _complex_array(payload["action"], (m * m, n * n), "action")
         prov = payload.get("provenance", Provenance.CUSTOM.value)
-        try:
-            provenance = Provenance(prov)
-        except ValueError as exc:
-            raise FileFormatError(f"unknown provenance {prov!r}") from exc
-        return LinearMap(domain, codomain, action, provenance)
+        if prov not in [p.value for p in Provenance]:
+            raise FileFormatError(f"unknown provenance {prov!r}")
+        return LinearMap(domain, codomain, action, Provenance(prov))
 
     spec = payload["builder"]
     if not isinstance(spec, dict) or spec.get("kind") not in _BUILDER_KINDS:
-        raise FileFormatError(
-            f"'builder.kind' must be one of {', '.join(_BUILDER_KINDS)}"
-        )
+        raise FileFormatError(f"'builder.kind' must be one of {', '.join(_BUILDER_KINDS)}")
     kind = spec["kind"]
     if kind in ("transpose", "identity", "scale", "sandwich") and domain != codomain:
         raise FileFormatError(f"builder {kind!r} requires equal domain and codomain")
@@ -224,37 +198,28 @@ def map_from_dict(
     if kind == "identity":
         return identity_map(domain)
     if kind == "scale":
-        return scale_map(domain, _pair_to_complex(spec.get("factor"), "builder.factor"))
+        return scale_map(domain, complex(_complex_array(spec.get("factor"), (), "builder.factor")))
     if kind == "sandwich":
-        u = matrix_from_dict(spec.get("u"))
-        v = matrix_from_dict(spec.get("v"))
+        u, v = (matrix_from_dict(spec.get(key)) for key in ("u", "v"))
         if u.shape != domain or v.shape != domain:
             raise FileFormatError("sandwich u/v must live on the domain shape")
         return build_sandwich(u, v, tol)
-    assignment = _parse_assignment(spec.get("block_assignment"), codomain)
+    k = codomain.num_blocks
+    assignment = _items(spec.get("block_assignment"), "block_assignment", "ints or nulls",
+                        lambda x: x is None or _is_int(x), k)
     unitaries = _parse_unitaries(spec.get("unitaries"), codomain)
     if kind == "star_hom":
         return build_star_hom(domain, codomain, assignment, unitaries, tol)
     if kind == "star_anti_hom":
         return build_star_anti_hom(domain, codomain, assignment, unitaries, tol)
     flags = spec.get("transpose_flags")
-    if flags is not None and (
-        not isinstance(flags, list)
-        or len(flags) != codomain.num_blocks
-        or not all(isinstance(x, bool) for x in flags)
-    ):
-        raise FileFormatError(
-            "'transpose_flags' must list one bool per codomain block"
-        )
+    if flags is not None:
+        flags = _items(flags, "transpose_flags", "bools", lambda x: isinstance(x, bool), k)
     return build_block_map(domain, codomain, assignment, flags, unitaries, tol)
 
 
 def load_map(path: str | Path, tol: ToleranceConfig = DEFAULT_TOL) -> LinearMap:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
-    return map_from_dict(payload, tol)
+    return map_from_dict(_read_json(path), tol)
 
 
 def save_map(T: LinearMap, path: str | Path) -> None:

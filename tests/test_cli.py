@@ -260,3 +260,77 @@ def test_witness_files_round_trip(fixtures, tmp_path, capsys):
     a = load_matrix(tmp_path / "witness_a.json")
     b = load_matrix(tmp_path / "witness_b.json")
     assert compat_defect(a, b, CompatKind.DOMAIN).verdict
+
+
+_M2 = '"domain_shape": [2], "codomain_shape": [2]'
+_HUGE_INT = "9" * 400  # beyond the float range
+_EMPTY_ROWS = '{"shape": [1000000], "blocks": [[' + "[], " * 999999 + "[]]]}"  # 4 MB
+_DEEP = "[" * 100000 + "]" * 100000
+
+
+def _matrix(entry: str = "[0.5, 0.0]", shape: str = "[1]") -> str:
+    return f'{{"shape": {shape}, "blocks": [[[{entry}]]]}}'
+
+
+def _action(entry: str = "[0.0, 0.0]", rows: int = 4) -> str:
+    zero_row = "[" + ", ".join(["[0.0, 0.0]"] * 4) + "]"
+    first = "[" + ", ".join([entry] + ["[0.0, 0.0]"] * 3) + "]"
+    return f'{{{_M2}, "action": [{", ".join([first] + [zero_row] * (rows - 1))}]}}'
+
+
+def _builder(spec: str, shapes: str = _M2) -> str:
+    return f'{{{shapes}, "builder": {spec}}}'
+
+
+_HOSTILE_MATRICES = {
+    "huge-int": _matrix(f"[{_HUGE_INT}, 0]"),
+    "million-empty-rows": _EMPTY_ROWS,
+    "bool-shape": _matrix(shape="[true]"),
+    "bool-entry": _matrix("[true, 0.0]"),
+    "nan": _matrix("[NaN, 0.0]"),
+    "infinity": _matrix("[0.5, -Infinity]"),
+    "string-entry": _matrix('["0.5", 0.0]'),
+    "ragged-rows": '{"shape": [2], "blocks": [[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]]}',
+    "three-element-pair": _matrix("[0.5, 0.0, 0.0]"),
+    "truncated": _matrix()[:-3],
+    "non-object": "[1, 2]",
+    "deep-nesting": _DEEP,
+}
+_HOSTILE_MAPS = {
+    "huge-int": _action(f"[{_HUGE_INT}, 0]"),
+    "million-empty-rows": _builder(
+        f'{{"kind": "sandwich", "u": {_EMPTY_ROWS}, "v": {_matrix(shape="[2]")}}}'),
+    "bool-shape-and-assignment": _builder(
+        '{"kind": "star_hom", "block_assignment": [false, true]}',
+        '"domain_shape": [true, 2], "codomain_shape": [true, 2]'),
+    "bool-assignment": _builder('{"kind": "star_hom", "block_assignment": [false, true]}',
+                                '"domain_shape": [1, 2], "codomain_shape": [1, 2]'),
+    "bool-entry": _action("[true, 0.0]"),
+    "nan": _action("[NaN, 0.0]"),
+    "infinity": _builder('{"kind": "scale", "factor": [Infinity, 0.0]}'),
+    "string-entry": _action('[0.5, "0"]'),
+    "ragged-rows": f'{{{_M2}, "action": [[[1.0, 0.0]], [], [], []]}}',
+    "three-element-pair": _builder('{"kind": "scale", "factor": [0.5, 0.0, 0.0]}'),
+    "truncated": _action()[:-2],
+    "non-object": '"transpose"',
+    "action-one-row-short": _action(rows=3),
+    "deep-nesting": _DEEP,
+}
+_HOSTILE = [pytest.param("check", text, id=f"check-{name}")
+            for name, text in _HOSTILE_MATRICES.items()] + [
+    pytest.param(command, text, id=f"{command}-{name}")
+    for command in ("classify", "fuzz") for name, text in _HOSTILE_MAPS.items()]
+
+
+@pytest.mark.parametrize("command, text", _HOSTILE)
+def test_hostile_file_exits_two_with_a_message(tmp_path, capsys, command, text):
+    # exit 1 would read as a verdict, so a traceback or a wrong verdict must not happen
+    path = tmp_path / "hostile.json"
+    path.write_text(text, encoding="utf-8")
+    argv = {"check": ["check", "contraction", str(path)],
+            "classify": ["classify", str(path)],
+            "fuzz": ["fuzz", str(path), "--budget", "20", "--out-dir", str(tmp_path)]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -115,6 +115,30 @@ class TestLinearMap:
         assert np.all(y.matrix[:2, 2:] == 0)
         assert np.all(y.matrix[2:, :2] == 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_action_refused(self, bad):
+        # one NaN in the identity action made is_triple_hom fail inside an SVD
+        action = identity_map(SH2).action.copy()
+        action[0, 0] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            LinearMap(SH2, SH2, action)
+
+    def test_apply_is_one_matrix_vector_product(self, rng):
+        # apply takes the stacked product on a stack of one; the reference is
+        # the matrix-vector product of the action with the vectorized element
+        sh23, sh124 = AlgebraShape((2, 3)), AlgebraShape((1, 2, 4))
+        for shape in (SH2, AlgebraShape((3,)), sh23, sh124):
+            n = shape.total_dim
+            maps = [transpose_map(shape), scale_map(shape, 0.5 - 0.25j),
+                    build_sandwich(rand_unitary(rng, shape), rand_unitary(rng, shape)),
+                    LinearMap(shape, shape, rng.standard_normal((n * n, n * n))
+                              + 1j * rng.standard_normal((n * n, n * n)))]
+            for T in maps:
+                for _ in range(5):
+                    x = rand_contraction(rng, shape)
+                    ref = (T.action @ x.matrix.reshape(-1)).reshape(n, n)
+                    assert T.apply(x).matrix.tobytes() == ref.tobytes()
+
 
 class TestSizeLimit:
     def test_limit_arithmetic(self):
@@ -533,9 +557,30 @@ class TestPreservesCompat:
                     assert w.output_defect == compat_defect(ta, tb, kind, tol).defect
 
     def test_stream_ending_early_raises(self, monkeypatch):
-        monkeypatch.setattr(preservers, "compatible_pairs", lambda *args: iter([]))
+        monkeypatch.setattr(preservers, "_fixed_pairs", lambda *args: [])
+        monkeypatch.setattr(preservers, "_drawn_pairs", lambda *args: iter([]))
         with pytest.raises(GeneratorExhausted, match="after 0 of 3 pairs"):
             preserves_compat_sampled(identity_map(SH2), CompatKind.FULL, 3)
+
+    @pytest.mark.parametrize("kind", list(CompatKind))
+    @pytest.mark.parametrize("dims", [(1,), (2,), (2, 3)])
+    def test_only_the_fixed_pairs_are_judged_one_at_a_time(self, monkeypatch, dims, kind):
+        # one compat_defect call per fixed pair compatible at kind; every drawn
+        # pair, even one alone in its chunk, goes to the stacked judge
+        shape, tol = AlgebraShape(dims), ToleranceConfig()
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return compat_defect(*args)
+
+        monkeypatch.setattr(preservers, "compat_defect", counted)
+        judged = list(preservers._judged_pairs(transpose_map(shape), kind, kind, 40, 0, tol))
+        passing = [label for label, a, b in known_witness_pairs(shape)
+                   if compat_defect(a, b, kind, tol).verdict]
+        assert len(judged) == 40
+        assert len(calls) == len(passing) >= 2
+        assert [w.source.split("+")[0] for w in judged[:len(passing)]] == passing
 
     @pytest.mark.parametrize("kind", list(CompatKind))
     @pytest.mark.parametrize("name", ["transpose", "scale 0.5", "sandwich"])
