@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -539,7 +539,7 @@ def _judged_pairs(
     ``source+noncontractive-image``. The fixed pairs are judged one at a
     time, so a refutation among them draws nothing; the drawn ones in stacks."""
     fixed = _fixed_pairs(T.domain_shape, kind, tol)[:n_pairs]
-    drawn = islice(_drawn_pairs(T.domain_shape, kind, seed, tol), n_pairs - len(fixed))
+    drawn = _drawn_pairs(T.domain_shape, kind, seed, tol, n_pairs - len(fixed))
     judged = chain(((pair, _judge_one(T, pair, output_kind, tol)) for pair in fixed),
                    chain.from_iterable(zip(pairs, _judge(T, pairs, output_kind, tol))
                                        for pairs in _growing_chunks(drawn)))

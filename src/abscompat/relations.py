@@ -90,26 +90,24 @@ def _compat_stack(
     tol: ToleranceConfig,
 ) -> _CompatStack:
     """Defect of | |a|-|b| | + | 1-|a|-|b| | = 1 for each pair (a[k], b[k]) of
-    (N, n, n) stacks of ``shape``, or for one pair of matrices: domain uses
-    |a|, |b|, range |a*|, |b*|, full both, at once. A direct sum's norm and
-    defect are its largest block's. Only operands with norms in (1, 1+tol] are
-    divided by their norm (dividing by 1 can flip the sign of a zero), so a
-    pair's values do not depend on its stack. ``b is a`` takes |a| once."""
+    (N, n, n) stacks of ``shape``: domain uses |a|, |b|, range |a*|, |b*|,
+    full both, at once, from one SVD per block of a and b stacked together
+    (of a alone when ``b is a``). A direct sum's norm and defect are its
+    largest block's. Only operands with norms in (1, 1+tol] are divided by
+    their norm (dividing by 1 can flip the sign of a zero), so a pair's
+    values do not depend on its stack."""
     sides = (CompatKind.DOMAIN, CompatKind.RANGE) if kind is CompatKind.FULL else (kind,)
     wanted = (CompatKind.DOMAIN in sides, CompatKind.RANGE in sides)
-
-    def absolutes(m):  # (sides, ..., d, d) stacks per block, and the norms
-        blocks, block_norms = zip(*(_abs_parts(m[..., sl, sl], *wanted)
-                                    for sl in shape.block_slices()))
-        norm = reduce(np.maximum, block_norms)
-        if norm.max() > 1.0:
-            band = ((norm > 1.0) & (norm <= 1.0 + tol.relation))[..., None, None]
-            scale = np.where(band, norm[..., None, None], 1.0)
-            blocks = [np.where(band, x / scale, x) for x in blocks]
-        return blocks, norm
-
-    abs_a, norm_a = parts_a = absolutes(a)
-    abs_b, norm_b = parts_a if b is a else absolutes(b)
+    operands = a[None] if b is a else np.stack((a, b))
+    # (sides, operands, N, d, d) stacks per block, and the (operands, N) norms
+    blocks, block_norms = zip(*(_abs_parts(operands[..., sl, sl], *wanted)
+                                for sl in shape.block_slices()))
+    norm = reduce(np.maximum, block_norms)
+    if norm.max() > 1.0:
+        band = ((norm > 1.0) & (norm <= 1.0 + tol.relation))[..., None, None]
+        scale = np.where(band, norm[..., None, None], 1.0)
+        blocks = [np.where(band, x / scale, x) for x in blocks]
+    abs_a, abs_b = [x[:, 0] for x in blocks], [x[:, -1] for x in blocks]
     residuals, diffs, gaps = [], [], []
     for x, y in zip(abs_a, abs_b):
         one = np.eye(x.shape[-1])
@@ -125,7 +123,7 @@ def _compat_stack(
         for key, blocks in zip(("abs_a", "abs_b", "abs_diff", "unit_gap"),
                                (abs_a, abs_b, diffs, gaps)):
             terms[key + suffix] = [blk[s] for blk in blocks]
-    return _CompatStack(per_side.max(axis=0), dict(zip(sides, per_side)), norm_a, norm_b,
+    return _CompatStack(per_side.max(axis=0), dict(zip(sides, per_side)), norm[0], norm[-1],
                         terms)
 
 

@@ -17,9 +17,11 @@ are the case N = 1.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
+from types import SimpleNamespace
 from typing import Iterator
 
 import numpy as np
@@ -419,7 +421,9 @@ class PairGenerator:
 
 
 _RETRIES = 100  # rejected draws in a row that end a strategy
-_STACK_MAX = 64  # most pairs drawn ahead, or judged, in one kernel call
+# most rows in one kernel call or built stack: candidates drawn together, drawn
+# pairs judged together, or one shape's battery trials
+_STACK_MAX = 64
 
 
 def _passing(a: np.ndarray, b: np.ndarray, shape: AlgebraShape, kind: CompatKind,
@@ -463,26 +467,6 @@ def _growing_chunks(items: Iterator) -> Iterator[list]:
         size = min(2 * size, _STACK_MAX)
 
 
-def _accepted_draws(
-    gen: PairGenerator, shape: AlgebraShape, kind: CompatKind, tol: ToleranceConfig
-) -> Iterator[tuple[str, AlgebraElement, AlgebraElement, float]]:
-    """The draws of ``gen`` that pass at ``kind``, in draw order, drawn and
-    judged in stacks of 1, 2, 4, ... ``_STACK_MAX`` (drawing ahead changes no
-    pair: every strategy has its own generator); ``_RETRIES`` rejections in a
-    row end the strategy."""
-    rejected, size = 0, 1
-    while True:
-        stacks = gen._draw_stack(shape, size)
-        defects, passed = _passing(*stacks, shape, kind, tol)
-        for row, (defect, ok) in enumerate(zip(defects.tolist(), passed.tolist())):
-            rejected = 0 if ok else rejected + 1
-            if ok:
-                yield (gen.strategy.value, *_wrapped(shape, stacks, row), defect)
-            elif rejected == _RETRIES:
-                return
-        size = min(2 * size, _STACK_MAX)
-
-
 def _fixed_pairs(shape: AlgebraShape, kind: CompatKind, tol: ToleranceConfig) -> list[tuple]:
     """The ``known_witness_pairs`` compatible at ``kind``, with their defects."""
     fixed = known_witness_pairs(shape)
@@ -491,20 +475,47 @@ def _fixed_pairs(shape: AlgebraShape, kind: CompatKind, tol: ToleranceConfig) ->
     return [(*pair, float(d)) for pair, d, ok in zip(fixed, defects, passed) if ok]
 
 
-def _drawn_pairs(shape: AlgebraShape, kind: CompatKind, seed: int,
-                 tol: ToleranceConfig) -> Iterator[tuple]:
-    """One accepted draw from each strategy in turn (see ``compatible_pairs``)."""
+def _drawn_pairs(shape: AlgebraShape, kind: CompatKind, seed: int, tol: ToleranceConfig,
+                 _wanted: int = sys.maxsize) -> Iterator[tuple]:
+    """One accepted draw from each strategy in turn (see ``compatible_pairs``),
+    the first ``_wanted`` of them. Before each turn of the rotation, the
+    strategies with no accepted draw in hand draw their next 1, 2, 4, ...
+    candidates, each at most the pairs it emits before ``_wanted`` and
+    ``_STACK_MAX`` in all, built in one ``_assemble`` and judged in one kernel
+    call. Each strategy draws from its own generator, so no pair changes."""
     child_seeds = np.random.SeedSequence(seed).generate_state(len(PairStrategy))
-    active = [_accepted_draws(PairGenerator(strategy, int(s)), shape, kind, tol)
-              for strategy, s in zip(PairStrategy, child_seeds)]
-    while active:
-        for draws in list(active):
+    # per strategy: its generator, its next draw's size, its rejections in a row
+    # (_RETRIES of them, or a shape it does not support, end it) and its
+    # accepted draws not yet emitted
+    rotation = [SimpleNamespace(gen=PairGenerator(strategy, int(s)), size=1, rejected=0,
+                                accepted=[]) for strategy, s in zip(PairStrategy, child_seeds)]
+    while _wanted and (rotation := [t for t in rotation if t.accepted or t.rejected < _RETRIES]):
+        if all(turn.accepted for turn in rotation[:_wanted]):
+            for turn in rotation[:_wanted]:
+                _wanted -= 1  # the pairs still wanted
+                yield turn.accepted.pop(0)
+            continue
+        owners, candidates = [], []
+        for j, turn in enumerate(rotation[:_wanted]):
+            # of the n turns in the rotation, the one at j emits ceil((_wanted - j) / n)
+            need = (_wanted - j + len(rotation) - 1) // len(rotation)
+            count = 0 if turn.accepted else min(turn.size, need, _STACK_MAX - len(candidates))
             try:
-                pair = next(draws)
-            except (StopIteration, GeneratorExhausted):  # exhausted or unsupported
-                active.remove(draws)
-                continue
-            yield pair
+                candidates += [turn.gen._candidate(shape) for _ in range(count)]
+            except GeneratorExhausted:  # a shape the strategy does not support
+                turn.rejected = _RETRIES
+            owners += [turn] * (len(candidates) - len(owners))
+            turn.size = min(2 * turn.size, _STACK_MAX) if count else turn.size
+        if not candidates:
+            continue
+        stacks = _assemble(shape, candidates)
+        defects, passed = (x.tolist() for x in _passing(*stacks, shape, kind, tol))
+        for row, turn in enumerate(owners):
+            if turn.rejected < _RETRIES:  # rows after a strategy ends are dropped
+                turn.rejected = 0 if passed[row] else turn.rejected + 1
+                if passed[row]:
+                    turn.accepted.append((turn.gen.strategy.value,
+                                          *_wrapped(shape, stacks, row), defects[row]))
 
 
 def compatible_pairs(
@@ -517,11 +528,12 @@ def compatible_pairs(
 
     First the ``known_witness_pairs`` compatible at ``kind`` (known-hard
     cases make regressions deterministic), then one accepted draw from each
-    strategy in turn, each strategy seeded by its own child of ``seed`` and
-    drawing ahead in stacks. A draw outside the unit ball is rejected. A
-    strategy leaves the rotation after ``_RETRIES`` rejections in a row, or
-    at once if it does not support ``shape``; the stream ends when every
-    strategy has. Identical arguments replay identical streams.
+    strategy in turn, each strategy seeded by its own child of ``seed``; the
+    strategies out of accepted draws draw together (``_drawn_pairs``). A draw
+    outside the unit ball is rejected. A strategy leaves the rotation after
+    ``_RETRIES`` rejections in a row, or at once if it does not support
+    ``shape``; the stream ends when every strategy has. Identical arguments
+    replay identical streams.
     """
     yield from _fixed_pairs(shape, kind, tol)
     yield from _drawn_pairs(shape, kind, seed, tol)

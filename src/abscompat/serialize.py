@@ -19,6 +19,7 @@ import numpy as np
 from .algebra import AlgebraElement, AlgebraShape
 from .errors import AbscompatError
 from .preservers import (
+    MAX_TOTAL_DIM,
     LinearMap,
     Provenance,
     _check_map_shapes,
@@ -129,6 +130,8 @@ def matrix_from_dict(payload: Any) -> AlgebraElement:
     if not isinstance(payload, dict):
         raise FileFormatError("matrix payload must be an object")
     shape = _shape(payload, "shape")
+    if (n := shape.total_dim) > MAX_TOTAL_DIM:  # before a block is allocated
+        raise FileFormatError(f"total dimension {n} exceeds the limit {MAX_TOTAL_DIM}")
     blocks = _items(payload.get("blocks"), "blocks", "blocks", lambda _: True, shape.num_blocks)
     return AlgebraElement.from_blocks(shape, [
         _complex_array(rows, (dim, dim), f"block {k}")

@@ -6,8 +6,8 @@ indeterminate (near-threshold) counts and the worst defect observed.
 Every randomized battery (linear-algebra invariants, product identities,
 relation invariants, the characterizations and the commutative cross-check)
 takes its operands' random numbers trial by trial, in the order a one-trial
-loop takes them, and builds and judges them in (N, n, n) stacks through
-``_in_stacks``, at most ``_STACK_MAX`` trials at a time. The symmetric
+loop takes them, and builds and judges them through ``_in_stacks`` in one
+(N, n, n) stack per shape of at most ``_STACK_MAX`` trials. The symmetric
 factorization row draws each map's samples as one stack and maps them with
 one matrix-vector product per sample, as ``LinearMap.apply`` does.
 """
@@ -249,17 +249,23 @@ def suite_algebra_products(
 
 def _in_stacks(trials, judge):
     """``judge(shape, *stacks)`` of each trial, a candidate's ``(shape, draws)``
-    (``sampling._blocks``), in order: each chunk of ``_STACK_MAX`` trials is
-    drawn, then built and judged per shape in stacks, drawing nothing."""
+    (``sampling._blocks``), in order: trials are drawn until one shape has
+    ``_STACK_MAX`` of them (or the trials end), then each shape's stack is
+    built and judged, drawing nothing."""
     trials = iter(trials)
-    while chunk := list(islice(trials, _STACK_MAX)):
-        results = [None] * len(chunk)
-        for shape in dict.fromkeys(shape for shape, _ in chunk):
-            index = [i for i, trial in enumerate(chunk) if trial[0] == shape]
-            stacks = _assemble(shape, [chunk[i][1] for i in index])
-            for i, result in zip(index, judge(shape, *stacks)):
-                results[i] = result
-        yield from results
+    while True:
+        chunk: dict = {}  # the (index, draws) of the chunk's trials by shape
+        for i, (shape, draws) in enumerate(trials):
+            chunk.setdefault(shape, []).append((i, draws))
+            if len(chunk[shape]) == _STACK_MAX:
+                break
+        if not chunk:
+            return
+        results = {}
+        for shape, rows in chunk.items():
+            stacks = _assemble(shape, [draws for _, draws in rows])
+            results.update(zip([i for i, _ in rows], judge(shape, *stacks)))
+        yield from (results[i] for i in range(len(results)))
 
 
 def suite_relation_invariants(

@@ -285,6 +285,7 @@ def _builder(spec: str, shapes: str = _M2) -> str:
 _HOSTILE_MATRICES = {
     "huge-int": _matrix(f"[{_HUGE_INT}, 0]"),
     "million-empty-rows": _EMPTY_ROWS,
+    "many-small-blocks": f'{{"shape": {[1] * 3000}, "blocks": {[[[[0.5, 0.0]]]] * 3000}}}',
     "bool-shape": _matrix(shape="[true]"),
     "bool-entry": _matrix("[true, 0.0]"),
     "nan": _matrix("[NaN, 0.0]"),

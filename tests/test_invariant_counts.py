@@ -9,8 +9,13 @@ from types import ModuleType
 import pytest
 
 import abscompat
-from abscompat import AlgebraShape
+from abscompat import (
+    AlgebraShape, CompatKind, PairGenerator, ToleranceConfig, identity_map,
+    known_witness_pairs, preserves_compat_sampled,
+)
+from abscompat import preservers, relations, sampling, suites
 from abscompat.reports import RelationReport
+from abscompat.sampling import _STACK_MAX
 from abscompat.suites import suite_linalg_invariants, suite_relation_invariants
 
 
@@ -25,6 +30,66 @@ def test_relation_invariants_at_1000():
     results = suite_relation_invariants(seed=101, trials=1000, shapes=shapes)
     for r in results:
         assert r.passed, f"{r.name}: {r.failures} failures, worst {r.worst_defect}"
+
+
+def _counted(monkeypatch) -> dict:
+    """Live counts of the rows of every kernel call and every stack built,
+    of the candidates drawn and of the rejections judged."""
+    counts = {"kernel": [], "stacks": [], "drawn": 0, "rejected": 0}
+    kernel, assemble, passing = (relations._compat_stack, sampling._assemble,
+                                 sampling._passing)
+    candidate = PairGenerator._candidate
+
+    def counted_kernel(a, *args):
+        counts["kernel"].append(len(a))
+        return kernel(a, *args)
+
+    def counted_assemble(shape, candidates):
+        counts["stacks"].append(len(candidates))
+        return assemble(shape, candidates)
+
+    def counted_passing(*args):
+        defects, passed = passing(*args)
+        counts["rejected"] += int((~passed).sum())
+        return defects, passed
+
+    def counted_candidate(gen, shape):
+        counts["drawn"] += 1
+        return candidate(gen, shape)
+
+    for module in (relations, sampling, preservers):
+        monkeypatch.setattr(module, "_compat_stack", counted_kernel)
+    for module in (sampling, suites):
+        monkeypatch.setattr(module, "_assemble", counted_assemble)
+    monkeypatch.setattr(sampling, "_passing", counted_passing)
+    monkeypatch.setattr(PairGenerator, "_candidate", counted_candidate)
+    return counts
+
+
+@pytest.mark.parametrize("dims, relation, kernel_calls, drawn", [
+    ((2,), 1e-8, 20, 197),
+    ((2, 3), 1e-8, 20, 197),
+    ((2, 3), 1e-15, 43, 474),  # roundoff rejects 276 of the draws
+])
+def test_audit_call_counts(monkeypatch, dims, relation, kernel_calls, drawn):
+    # all strategies draw together, no more than the audit still wants, in
+    # at most _STACK_MAX rows a call
+    shape, tol, n_pairs = AlgebraShape(dims), ToleranceConfig(relation=relation), 200
+    fixed_rejected = len(known_witness_pairs(shape)) - len(
+        sampling._fixed_pairs(shape, CompatKind.FULL, tol))
+    counts = _counted(monkeypatch)
+    assert preserves_compat_sampled(identity_map(shape), CompatKind.FULL, n_pairs, 1, tol).verdict
+    assert (len(counts["kernel"]), counts["drawn"]) == (kernel_calls, drawn)
+    assert counts["drawn"] <= n_pairs + counts["rejected"] - fixed_rejected
+    assert max(counts["kernel"] + counts["stacks"]) <= _STACK_MAX
+
+
+def test_linalg_battery_stack_counts(monkeypatch):
+    # five batteries, each one stack per matrix size 1 to 6 at 200 trials
+    counts = _counted(monkeypatch)
+    assert all(r.passed for r in suite_linalg_invariants(seed=1, trials=200))
+    assert (len(counts["kernel"]), len(counts["stacks"])) == (0, 30)
+    assert max(counts["stacks"]) <= _STACK_MAX
 
 
 def test_relation_report_enforces_verdict_invariant():
@@ -85,7 +150,7 @@ def test_package_exports_are_its_public_names():
 
 # `wc -l src/abscompat/*.py`, a tracked metric: growth is a deliberate edit of
 # this pin, recorded with its reason in CHANGES.md
-_SOURCE_LINES = 3600
+_SOURCE_LINES = 3619
 
 
 def test_source_line_count_is_pinned():

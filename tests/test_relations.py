@@ -203,6 +203,39 @@ class TestStackedKernel:
         pairs += [(x, scaled(y, 1.5)) for x, y in pairs[5:7]]
         self._assert_matches_loop(pairs, shape, kind)
 
+    @staticmethod
+    def _row_bytes(k, rows):
+        """Each row's defect, side defects and norms, as bytes."""
+        return [tuple(x[i].tobytes() for x in (k.defect, *k.sides.values(), k.norm_a, k.norm_b))
+                for i in rows]
+
+    @pytest.mark.parametrize("kind", list(CompatKind))
+    @pytest.mark.parametrize("dims", [(1,), (3,), (1, 2), (2, 3)])
+    def test_regrouped_stacks_give_each_pair_its_bytes(self, rng, dims, kind):
+        # permuting or regrouping a stack, or judging a against itself, changes
+        # no row's bytes, also for operands renormalized from (1, 1 + tol]
+        shape, tol = AlgebraShape(dims), ToleranceConfig()
+        pairs = [sample_general_pair(rng, shape) for _ in range(12)]
+        t = tol.relation
+        pairs += [(_scaled(x, 1.0 + t * (i + 1) / 5), _scaled(y, 1.0 + t * (i + 2) / 7))
+                  for i, (x, y) in enumerate(pairs[:4])]
+        a, b = (np.stack([p[i].matrix for p in pairs]) for i in (0, 1))
+
+        def judged(x, y, rows):
+            """Row bytes of the pairs ``rows`` judged as one stack; y = None
+            judges x against itself (``b is a``)."""
+            xs = x[rows]
+            k = _compat_stack(xs, xs if y is None else y[rows], shape, kind, tol)
+            return self._row_bytes(k, range(len(xs)))
+
+        for x, y in ((a, b), (a, None), (b, None)):
+            expected = judged(x, y, slice(None))
+            order = rng.permutation(len(x))
+            for lo, hi in ((0, len(x)), (0, 1), (1, 4), (4, 9), (9, len(x))):
+                assert judged(x, y, order[lo:hi]) == [expected[i] for i in order[lo:hi]]
+            if y is None:  # a alone gives the bytes of a and a copy of it stacked
+                assert judged(x, x.copy(), slice(None)) == expected
+
     def test_near_threshold_pair_flips_at_tol(self, rng):
         # f = (1, d), g = (0, 0.5) with shared unitaries on both sides have
         # |a|, |b| and |a*|, |b*| commuting with the defect exactly 2 d

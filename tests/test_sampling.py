@@ -8,11 +8,14 @@ import pytest
 from abscompat import (
     AlgebraShape,
     CompatKind,
+    LinearMap,
     PairGenerator,
     PairStrategy,
+    Provenance,
     compat_defect,
     fuzz_counterexample,
     generate_compat_pair,
+    identity_map,
     is_orthogonal,
     is_partial_isometry,
     known_witness_pairs,
@@ -270,6 +273,21 @@ def test_strategy_candidates_match_the_frozen_recipes(dims):
             _same_bytes([a.matrix, b.matrix], frozen.draw(strategy, rng, shape))
 
 
+@pytest.mark.parametrize("dims", FROZEN_DIMS)
+def test_interleaved_strategies_assemble_to_each_strategys_bytes(dims):
+    # the stream builds every strategy's candidates in one _assemble
+    shape, rng = AlgebraShape(dims), np.random.default_rng(5)
+    strategies = [s for s in PairStrategy
+                  if max(dims) >= 2 or s is not PairStrategy.CONJUGATED_POSITIVE_PAIR]
+    order = [strategies[i] for i in rng.permutation(np.repeat(range(len(strategies)), 9))]
+    gens = {s: PairGenerator(s, 3) for s in strategies}
+    together = sampling._assemble(shape, [gens[s]._candidate(shape) for s in order])
+    for strategy in strategies:
+        rows = [i for i, s in enumerate(order) if s is strategy]
+        alone = PairGenerator(strategy, 3)._draw_stack(shape, len(rows))
+        assert together[:, rows].tobytes() == alone.tobytes()
+
+
 _ELEMENT_SAMPLERS = [
     ("rand_contraction", sampling._contraction_draw),
     ("rand_hermitian_contraction", sampling._hermitian_contraction_draw),
@@ -403,12 +421,30 @@ def test_draw_outside_the_ball_is_a_rejection():
     _assert_same_pairs(stream, list(islice(reference, 300)))
 
 
-def test_refutation_in_the_fixed_pairs_draws_nothing(monkeypatch):
-    # the stream draws every candidate through PairGenerator._draw_stack
+def _recording_candidates(monkeypatch) -> list:
+    """The strategy of every candidate the stream draws, in draw order: every
+    candidate is drawn through PairGenerator._candidate."""
     draws = []
-    original = PairGenerator._draw_stack
-    monkeypatch.setattr(PairGenerator, "_draw_stack", lambda gen, shape, count:
-                        draws.append(gen) or original(gen, shape, count))
+    original = PairGenerator._candidate
+    monkeypatch.setattr(PairGenerator, "_candidate", lambda gen, shape:
+                        draws.append(gen.strategy) or original(gen, shape))
+    return draws
+
+
+def test_refutation_in_the_fixed_pairs_draws_nothing(monkeypatch):
+    draws = _recording_candidates(monkeypatch)
     w = fuzz_counterexample(transpose_map(AlgebraShape((2,))), CompatKind.DOMAIN)
     assert (w.index, w.source) == (1, "crossed_isometries_2x2")
     assert draws == []
+
+
+def test_refutation_by_the_first_drawn_pair_draws_one_round(monkeypatch):
+    # x -> (x + x^T) / 2 keeps the three fixed pairs compatible at full kind;
+    # at seed 2 the first drawn pair refutes it
+    shape = AlgebraShape((2,))
+    action = (identity_map(shape).action + transpose_map(shape).action) / 2.0
+    symmetrize = LinearMap(shape, shape, action, Provenance.CUSTOM)
+    draws = _recording_candidates(monkeypatch)
+    w = fuzz_counterexample(symmetrize, CompatKind.FULL, seed=2)
+    assert (w.index, w.source) == (3, "orthogonal")
+    assert draws == list(PairStrategy)  # one candidate from each strategy
