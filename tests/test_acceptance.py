@@ -147,7 +147,7 @@ def test_criterion_07_preserver_suite():
     assert hom.passed and hom.worst_defect <= 1e-9
     unit_pi = by_name["unit image is a partial isometry"]
     assert unit_pi.passed and unit_pi.worst_defect <= 1e-9
-    assert by_name["symmetric factorization through e* T"].passed
+    assert by_name["factorization through e* T"].passed
     _coverage["preservers"] = True
     _report(7, f"{audit.trials} audited pairs across maps, 0 violations; "
                f"worst triple-hom defect {hom.worst_defect:.2e}")

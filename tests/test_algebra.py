@@ -16,9 +16,12 @@ from abscompat import (
     unit,
     zero,
 )
+from abscompat.algebra import _jordan, _triple
 from abscompat.errors import ShapeMismatch
-from abscompat.linalg import op_norm
-from abscompat.sampling import rand_contraction
+from abscompat.linalg import _op_norm, op_norm
+from abscompat.sampling import (
+    _contraction_draw, _elements, _hermitian_contraction_draw, rand_contraction,
+)
 
 
 def test_shape_validation():
@@ -141,6 +144,20 @@ def test_hermitian_triple_cube(seed):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = AlgebraElement.single((g + g.conj().T) / 2)
     assert op_norm((triple(h, h, h) - h @ h @ h).matrix) <= 1e-10
+
+
+@pytest.mark.parametrize("dims", [(1,), (2,), (3,), (4,), (5,), (6,), (2, 3)])
+def test_product_symmetries_hold_bytewise_on_stacks(dims):
+    # the formulas add x y and y x (x y* z and z y* x) in either order, and
+    # y* of an exactly Hermitian h is h: no draw can break these identities
+    rng = np.random.default_rng(sum(dims))
+    shape = AlgebraShape(dims)
+    a, b, c = (_elements(rng, shape, _contraction_draw, 50) for _ in range(3))
+    h = _elements(rng, shape, _hermitian_contraction_draw, 50)
+    assert np.array_equal(h, h.conj().swapaxes(-1, -2))
+    assert _jordan(a, b).tobytes() == _jordan(b, a).tobytes()
+    assert _triple(a, b, c).tobytes() == _triple(c, b, a).tobytes()
+    assert _op_norm(_triple(h, h, h) - h @ h @ h).max() <= 1e-12
 
 
 class TestPositivity:

@@ -335,3 +335,44 @@ def test_hostile_file_exits_two_with_a_message(tmp_path, capsys, command, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+_TOL = 1e-8
+_EDGE_MATRICES = {
+    "denormal": ((2,), [np.diag([5e-324, 0.5])]),
+    "norm-1+tol/2": ((2,), [np.diag([1.0 + _TOL / 2, 0.2])]),
+    "norm-1+2tol": ((2,), [np.diag([1.0 + 2 * _TOL, 0.2])]),
+    "zero-block": ((2, 1), [np.zeros((2, 2)), np.array([[0.5]])]),
+    "rank-one": ((2,), [np.array([[0.5, 0.5], [0.5, 0.5]])]),
+    "1x1": ((1,), [np.array([[0.3j]])]),
+}
+# (matrix, relation, exit code, defect or None); compat judges the matrix with itself
+_EDGE_CASES = [
+    ("denormal", "contraction", 0, 0.0),
+    ("denormal", "compat", 1, 1.0),
+    ("denormal", "tripotent", 0, None),
+    ("norm-1+tol/2", "contraction", 0, _TOL / 2),
+    ("norm-1+tol/2", "compat", 1, 0.4 / (1.0 + _TOL / 2)),
+    ("norm-1+2tol", "contraction", 1, 2 * _TOL),
+    ("norm-1+2tol", "compat", 2, None),
+    ("norm-1+2tol", "tripotent", 2, None),
+    ("zero-block", "compat", 1, 1.0),
+    ("rank-one", "compat", 0, 0.0),
+    ("1x1", "compat", 1, 0.6),
+]
+
+
+@pytest.mark.parametrize("name, relation, code, defect", _EDGE_CASES,
+                         ids=[f"{name}-{relation}" for name, relation, *_ in _EDGE_CASES])
+def test_edge_case_matrix_files(tmp_path, capsys, name, relation, code, defect):
+    dims, blocks = _EDGE_MATRICES[name]
+    path = str(tmp_path / "m.json")
+    save_matrix(AlgebraElement.from_blocks(AlgebraShape(dims), blocks), path)
+    files = [path, path] if relation == "compat" else [path]
+    assert main(["check", relation, *files, "--json"]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    elif defect is not None:
+        assert json.loads(captured.out)["defect"] == pytest.approx(defect, rel=1e-9, abs=1e-14)

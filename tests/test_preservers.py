@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -555,6 +556,34 @@ class TestPreservesCompat:
                     # the stack's images are T.apply's bytes
                     assert w.source == source
                     assert w.output_defect == compat_defect(ta, tb, kind, tol).defect
+
+    @pytest.mark.parametrize("kind", list(CompatKind))
+    @pytest.mark.parametrize("dims", [(2,), (2, 3)])
+    def test_regrouped_pairs_give_each_pair_its_bytes(self, dims, kind):
+        # under x -> 1.5 x the fixed pairs' images leave the ball; four more
+        # pairs are scaled so their images have norms in (1, 1 + tol]
+        shape, tol = AlgebraShape(dims), ToleranceConfig()
+        T, t = scale_map(shape, 1.5), tol.relation
+        pairs = list(islice(compatible_pairs(shape, kind, 3, tol), 16))
+        nonzero = [p for p in pairs if op_norm(p[1].matrix) and op_norm(p[2].matrix)]
+        pairs += [(source, a * ((1.0 + t / k) / 1.5 / op_norm(a.matrix)),
+                   b * ((1.0 + t / (k + 1)) / 1.5 / op_norm(b.matrix)), d)
+                  for k, (source, a, b, d) in enumerate(nonzero[:4], 2)]
+
+        def judged(rows):
+            return [(np.float64(d).tobytes(), suffix)
+                    for d, suffix in preservers._judge(T, [pairs[i] for i in rows], kind, tol)]
+
+        expected = judged(range(len(pairs)))
+        norms = [max(op_norm(T.apply(a).matrix), op_norm(T.apply(b).matrix))
+                 for _, a, b, _ in pairs]
+        outside = [suffix == "+noncontractive-image" for _, suffix in expected]
+        assert outside == [n > 1.0 + t for n in norms] and any(outside)
+        assert all(1.0 < n <= 1.0 + t and not out
+                   for n, out in zip(norms[-4:], outside[-4:]))
+        order = np.random.default_rng(5).permutation(len(pairs))
+        for lo, hi in ((0, len(pairs)), (0, 1), (1, 4), (4, 11), (11, len(pairs))):
+            assert judged(order[lo:hi]) == [expected[i] for i in order[lo:hi]]
 
     def test_stream_ending_early_raises(self, monkeypatch):
         monkeypatch.setattr(preservers, "_fixed_pairs", lambda *args: [])

@@ -11,16 +11,13 @@ from abscompat import (
     CompatKind,
     ToleranceConfig,
     adjoint,
-    build_sandwich,
-    build_star_anti_hom,
-    build_star_hom,
     check_orth_characterization,
     check_p00_equivalences,
     check_tripotent_characterization,
     commutative_compat_check,
     compat_defect,
     is_orthogonal,
-    jordan,
+    scale_map,
     triple,
     unit,
 )
@@ -33,7 +30,6 @@ from abscompat.sampling import (
     rand_contraction,
     rand_hermitian_contraction,
     rand_partial_isometry,
-    rand_unitary,
     sample_general_pair,
     sample_positive_pair,
 )
@@ -117,21 +113,45 @@ def test_suite_result_to_dict():
     assert payload["passed"] is True
 
 
-def test_preservers_report_the_calibration_row():
-    results = suite_preservers(5, 10, [2, 3])
-    names = [r.name for r in results]
-    by_name = {r.name: r for r in results}
-    cal = by_name["preservation vs triple-hom calibration"]
-    assert names.index(cal.name) == names.index("triple homs preserve compatibility") + 1
-    hom = by_name["builders are triple homomorphisms"]
-    assert by_name["triple homs preserve compatibility"].passed  # every audit passed
-    assert cal.trials == hom.trials == 12
-    assert cal.worst_defect == hom.worst_defect
-    assert cal.passed and cal.failures == 0
+def test_run_all_suites_row_names():
+    assert [r.name for r in run_all_suites([2, 3], 10, 3)] == [
+        "functional-calculus identity", "abs-value idempotence", "polar reconstruction",
+        "operator-norm submultiplicativity", "c-star norm identity",
+        "triple middle conjugate-linearity",
+        "compat symmetry", "adjoint duality of verdicts", "orthogonality implies compatibility",
+        "orthogonality characterization", "jordan-product equivalences",
+        "tripotent characterization", "commutative cross-validation",
+        "builders are triple homomorphisms", "unit image is a partial isometry",
+        "triple homs preserve compatibility", "anti-homs swap domain/range compatibility",
+        "factorization through e* T",
+        "counterexample fuzzing regressions", "triple-hom classification",
+        "deterministic replay",
+    ]
 
-    names = [r.name for r in run_all_suites([2, 3], trials=10, seed=3)]
-    assert len(names) == len(set(names))
-    assert names.count(cal.name) == 1
+
+def test_conjugate_linearity_row_fails_without_the_conjugate(monkeypatch):
+    # a triple product linear in its middle slot: {a, i b, c} = +i {a, b, c}
+    def linear_middle(x, y, z):
+        yt = y.swapaxes(-1, -2)
+        return (x @ yt @ z + z @ yt @ x) / 2.0
+
+    monkeypatch.setattr(suites, "_triple", linear_middle)
+    row = suite_algebra_products(0, 20, shapes_for_dims([2, 3]))
+    assert row.name == "triple middle conjugate-linearity"
+    assert row.failures == row.trials == 20 and not row.passed
+
+
+def test_factorization_row_fails_on_a_half_map_in_the_zoo(monkeypatch):
+    # x -> x/2 has e = 1/2 and e* T(x^2) - (e* T x)^2 = 3 x^2 / 16
+    built = suites._built_triple_homs
+
+    def with_half_map(rng, dims, tol):
+        return built(rng, dims, tol) + [("half map", scale_map(AlgebraShape((2,)), 0.5))]
+
+    monkeypatch.setattr(suites, "_built_triple_homs", with_half_map)
+    row = suite_preservers(0, 10, [2, 3])[-1]
+    assert row.name == "factorization through e* T"
+    assert row.trials == 130 and row.failures == 10 and not row.passed
 
 
 # The stacked batteries replayed one trial at a time: the same draws in the
@@ -142,19 +162,9 @@ def _one_pair_products(seed, trials, shapes, tol):
     rng = np.random.default_rng(seed)
     defects = []
     for i in range(trials):
-        shape = shapes[i % len(shapes)]
-        a, b, c = (rand_contraction(rng, shape) for _ in range(3))
-        h = rand_hermitian_contraction(rng, shape)
-        defects.append([op_norm(x.matrix) for x in (
-            jordan(a, b) - jordan(b, a),
-            triple(a, b, c) - triple(c, b, a),
-            triple(a, 1j * b, c) + 1j * triple(a, b, c),
-            triple(h, h, h) - h @ h @ h,
-        )])
-    bounds = (("jordan commutativity (exact)", 0.0), ("triple outer symmetry", 1e-12),
-              ("triple middle conjugate-linearity", 1e-12), ("hermitian triple cube", 1e-10))
-    return [_tally(name, ((row[k], row[k] > bound) for row in defects))
-            for k, (name, bound) in enumerate(bounds)]
+        a, b, c = (rand_contraction(rng, shapes[i % len(shapes)]) for _ in range(3))
+        defects.append(op_norm((triple(a, 1j * b, c) + 1j * triple(a, b, c)).matrix))
+    return _tally("triple middle conjugate-linearity", ((d, d > 1e-12) for d in defects))
 
 
 def _one_pair_relation_invariants(seed, trials, shapes, tol):
@@ -358,24 +368,12 @@ def test_commutative_disagreement_warns_and_fails_the_row(monkeypatch):
 
 def _one_sample_factorizations(seed, dims, tol):
     """The factorization row of ``suite_preservers`` one sample at a time,
-    after replaying the draws of the rows before it (the preserver zoo, then
-    one unitary per dim for the anti-homomorphisms)."""
+    on the preserver zoo, whose build is the only draw before it."""
     rng = np.random.default_rng(seed)
-    suites._built_triple_homs(rng, dims, tol)
-    for d in dims:
-        rand_unitary(rng, AlgebraShape((d,)))
-
-    sym_maps = []
-    for d in dims:
-        shape = AlgebraShape((d,))
-        w = rand_unitary(rng, shape).blocks()[0]
-        sym_maps.append(build_star_hom(shape, shape, [0], [w], tol))
-        sym_maps.append(build_star_anti_hom(shape, shape, [0], [w], tol))
-        u = rand_unitary(rng, shape)
-        sym_maps.append(build_sandwich(u, adjoint(u), tol))
+    maps = [tmap for _, tmap in suites._built_triple_homs(rng, dims, tol)]
 
     def factorizations():
-        for tmap in sym_maps:
+        for tmap in maps:
             e = tmap.apply(unit(tmap.domain_shape))
             e_star = adjoint(e)
             for _ in range(10):
@@ -386,13 +384,14 @@ def _one_sample_factorizations(seed, dims, tol):
                 d_fac = op_norm((tmap.apply(x) - e @ phi_x).matrix)
                 yield max(d_sq, d_fac), (d_sq > 1e-8) or (d_fac > 1e-10)
 
-    return _tally("symmetric factorization through e* T", factorizations())
+    return _tally("factorization through e* T", factorizations())
 
 
 @pytest.mark.parametrize("seed, dims", [(0, [2, 3]), (1, [2, 3]), (2, [1]), (3, [4])],
                          ids=["0-M2,M3", "1-M2,M3", "2-M1", "3-M4"])
 def test_factorization_row_replays_the_one_sample_loop(seed, dims):
+    # five maps per dim, and two more on the direct sum of several dims
     tol = ToleranceConfig()
     row = suite_preservers(seed, 10, dims, tol)[-1]
     assert row == _one_sample_factorizations(seed, dims, tol)
-    assert row.trials == 30 * len(dims)
+    assert row.trials == 10 * (5 * len(dims) + 2 * (len(dims) > 1))
