@@ -10,13 +10,14 @@ is ever needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ShapeMismatch
-from .linalg import _herm_eigvals, _op_norm, as_square_matrix, op_norm
+from .linalg import _adj, _herm_eigvals, _op_norm, as_square_matrix, op_norm
 from .reports import RelationReport
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
@@ -44,14 +45,8 @@ class AlgebraShape:
         if not dims or any(d < 1 for d in dims):
             raise ValueError("block_dims must be a nonempty list of positive ints")
         object.__setattr__(self, "block_dims", dims)
-        offsets = [0]
-        for d in dims:
-            offsets.append(offsets[-1] + d)
-        object.__setattr__(
-            self,
-            "_slices",
-            tuple(slice(o, o + d) for o, d in zip(offsets, dims)),
-        )
+        starts = accumulate(dims, initial=0)
+        object.__setattr__(self, "_slices", tuple(slice(o, o + d) for o, d in zip(starts, dims)))
 
     @property
     def total_dim(self) -> int:
@@ -64,14 +59,20 @@ class AlgebraShape:
     def block_slices(self) -> tuple[slice, ...]:
         return self._slices  # type: ignore[attr-defined]
 
-    def basis_coords(self) -> list[tuple[int, int]]:
-        """Row/column coordinates of the in-block matrix units, block by block."""
-        coords = []
+    @cached_property
+    def inblock_mask(self) -> np.ndarray:
+        """The read-only (total_dim, total_dim) mask of the in-block entries,
+        built on first use: shapes are made before their size is checked."""
+        mask = np.zeros((self.total_dim, self.total_dim), dtype=bool)
         for sl in self.block_slices():
-            for i in range(sl.start, sl.stop):
-                for j in range(sl.start, sl.stop):
-                    coords.append((i, j))
-        return coords
+            mask[sl, sl] = True
+        mask.flags.writeable = False
+        return mask
+
+    def basis_coords(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column index arrays of the in-block matrix units, block by
+        block, row by row."""
+        return np.nonzero(self.inblock_mask)
 
 
 class AlgebraElement:
@@ -85,12 +86,8 @@ class AlgebraElement:
             raise ShapeMismatch(
                 f"matrix of size {matrix.shape[0]} does not fit shape {shape.block_dims}"
             )
-        if shape.num_blocks > 1:
-            offblock = matrix.copy()
-            for sl in shape.block_slices():
-                offblock[sl, sl] = 0.0
-            if np.any(offblock != 0):
-                raise ShapeMismatch("off-block entries must be exactly zero")
+        if shape.num_blocks > 1 and np.any(matrix[~shape.inblock_mask]):
+            raise ShapeMismatch("off-block entries must be exactly zero")
         matrix = matrix.copy()
         matrix.flags.writeable = False
         object.__setattr__(self, "shape", shape)
@@ -132,18 +129,6 @@ class AlgebraElement:
 
     def blocks(self) -> list[np.ndarray]:
         return [self.matrix[sl, sl].copy() for sl in self.shape.block_slices()]
-
-    def map_blocks(self, func) -> "AlgebraElement":
-        """Apply ``func`` to each diagonal block and reassemble.
-
-        Keeps the block structure exact, which full-matrix decompositions do
-        not (degenerate eigenspaces may mix across blocks numerically).
-        """
-        if self.shape.num_blocks == 1:
-            out = np.array(func(self.matrix.copy()), dtype=np.complex128)
-            return AlgebraElement._wrap(self.shape, out)
-        blocks = [func(self.matrix[sl, sl].copy()) for sl in self.shape.block_slices()]
-        return AlgebraElement._wrap(self.shape, _block_diag(self.shape, blocks))
 
     # -- convenience arithmetic (block structure is preserved exactly) ------
 
@@ -219,7 +204,7 @@ def jordan(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 def _triple(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """(x y* z + z y* x) / 2 of three matrices or of three (N, n, n) stacks."""
-    yh = y.conj().swapaxes(-1, -2)
+    yh = _adj(y)
     return (x @ yh @ z + z @ yh @ x) / 2.0
 
 
@@ -232,7 +217,7 @@ def triple(a: AlgebraElement, b: AlgebraElement, c: AlgebraElement) -> AlgebraEl
 
 def _positive_defects(x: np.ndarray) -> list[float]:
     """The ``is_positive`` defect of each matrix of an (N, n, n) stack."""
-    gaps = _op_norm(x - x.conj().swapaxes(-1, -2)).tolist()
+    gaps = _op_norm(x - _adj(x)).tolist()
     lam_min = _herm_eigvals(x)[..., 0].tolist()
     return [max(gap, max(0.0, -lam)) for gap, lam in zip(gaps, lam_min)]
 

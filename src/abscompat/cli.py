@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .errors import AbscompatError, NotTripleHom
-from .preservers import classify_triple_hom, fuzz_counterexample
+from .preservers import MAX_BUDGET, MAX_TRIALS, classify_triple_hom, fuzz_counterexample
 from .relations import (
     CompatKind,
     check_orth_characterization,
@@ -149,6 +149,8 @@ def cmd_verify_suite(args: argparse.Namespace) -> int:
         dims = [int(d) for d in args.dims.split(",") if d.strip()]
     except ValueError as exc:
         raise AbscompatError(f"--dims must be a comma list of ints: {exc}") from exc
+    if args.trials > MAX_TRIALS:
+        raise AbscompatError(f"--trials {args.trials} exceeds the limit {MAX_TRIALS}")
     tol = ToleranceConfig(relation=args.tol)
     results = run_all_suites(dims, args.trials, args.seed, tol)
     if args.as_json:
@@ -208,8 +210,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    if args.budget < 1:
-        raise AbscompatError("--budget must be >= 1")
+    if not 1 <= args.budget <= MAX_BUDGET:
+        raise AbscompatError(f"--budget must be in [1, {MAX_BUDGET}], got {args.budget}")
     tol = ToleranceConfig(relation=args.tol)
     tmap = load_map(args.map_file, tol)
     witness = fuzz_counterexample(

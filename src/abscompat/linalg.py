@@ -7,11 +7,12 @@ calculus are built on the same kernel.
 
 Public functions take and return plain 2-D ``numpy`` arrays (square,
 complex128), validate them and call a private kernel (``_abs_parts``,
-``_abs_herm``, ``_op_norm``, ``_calculus``, ``_polar``, ``_range_projection``,
-``_rank_cut_svd`` and the helpers under them). The kernel also takes stacks
-``(N, n, n)``, skips input validation and works matrix by matrix through
-numpy's broadcasting ``svd``/``eigh``/``eigvalsh``. Eigenvector phases are
-never canonicalized; every guarantee is phrased through reconstructions.
+``_op_norm``, ``_calculus``, ``_polar``, ``_range_projection``, ``_rank_cut_svd``
+and the helpers under them). The kernel also takes stacks ``(N, n, n)``, skips
+input validation and works matrix by matrix through numpy's broadcasting
+``svd``/``eigh``/``eigvalsh``; ``_calculus`` reads the lower triangle of its
+Hermitian input. Eigenvector phases are never canonicalized; every guarantee
+is phrased through reconstructions.
 """
 
 from __future__ import annotations
@@ -79,13 +80,18 @@ def _eigh(h: np.ndarray, vectors: bool = True):
         raise NumericalFailure("eigensolver did not converge") from exc
 
 
+def _adj(x: np.ndarray) -> np.ndarray:
+    """The adjoint x* of a matrix or of each matrix of a stack."""
+    return x.conj().swapaxes(-1, -2)
+
+
 def _hermitize(x: np.ndarray) -> np.ndarray:
-    return (x + x.conj().swapaxes(-1, -2)) / 2.0
+    return (x + _adj(x)) / 2.0
 
 
 def _weighted_gram(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """w diag(s) w*, made exactly Hermitian."""
-    return _hermitize((w * s[..., None, :]) @ w.conj().swapaxes(-1, -2))
+    return _hermitize((w * s[..., None, :]) @ _adj(w))
 
 
 def _abs_parts(
@@ -95,14 +101,8 @@ def _abs_parts(
     first axis, and the operator norm of x (of each x in a stack), from one
     SVD."""
     left, sigma, right_h = _svd(x)
-    w = np.array([right_h.conj().swapaxes(-1, -2)] * domain + [left] * range_)
+    w = np.array([_adj(right_h)] * domain + [left] * range_)
     return _weighted_gram(w, sigma), sigma[..., 0] if sigma.size else 0.0
-
-
-def _abs_herm(h: np.ndarray) -> np.ndarray:
-    """|h| for Hermitian h (each h in a stack), from one eigh."""
-    lam, w = _eigh(h)
-    return _weighted_gram(w, np.abs(lam))
 
 
 def _herm_eigvals(a: np.ndarray) -> np.ndarray:
@@ -135,13 +135,13 @@ def _rank_cut_svd(a: np.ndarray, rank_tol: float):
 def _polar(a: np.ndarray, rank_tol: float):
     """``polar``'s u, |a| and rank (of each a in a stack); no validation."""
     u, sigma, right_h, rank = _rank_cut_svd(a, rank_tol)
-    return u, _weighted_gram(right_h.conj().swapaxes(-1, -2), sigma), rank
+    return u, _weighted_gram(_adj(right_h), sigma), rank
 
 
 def _range_projection(a: np.ndarray, rank_tol: float) -> np.ndarray:
     """u u* for the partial isometry u of ``_polar`` (of each a in a stack)."""
     u = _rank_cut_svd(a, rank_tol)[0]
-    return _hermitize(u @ u.conj().swapaxes(-1, -2))
+    return _hermitize(u @ _adj(u))
 
 
 def _op_norm(x: np.ndarray) -> np.ndarray:
@@ -172,9 +172,9 @@ def herm_eig(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> HermitianEig:
 
 
 def _calculus(h: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """f(h) = V diag(f(lambda)) V* from one eigh of the Hermitian part of h
-    (of each h in a stack); no validation."""
-    lam, w = _eigh(_hermitize(h))
+    """f(h) = V diag(f(lambda)) V* from one eigh of Hermitian h (of each h in a
+    stack), reading its lower triangle; no validation."""
+    lam, w = _eigh(h)
     return _weighted_gram(w, np.asarray(f(lam), dtype=np.float64))
 
 
@@ -188,7 +188,7 @@ def apply_function(
     ``f`` is applied to the real eigenvalue vector (vectorized callables are
     fine); the result is re-Hermitized to kill roundoff asymmetry.
     """
-    return _calculus(_as_hermitian(a, tol), f)
+    return _calculus(_hermitize(_as_hermitian(a, tol)), f)
 
 
 def abs_value(a: np.ndarray) -> np.ndarray:

@@ -26,8 +26,8 @@ from .errors import (
     NotInUnitInterval,
 )
 from .linalg import (
-    _abs_herm, _abs_parts, _diag, _eigh, _herm_eigvals, _hermitize, _op_norm, _rank_cut_svd,
-    op_norm,
+    _abs_parts, _adj, _calculus, _diag, _eigh, _herm_eigvals, _hermitize, _op_norm,
+    _rank_cut_svd, op_norm,
 )
 from .reports import (
     ConsistencyReport,
@@ -111,7 +111,7 @@ def _compat_stack(
     residuals, diffs, gaps = [], [], []
     for x, y in zip(abs_a, abs_b):
         one = np.eye(x.shape[-1])
-        diff, gap = _abs_herm(np.array((x - y, one - x - y)))
+        diff, gap = _calculus(np.array((x - y, one - x - y)), np.abs)
         diffs.append(diff)
         gaps.append(gap)
         # the residual's norm: its eigenvalue of largest modulus
@@ -172,7 +172,7 @@ def compat_defect(
 
 def _star_norms(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """|a b*| and |b* a| of two matrices or of each pair of two stacks."""
-    bh = b.conj().swapaxes(-1, -2)
+    bh = _adj(b)
     return _op_norm(a @ bh), _op_norm(bh @ a)
 
 
@@ -196,7 +196,7 @@ def is_projection(
 
 def _piso_defects(m: np.ndarray) -> np.ndarray:
     """|m m* m - m| of a matrix or of each matrix of a stack."""
-    return _op_norm(m @ m.conj().swapaxes(-1, -2) @ m - m)
+    return _op_norm(m @ _adj(m) @ m - m)
 
 
 def is_partial_isometry(
@@ -242,7 +242,7 @@ def _orth_reports(
     lam_max = (reduce(np.maximum, (_herm_eigvals(x + y)[..., -1] for x, y in
                                    zip(k.terms["abs_a" + suffix], k.terms["abs_b" + suffix])))
                for suffix in ("", "_adj"))
-    herm_gaps = np.maximum(*(_op_norm(x - x.conj().swapaxes(-1, -2)) for x in (a, b)))
+    herm_gaps = np.maximum(*(_op_norm(x - _adj(x)) for x in (a, b)))
     rows = zip(*(x.tolist() for x in (k.sides[CompatKind.DOMAIN], k.sides[CompatKind.RANGE],
                                       *lam_max, *_star_norms(a, b), herm_gaps)))
     t, reports = tol.relation, []
@@ -274,7 +274,7 @@ def _unit_interval_gate(x: np.ndarray, tol: ToleranceConfig, label: str) -> None
     """NotInUnitInterval unless each matrix of the stack x is Hermitian with
     spectrum in [0, 1], within tol."""
     t = tol.relation
-    bad = np.flatnonzero(_op_norm(x - x.conj().swapaxes(-1, -2)) > t)
+    bad = np.flatnonzero(_op_norm(x - _adj(x)) > t)
     if bad.size:
         raise NotInUnitInterval(f"{_operand(label, bad[0], len(x))} is not Hermitian "
                                 f"within {t:g}")
@@ -314,7 +314,7 @@ def _p00_reports(
     diff = a - b
     abs_diff = np.zeros_like(diff)  # |a - b| block by block
     for sl in shape.block_slices():
-        abs_diff[..., sl, sl] = _abs_herm(_hermitize(diff[..., sl, sl]))
+        abs_diff[..., sl, sl] = _calculus(_hermitize(diff[..., sl, sl]), np.abs)
     d_jordan = _op_norm(2.0 * _jordan(a, b) - (a + b - abs_diff)).tolist()
 
     # a.b, (1-a).(1-b), a.(1-b), (1-a).b: positive, and the two pairs' products
@@ -457,4 +457,5 @@ def spectral_tripotent(
         proj = cols @ cols.conj().T
         return u_blk @ proj
 
-    return a.map_blocks(cut_block)
+    # block by block: a full-matrix SVD may mix degenerate blocks numerically
+    return AlgebraElement._wrap(a.shape, _block_diag(a.shape, map(cut_block, a.blocks())))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape, _block_diag, adjoint, unit
 from .errors import GeneratorExhausted, ShapeMismatch
-from .linalg import _diag, _hermitize, _op_norm, _weighted_gram
+from .linalg import _adj, _diag, _hermitize, _op_norm, _weighted_gram
 from .relations import CompatKind, _compat_stack
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
@@ -67,10 +67,6 @@ def _ginibre(z: np.ndarray) -> np.ndarray:
     """Ginibre matrices from their standard normal draws ``z[..., 0, :, :]``
     (real parts) and ``z[..., 1, :, :]`` (imaginary parts)."""
     return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2.0 * z.shape[-1])
-
-
-def _adj(x: np.ndarray) -> np.ndarray:
-    return x.conj().swapaxes(-1, -2)
 
 
 def _haar(z: np.ndarray) -> np.ndarray:
@@ -157,25 +153,22 @@ def _orthogonal_build(k, z, d):
             left[..., k:] @ _diag(d[:, k:]) @ _adj(right[..., k:]))
 
 
-def _diagonal_compat_draw(rng: np.random.Generator, n: int):
-    """Diagonal pairs built from the pointwise characterization: at every
-    coordinate either the product vanishes or one modulus saturates."""
-    f = np.zeros(n, dtype=np.complex128)
-    g = np.zeros(n, dtype=np.complex128)
-    disk = lambda: rng.uniform(0.0, 1.0) * np.exp(2j * np.pi * rng.uniform())
-    circle = lambda: np.exp(2j * np.pi * rng.uniform())
-    for t in range(n):
-        case = rng.integers(0, 5)
-        if case == 0:
-            g[t] = disk()
-        elif case == 1:
-            f[t] = disk()
-        elif case == 2:
-            f[t], g[t] = circle(), disk()
-        elif case == 3:
-            f[t], g[t] = disk(), circle()
-        # case 4: both zero
-    return _diagonal_build, None, (f, g)
+def _diagonal_draw(*cases: str):
+    """Diagonal pairs diag(f), diag(g), coordinate by coordinate in one of the
+    equally likely ``cases``: a letter for f and one for g, ``0`` (zero), ``d``
+    (in the disk: modulus, then phase) or ``c`` (on the circle)."""
+    def draw(rng: np.random.Generator, n: int):
+        circle = lambda: np.exp(2j * np.pi * rng.uniform())
+        value = {"0": lambda: 0.0, "c": circle, "d": lambda: rng.uniform() * circle()}
+        f, g = np.zeros((2, n), dtype=np.complex128)
+        for t in range(n):
+            f[t], g[t] = (value[c]() for c in cases[int(rng.integers(0, len(cases)))])
+        return _diagonal_build, None, (f, g)
+    return draw
+
+
+# pointwise compatible: at every coordinate the product vanishes or a modulus is 1
+_diagonal_compat_draw = _diagonal_draw("0d", "d0", "cd", "dc", "00")
 
 
 def _diagonal_build(key, *diagonals):

@@ -21,7 +21,7 @@ from itertools import chain, cycle, islice
 import numpy as np
 
 from .algebra import AlgebraShape, _triple, adjoint, unit
-from .linalg import _abs_parts, _calculus, _hermitize, _op_norm, _polar, _range_projection
+from .linalg import _abs_parts, _adj, _calculus, _hermitize, _op_norm, _polar, _range_projection
 from .preservers import (
     LinearMap,
     Provenance,
@@ -52,11 +52,11 @@ from .sampling import (
     _STACK_MAX,
     PairGenerator,
     PairStrategy,
-    _adj,
     _assemble,
     _blocks,
     _contraction_draw,
     _diagonal_build,
+    _diagonal_draw,
     _elements,
     _general_pair,
     _hermitian_contraction_draw,
@@ -275,7 +275,7 @@ def suite_relation_invariants(
 
     def adjoint_duality(shape, a, b):
         lhs = _gated(a, b, shape, CompatKind.DOMAIN, tol)[0].defect <= t
-        a, b = (x.conj().swapaxes(-1, -2) for x in (a, b))
+        a, b = _adj(a), _adj(b)
         rhs = _gated(a, b, shape, CompatKind.RANGE, tol)[0].defect <= t
         return [(0.0, failed) for failed in (lhs != rhs).tolist()]
 
@@ -359,19 +359,8 @@ def suite_tripotent_characterization(
                   note=f"{trials} random + 2x{n_isometries} isometries")
 
 
-def _coordinate_pair_draw(rng: np.random.Generator, n: int):
-    """Function pairs f, g on n points, coordinate by coordinate, in one of
-    six equally likely cases: f or g alone in the disk, one on the circle and
-    one in the disk (either way), both in the disk, or both zero."""
-    f = np.zeros(n, dtype=np.complex128)
-    g = np.zeros(n, dtype=np.complex128)
-    circle = lambda: np.exp(2j * np.pi * rng.uniform())
-    disk = lambda: rng.uniform() * circle()
-    cases = (lambda: (disk(), 0), lambda: (0, disk()), lambda: (circle(), disk()),
-             lambda: (disk(), circle()), lambda: (disk(), disk()), lambda: (0, 0))
-    for t in range(n):
-        f[t], g[t] = cases[int(rng.integers(0, 6))]()
-    return _diagonal_build, None, (f, g)
+# the compatible coordinates of the pair strategy, and both in the disk ("dd")
+_coordinate_pair_draw = _diagonal_draw("d0", "0d", "cd", "dc", "dd", "00")
 
 
 def suite_commutative_crosscheck(

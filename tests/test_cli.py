@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from abscompat import AlgebraElement, AlgebraShape, build_star_hom, scale_map, transpose_map
+from abscompat import cli, suites
 from abscompat.cli import main
+from abscompat.preservers import MAX_BUDGET, MAX_TRIALS
 from abscompat.sampling import compatible_positive_pair_2x2, crossed_isometry_pair_2x2
 from abscompat.serialize import dumps_canonical, save_map, save_matrix
 
@@ -247,6 +249,31 @@ class TestFuzz:
     def test_bad_budget(self, fixtures, capsys):
         assert main(["fuzz", fixtures["transpose"], "--budget", "0"]) == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, flag, limit", [
+    ("verify-suite", "--trials", MAX_TRIALS), ("fuzz", "--budget", MAX_BUDGET)])
+def test_oversized_run_exits_two_before_it_starts(fixtures, monkeypatch, capsys,
+                                                  command, flag, limit):
+    # the search at the limit is stubbed; one past it must not reach the search
+    calls = []
+
+    def stub(*args):
+        calls.append(args)
+        return [suites.SuiteResult("stub", 1, 0, 0, 0.0, True)] if command != "fuzz" else None
+
+    monkeypatch.setattr(cli, "run_all_suites", stub)
+    monkeypatch.setattr(cli, "fuzz_counterexample", stub)
+    argv = [command] + ([fixtures["hom"]] if command == "fuzz" else [])
+    assert main(argv + [flag, str(limit)]) == 0
+    assert len(calls) == 1 and limit in calls[0]
+    capsys.readouterr()
+
+    assert main(argv + [flag, str(limit + 1)]) == 2
+    captured = capsys.readouterr()
+    assert len(calls) == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(limit) in captured.err
 
 
 def test_witness_files_round_trip(fixtures, tmp_path, capsys):

@@ -57,7 +57,7 @@ SH22 = AlgebraShape((2, 2))
 def matrix_units(shape: AlgebraShape) -> list[AlgebraElement]:
     n = shape.total_dim
     out = []
-    for i, j in shape.basis_coords():
+    for i, j in zip(*shape.basis_coords()):
         m = np.zeros((n, n), dtype=complex)
         m[i, j] = 1.0
         out.append(AlgebraElement(shape, m))

@@ -35,9 +35,13 @@ from abscompat.errors import (
 )
 from abscompat.algebra import is_positive, zero
 from abscompat.linalg import abs_value, op_norm
-from abscompat.relations import _compat_stack, _orth_reports, _p00_reports, _tripotent_reports
+from abscompat.relations import (
+    _commutative_defects, _compat_stack, _gated, _orth_reports, _p00_reports, _tripotent_reports,
+)
 from abscompat.reports import SideCheck, make_clause
 from abscompat.sampling import (
+    PairGenerator,
+    PairStrategy,
     rand_contraction,
     rand_hermitian_contraction,
     rand_partial_isometry,
@@ -371,6 +375,44 @@ class TestStackedCharacterizations:
         reports = _tripotent_reports(*self._stacks([(a,) for a in elements]), shape, self.TOL)
         self._assert_matches(reports, [_ref_tripotent(a, self.TOL) for a in elements])
         assert reports == [check_tripotent_characterization(a, self.TOL) for a in elements]
+
+    def test_battery_judges_give_each_row_its_report_in_any_stack(self, rng):
+        # the judges behind suites._in_stacks on 40 rows over M2+M3, then on a
+        # permutation of them and on its regroupings into 1, 7 and 32 rows
+        shape, tol = AlgebraShape((2, 3)), self.TOL
+        general = self._general_pairs(rng, shape) + self._general_pairs(rng, shape)
+        general += [sample_general_pair(rng, shape) for _ in range(40 - len(general))]
+        positive = [sample_positive_pair(rng, shape) for _ in range(38)]
+        positive += [(zero(shape), zero(shape)),
+                     (_scaled(rand_positive_contraction(rng, shape), 1.0 + tol.relation / 2),
+                      positive[0][1])]
+        diagonal = [PairGenerator(PairStrategy.COMMUTING_DIAGONAL, 5).draw(AlgebraShape((5,)))
+                    for _ in range(20)]
+        diagonal += [tuple(AlgebraElement.single(np.diag(np.diag(x.matrix))) for x in pair)
+                     for pair in general[:20]]
+        general, positive, diagonal = (tuple(self._stacks(pairs))
+                                       for pairs in (general, positive, diagonal))
+
+        def row_bytes(*arrays):
+            return [tuple(x[i].tobytes() for x in arrays) for i in range(len(arrays[0]))]
+
+        def dicts(reports):
+            return [report.to_dict() for report in reports]
+
+        judges = [
+            (lambda a, b: dicts(_orth_reports(a, b, shape, tol)), general),
+            (lambda a, b: dicts(_p00_reports(a, b, shape, tol)), positive),
+            (lambda a: dicts(_tripotent_reports(a, shape, tol)), general[:1]),
+            (lambda f, g: row_bytes(*_commutative_defects(f, g, tol)), diagonal),
+        ] + [(lambda a, b, kind=kind: row_bytes(*_gated(a, b, shape, kind, tol)[0].sides.values()),
+              general) for kind in CompatKind]
+        order = rng.permutation(40)
+        for judge, stacks in judges:
+            expected = judge(*stacks)
+            assert len(expected) == 40
+            for lo, hi in ((0, 40), (0, 1), (1, 8), (8, 40)):
+                rows = order[lo:hi]
+                assert judge(*(x[rows] for x in stacks)) == [expected[i] for i in rows]
 
     @pytest.mark.parametrize("which", [0, 1])
     def test_gates_name_the_operand(self, rng, which):

@@ -289,28 +289,33 @@ def _one_trial_linalg_invariants(seed, trials, tol):
     ]
 
 
-def _one_trial_commutative_crosscheck(seed, trials, tol):
+def _one_trial_function_pairs(seed, trials):
+    """The (f, g) samples of ``suite_commutative_crosscheck``, one trial at a time."""
     rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        n = int(rng.integers(1, 9))
+        f = np.zeros(n, dtype=np.complex128)
+        g = np.zeros(n, dtype=np.complex128)
+        for t in range(n):
+            case = int(rng.integers(0, 6))
+            phase = lambda: np.exp(2j * np.pi * rng.uniform())
+            if case == 0:
+                f[t] = rng.uniform() * phase()
+            elif case == 1:
+                g[t] = rng.uniform() * phase()
+            elif case == 2:
+                f[t], g[t] = phase(), rng.uniform() * phase()
+            elif case == 3:
+                f[t], g[t] = rng.uniform() * phase(), phase()
+            elif case == 4:
+                f[t], g[t] = rng.uniform() * phase(), rng.uniform() * phase()
+            # case 5: both zero
+        yield f, g
 
+
+def _one_trial_commutative_crosscheck(seed, trials, tol):
     def checks():
-        for _ in range(trials):
-            n = int(rng.integers(1, 9))
-            f = np.zeros(n, dtype=np.complex128)
-            g = np.zeros(n, dtype=np.complex128)
-            for t in range(n):
-                case = int(rng.integers(0, 6))
-                phase = lambda: np.exp(2j * np.pi * rng.uniform())
-                if case == 0:
-                    f[t] = rng.uniform() * phase()
-                elif case == 1:
-                    g[t] = rng.uniform() * phase()
-                elif case == 2:
-                    f[t], g[t] = phase(), rng.uniform() * phase()
-                elif case == 3:
-                    f[t], g[t] = rng.uniform() * phase(), phase()
-                elif case == 4:
-                    f[t], g[t] = rng.uniform() * phase(), rng.uniform() * phase()
-                # case 5: both zero
+        for f, g in _one_trial_function_pairs(seed, trials):
             pointwise = commutative_compat_check(f, g, tol)
             identity = pointwise.witnesses["identity_defect"] <= tol.relation
             yield 0.0, pointwise.verdict != identity
@@ -346,6 +351,28 @@ def test_stacked_batteries_replay_the_one_pair_rows(stacked, one_pair, seed, tri
     # 130 trials leave a partial chunk after two full stacks of 64
     shapes, tol = shapes_for_dims([2, 3]), ToleranceConfig()
     assert stacked(seed, trials, shapes, tol) == one_pair(seed, trials, shapes, tol)
+
+
+@pytest.mark.parametrize("seed, trials", [(0, 40), (3, 130)])
+def test_commutative_crosscheck_judges_the_one_trial_samples(monkeypatch, seed, trials):
+    # stacks of one size judge, in call order, the one-trial samples of that
+    # size in trial order, byte for byte: a change in draw order shows here
+    judged = {}
+
+    def recording(a, b, tol):
+        judged.setdefault(a.shape[-1], []).extend(zip(a, b))
+        return commutative_defects(a, b, tol)
+
+    commutative_defects = suites._commutative_defects
+    monkeypatch.setattr(suites, "_commutative_defects", recording)
+    suite_commutative_crosscheck(seed, trials)
+    expected = {}
+    for f, g in _one_trial_function_pairs(seed, trials):
+        expected.setdefault(len(f), []).append((np.diag(f), np.diag(g)))
+    assert sorted(judged) == sorted(expected)
+    for n, pairs in expected.items():
+        assert [(a.tobytes(), b.tobytes()) for a, b in judged[n]] == [
+            (a.tobytes(), b.tobytes()) for a, b in pairs]
 
 
 def test_commutative_disagreement_warns_and_fails_the_row(monkeypatch):
