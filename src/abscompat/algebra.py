@@ -236,6 +236,6 @@ def is_positive(
 def is_contraction(
     a: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL
 ) -> RelationReport:
-    """Closed-unit-ball membership: defect = max(0, |a| - 1)."""
+    """Closed-unit-ball membership: defect = max(0, |a| - 1) (``_beyond_ball``)."""
     defect = max(0.0, op_norm(a.matrix) - 1.0)
     return RelationReport.from_defect("contraction", defect, tol.relation)

@@ -8,7 +8,6 @@ triple homomorphism under ``classify``), 2 parse/shape/configuration errors,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 

@@ -65,6 +65,11 @@ def as_square_matrix(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _pairs(x: np.ndarray) -> list:
+    """``x`` as nested lists of [re, im] pairs (files and report witnesses)."""
+    return np.stack([x.real, x.imag], -1).tolist()
+
+
 def _svd(a: np.ndarray, compute_uv: bool = True):
     try:
         return np.linalg.svd(a, compute_uv=compute_uv)

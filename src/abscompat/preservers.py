@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,7 +29,8 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import _op_norm, _svd, op_norm
-from .relations import CompatKind, _compat_stack, compat_defect, is_partial_isometry
+from .relations import (CompatKind, _beyond_ball, _compat_stack, compat_defect,
+                        is_partial_isometry)
 from .reports import RelationReport
 from .sampling import (
     _contraction_draw, _drawn_pairs, _elements, _fixed_pairs, _growing_chunks,
@@ -88,7 +89,7 @@ class LinearMap:
     masked so block-diagonal inputs produce block-diagonal outputs exactly.
     """
 
-    __slots__ = ("domain_shape", "codomain_shape", "action", "provenance", "params")
+    __slots__ = ("domain_shape", "codomain_shape", "action", "provenance")
 
     def __init__(
         self,
@@ -96,7 +97,6 @@ class LinearMap:
         codomain_shape: AlgebraShape,
         action: np.ndarray,
         provenance: Provenance = Provenance.CUSTOM,
-        params: Mapping | None = None,
     ) -> None:
         _check_map_shapes(domain_shape, codomain_shape)
         n, m = domain_shape.total_dim, codomain_shape.total_dim
@@ -115,7 +115,6 @@ class LinearMap:
         object.__setattr__(self, "codomain_shape", codomain_shape)
         object.__setattr__(self, "action", masked)
         object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "params", dict(params or {}))
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("LinearMap is immutable")
@@ -144,7 +143,6 @@ def _map_from_block_action(
     codomain: AlgebraShape,
     fn,
     provenance: Provenance,
-    params: Mapping | None = None,
 ) -> LinearMap:
     """Assemble the action matrix column by column from a callable on full
     matrices (which must return block-diagonal output)."""
@@ -153,7 +151,7 @@ def _map_from_block_action(
     action = np.zeros((m * m, n * n), dtype=np.complex128)
     for col, e_ij in zip(np.flatnonzero(domain.inblock_mask), _basis_stack(domain)):
         action[:, col] = fn(e_ij).reshape(-1)
-    return LinearMap(domain, codomain, action, provenance, params)
+    return LinearMap(domain, codomain, action, provenance)
 
 
 def _check_unitary_block(w: np.ndarray, dim: int, tol: ToleranceConfig,
@@ -280,10 +278,8 @@ def identity_map(shape: AlgebraShape) -> LinearMap:
 
 
 def scale_map(shape: AlgebraShape, factor: complex) -> LinearMap:
-    return _map_from_block_action(
-        shape, shape, lambda x: complex(factor) * x, Provenance.CUSTOM,
-        {"factor": complex(factor)},
-    )
+    return _map_from_block_action(shape, shape, lambda x: complex(factor) * x,
+                                  Provenance.CUSTOM)
 
 
 def build_sandwich(
@@ -294,10 +290,8 @@ def build_sandwich(
     u._check_same_shape(v)
     _check_unitary_block(u.matrix, u.shape.total_dim, tol, "u")
     _check_unitary_block(v.matrix, u.shape.total_dim, tol, "v")
-    return _map_from_block_action(
-        u.shape, u.shape, lambda x: u.matrix @ x @ v.matrix,
-        Provenance.SANDWICH, {"u": u, "v": v},
-    )
+    return _map_from_block_action(u.shape, u.shape, lambda x: u.matrix @ x @ v.matrix,
+                                  Provenance.SANDWICH)
 
 
 # ---------------------------------------------------------------------------
@@ -481,19 +475,6 @@ class PreservationReport:
     verdict: bool
     tolerance_used: float
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "output_kind": self.output_kind.value,
-            "n_pairs": self.n_pairs,
-            "violations": self.violations,
-            "max_output_defect": self.max_output_defect,
-            "verdict": self.verdict,
-            "tolerance": self.tolerance_used,
-            "worst_source": None if self.worst is None else self.worst.source,
-            "worst_index": None if self.worst is None else self.worst.index,
-        }
-
 
 def _judge_one(T: LinearMap, pair: tuple, output_kind: CompatKind,
                tol: ToleranceConfig) -> tuple[float, str]:
@@ -514,9 +495,8 @@ def _judge(T: LinearMap, pairs: list, output_kind: CompatKind,
     n = len(pairs)
     images = T._apply_stack(np.stack([p[i].matrix for i in (1, 2) for p in pairs]))
     k = _compat_stack(images[:n], images[n:], T.codomain_shape, output_kind, tol)
-    excess = np.maximum(k.norm_a, k.norm_b) - 1.0
-    return [(float(d), "") if e <= tol.relation else (float(e), "+noncontractive-image")
-            for d, e in zip(k.defect, excess)]
+    return [(float(e), "+noncontractive-image") if _beyond_ball(e, tol) else (float(d), "")
+            for d, e in zip(k.defect, k.excess)]
 
 
 def _judged_pairs(
@@ -657,7 +637,4 @@ def range_version_adapter(T: LinearMap) -> LinearMap:
     m, n = T.codomain_shape.total_dim, T.domain_shape.total_dim
     action = T.action.reshape(m, m, n, n).transpose(1, 0, 3, 2)
     action = action.reshape(m * m, n * n).conj()
-    return LinearMap(
-        T.domain_shape, T.codomain_shape, action, Provenance.CUSTOM,
-        {"adapted_from": T.provenance.value},
-    )
+    return LinearMap(T.domain_shape, T.codomain_shape, action, Provenance.CUSTOM)

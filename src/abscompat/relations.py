@@ -6,6 +6,8 @@ spectral tripotents.
 
 A defect is always the operator-norm residual of the defining identity; a
 verdict is the comparison of that defect against the relation tolerance.
+Every gate into the unit ball applies one rule, ``_beyond_ball``: x is in
+the ball when ||x|| - 1 <= tol.relation (for a pair, ``_CompatStack.excess``).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .reports import (
     ConsistencyReport,
     RelationReport,
     SideCheck,
+    _near_threshold,
     make_clause,
     make_consistency,
 )
@@ -74,14 +77,20 @@ class IntervalBoundary(Enum):
         return self in (IntervalBoundary.CLOSED_CLOSED, IntervalBoundary.OPEN_CLOSED)
 
 
+def _beyond_ball(excess, tol: ToleranceConfig):
+    """Whether an excess ||x|| - 1 puts x outside the unit ball (NaN does not)."""
+    return excess > tol.relation
+
+
 class _CompatStack(NamedTuple):
     """Per pair: the defect at the kind asked for, each side's defect, both
-    operands' norms, and the identity's terms by witness name, per block."""
+    norms, the excess max(||a||, ||b||) - 1, and the identity's terms per block."""
 
     defect: np.ndarray
     sides: dict[CompatKind, np.ndarray]
     norm_a: np.ndarray
     norm_b: np.ndarray
+    excess: np.ndarray
     terms: dict[str, list[np.ndarray]]
 
 
@@ -93,9 +102,9 @@ def _compat_stack(
     (N, n, n) stacks of ``shape``: domain uses |a|, |b|, range |a*|, |b*|,
     full both, at once, from one SVD per block of a and b stacked together
     (of a alone when ``b is a``). A direct sum's norm and defect are its
-    largest block's. Only operands with norms in (1, 1+tol] are divided by
-    their norm (dividing by 1 can flip the sign of a zero), so a pair's
-    values do not depend on its stack."""
+    largest block's. Only operands in the unit ball with norms above 1 are
+    divided by their norm (dividing by 1 can flip the sign of a zero), so a
+    pair's values do not depend on its stack."""
     sides = (CompatKind.DOMAIN, CompatKind.RANGE) if kind is CompatKind.FULL else (kind,)
     wanted = (CompatKind.DOMAIN in sides, CompatKind.RANGE in sides)
     operands = a[None] if b is a else np.stack((a, b))
@@ -104,7 +113,7 @@ def _compat_stack(
                                 for sl in shape.block_slices()))
     norm = reduce(np.maximum, block_norms)
     if norm.max() > 1.0:
-        band = ((norm > 1.0) & (norm <= 1.0 + tol.relation))[..., None, None]
+        band = ((norm > 1.0) & ~_beyond_ball(norm - 1.0, tol))[..., None, None]
         scale = np.where(band, norm[..., None, None], 1.0)
         blocks = [np.where(band, x / scale, x) for x in blocks]
     abs_a, abs_b = [x[:, 0] for x in blocks], [x[:, -1] for x in blocks]
@@ -124,7 +133,7 @@ def _compat_stack(
                                (abs_a, abs_b, diffs, gaps)):
             terms[key + suffix] = [blk[s] for blk in blocks]
     return _CompatStack(per_side.max(axis=0), dict(zip(sides, per_side)), norm[0], norm[-1],
-                        terms)
+                        norm.max(axis=0) - 1.0, terms)
 
 
 def _operand(label: str, i: int, n: int) -> str:
@@ -137,14 +146,14 @@ def _gated(
     tol: ToleranceConfig,
 ) -> tuple[_CompatStack, np.ndarray, np.ndarray]:
     """``_compat_stack`` of (N, n, n) stacks of contractions, and a, b gated
-    into the unit ball: renormalized from (1, 1+tol], NotContraction beyond."""
+    into the unit ball: renormalized from norms above 1, NotContraction beyond."""
     k = _compat_stack(a, b, shape, kind, tol)
-    if np.maximum(k.norm_a, k.norm_b).max() <= 1.0:
+    if k.excess.max() <= 0.0:
         return k, a, b
     gated = []
     for label, x, norm in (("first operand", a, k.norm_a), ("second operand", b, k.norm_b)):
         i = norm.argmax()
-        if norm[i] > 1.0 + tol.relation:
+        if _beyond_ball(norm[i] - 1.0, tol):
             raise NotContraction(f"{_operand(label, i, len(x))}: operator norm 1 + "
                                  f"{norm[i] - 1.0:.2g} exceeds 1 + tol ({tol.relation:g})")
         scale = np.maximum(norm, 1.0)[:, None, None]
@@ -279,7 +288,7 @@ def _unit_interval_gate(x: np.ndarray, tol: ToleranceConfig, label: str) -> None
         raise NotInUnitInterval(f"{_operand(label, bad[0], len(x))} is not Hermitian "
                                 f"within {t:g}")
     lam = _herm_eigvals(x)
-    bad = np.flatnonzero((lam[:, 0] < -t) | (lam[:, -1] > 1.0 + t))
+    bad = np.flatnonzero((lam[:, 0] < -t) | _beyond_ball(lam[:, -1] - 1.0, tol))
     if bad.size:
         i = bad[0]
         raise NotInUnitInterval(f"{_operand(label, i, len(x))} has spectrum "
@@ -368,7 +377,7 @@ def _commutative_defects(
     identity = _gated(a, b, shape, CompatKind.DOMAIN, tol)[0].defect
     t = tol.relation
     split = (pointwise <= t) != (identity <= t)
-    near = (np.abs(pointwise - t) <= 10.0 * t) & (np.abs(identity - t) <= 10.0 * t)
+    near = _near_threshold(pointwise, t) & _near_threshold(identity, t)
     for p, i in zip(pointwise[split & ~near].tolist(), identity[split & ~near].tolist()):
         warnings.warn("pointwise characterization disagrees with the defining identity on "
                       f"diagonals (defects {p:.3g} vs {i:.3g})", CrossCheckMismatch)
@@ -400,7 +409,8 @@ def commutative_compat_check(
     if not f.size:
         raise ValueError("function samples must be nonempty")
     t = tol.relation
-    if np.abs(f).max(initial=0.0) > 1.0 + t or np.abs(g).max(initial=0.0) > 1.0 + t:
+    # f and g apart: a NaN in either must reach the finiteness check below
+    if any(_beyond_ball(np.abs(x).max(initial=0.0) - 1.0, tol) for x in (f, g)):
         raise NotContraction("function values must lie in the closed unit disk")
     if not (np.isfinite(f).all() and np.isfinite(g).all()):
         raise ValueError("function values must be finite")

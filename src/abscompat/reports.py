@@ -1,16 +1,18 @@
 """Report values returned by relation checks.
 
-Every relation evaluates to a scalar defect (the operator-norm residual of
-its defining identity) plus a thresholded verdict; consistency checks bundle
-several such sides and record whether their verdicts agree.
+A relation evaluates to a defect (the operator-norm residual of its defining
+identity) and a thresholded verdict; consistency checks bundle several sides
+and record whether their verdicts agree, or differ only in ``_near_threshold``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 import numpy as np
+
+from .linalg import _pairs
 
 
 @dataclass(frozen=True)
@@ -49,10 +51,7 @@ class RelationReport:
             "verdict": self.verdict,
             "defect": self.defect,
             "tolerance": self.tolerance_used,
-            "witnesses": {
-                key: [[[z.real, z.imag] for z in row] for row in np.atleast_2d(mat)]
-                for key, mat in self.witnesses.items()
-            },
+            "witnesses": {key: _pairs(np.atleast_2d(mat)) for key, mat in self.witnesses.items()},
         }
 
 
@@ -70,7 +69,7 @@ class ClauseCheck:
     """All sides of one equivalence clause plus the agreement flags.
 
     ``indeterminate`` marks near-threshold disagreements: the verdicts differ
-    but every side's defect lies within 10x tolerance of the threshold, so the
+    but every side's defect lies in the ``_near_threshold`` band, so the
     clause is neither confirmed nor refuted at this precision.
     """
 
@@ -99,21 +98,22 @@ class ConsistencyReport:
                     "name": c.name,
                     "agree": c.agree,
                     "indeterminate": c.indeterminate,
-                    "sides": [
-                        {"label": s.label, "verdict": s.verdict, "defect": s.defect}
-                        for s in c.sides
-                    ],
+                    "sides": [asdict(s) for s in c.sides],
                 }
                 for c in self.clauses
             ],
         }
 
 
+def _near_threshold(defect, tol: float):
+    """Whether a defect, or each defect of an array, lies within 10 tol of tol."""
+    return abs(defect - tol) <= 10.0 * tol
+
+
 def make_clause(name: str, sides: list[SideCheck], tol: float) -> ClauseCheck:
     """Assemble a clause; flag near-threshold disagreements as indeterminate."""
-    verdicts = {s.verdict for s in sides}
-    agree = len(verdicts) == 1
-    near = all(abs(s.defect - tol) <= 10.0 * tol for s in sides)
+    agree = len({s.verdict for s in sides}) == 1
+    near = all(_near_threshold(s.defect, tol) for s in sides)
     return ClauseCheck(name, tuple(sides), agree, (not agree) and near)
 
 

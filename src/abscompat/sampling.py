@@ -29,7 +29,7 @@ import numpy as np
 from .algebra import AlgebraElement, AlgebraShape, _block_diag, adjoint, unit
 from .errors import GeneratorExhausted, ShapeMismatch
 from .linalg import _adj, _diag, _hermitize, _op_norm, _weighted_gram
-from .relations import CompatKind, _compat_stack
+from .relations import CompatKind, _beyond_ball, _compat_stack
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "compatible_positive_pair_2x2",
     "crossed_isometry_pair_2x2",
     "partial_isometry_from_projections",
-    "rand_unitary_block",
     "rand_contraction",
     "rand_hermitian_contraction",
     "rand_positive_contraction",
@@ -75,11 +74,6 @@ def _haar(z: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(_ginibre(z))
     phases = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (phases / np.abs(phases))[..., None, :]
-
-
-def rand_unitary_block(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-distributed unitary via phase-fixed QR."""
-    return _haar(rng.standard_normal((2, n, n)))
 
 
 def _unitary_draw(rng: np.random.Generator, n: int):
@@ -422,10 +416,9 @@ _STACK_MAX = 64
 def _passing(a: np.ndarray, b: np.ndarray, shape: AlgebraShape, kind: CompatKind,
              tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
     """The defects at ``kind`` of the pairs of (N, D, D) stacks, from one
-    kernel call, and which pass: within tol, both operands in the ball."""
+    kernel call, and which pass: within tol, both operands in the unit ball."""
     k = _compat_stack(a, b, shape, kind, tol)
-    ball = np.maximum(k.norm_a, k.norm_b) <= 1.0 + tol.relation
-    return k.defect, ball & (k.defect <= tol.relation)
+    return k.defect, ~_beyond_ball(k.excess, tol) & (k.defect <= tol.relation)
 
 
 def generate_compat_pair(

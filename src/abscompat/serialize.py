@@ -1,9 +1,9 @@
 """File formats for matrices and maps.
 
-Complex scalars serialize as two-element [re, im] arrays throughout; matrices
-are row-major nested lists, one entry per block. A map file either carries a
-builder spec (kind plus parameters) or a raw action matrix on vectorized
-coordinates.
+Complex scalars serialize as two-element [re, im] arrays throughout, written
+by ``linalg._pairs`` as report witnesses are; matrices are row-major nested
+lists, one entry per block. A map file either carries a builder spec (kind
+plus parameters) or a raw action matrix on vectorized coordinates.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape
 from .errors import AbscompatError
+from .linalg import _pairs
 from .preservers import (
     MAX_TOTAL_DIM,
     LinearMap,
@@ -56,11 +57,6 @@ def _read_json(path: str | Path) -> Any:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a too-long int, deep nesting
         raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
-
-
-def _pairs(x: np.ndarray) -> list:
-    """``x`` as nested lists of [re, im] pairs."""
-    return np.stack([x.real, x.imag], -1).tolist()
 
 
 def _is_int(x: Any) -> bool:

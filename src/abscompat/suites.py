@@ -15,7 +15,7 @@ one matrix-vector product per sample, as ``LinearMap.apply`` does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain, cycle, islice
 
 import numpy as np
@@ -58,11 +58,11 @@ from .sampling import (
     _diagonal_build,
     _diagonal_draw,
     _elements,
+    _fixed_pairs,
     _general_pair,
     _hermitian_contraction_draw,
     _partial_isometry_draw,
     _positive_pair,
-    known_witness_pairs,
     rand_unitary,
 )
 from .tolerance import DEFAULT_TOL, ToleranceConfig
@@ -81,15 +81,9 @@ class SuiteResult:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.name,
-            "trials": self.trials,
-            "failures": self.failures,
-            "indeterminate": self.indeterminate,
-            "worst_defect": self.worst_defect,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        payload = asdict(self)
+        payload["suite"] = payload.pop("name")
+        return payload
 
 
 def shapes_for_dims(dims: list[int]) -> list[AlgebraShape]:
@@ -471,8 +465,8 @@ def suite_fuzz_regressions(
     seed: int, budget: int = 1000, tol: ToleranceConfig = DEFAULT_TOL
 ) -> SuiteResult:
     """Pinned 2x2 regressions: the transpose and the half-scaling map must be
-    refuted inside the seeded-witness prefix; a *-homomorphism must survive
-    the whole budget."""
+    refuted inside the prefix of fixed pairs compatible at domain kind; a
+    *-homomorphism must survive the whole budget."""
     shape = AlgebraShape((2,))
     fails = 0
     notes = []
@@ -484,7 +478,7 @@ def suite_fuzz_regressions(
         notes.append("transpose witness missing/wrong")
 
     w = fuzz_counterexample(scale_map(shape, 0.5), CompatKind.DOMAIN, budget, seed, tol)
-    if w is None or w.index >= len(known_witness_pairs(shape)):
+    if w is None or w.index >= len(_fixed_pairs(shape, CompatKind.DOMAIN, tol)):
         fails += 1
         notes.append("half-map witness not in seeded prefix")
 

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 class ToleranceConfig:
     """Numerical thresholds used by decompositions and relation verdicts.
 
-    relation : verdict threshold for relation defects, unit-ball slack,
-               Hermiticity gates (scaled by max(1, |a|) in ``herm_eig``) and
-               reconstruction invariants.
+    relation : verdict threshold for relation defects, unit-ball slack
+               (||x|| - 1 <= relation), Hermiticity gates (scaled by max(1, |a|)
+               in ``herm_eig``) and reconstruction invariants.
     rank     : singular values below rank * sigma_max are treated as zero.
 
     Both must be finite and positive: a NaN threshold makes every comparison

@@ -33,20 +33,23 @@ from abscompat.errors import (
     NotContraction,
     NotInUnitInterval,
 )
-from abscompat.algebra import is_positive, zero
+from abscompat.algebra import is_contraction, is_positive, zero
 from abscompat.linalg import abs_value, op_norm
+from abscompat.preservers import _judge, _judge_one, identity_map
 from abscompat.relations import (
-    _commutative_defects, _compat_stack, _gated, _orth_reports, _p00_reports, _tripotent_reports,
+    _beyond_ball, _commutative_defects, _compat_stack, _gated, _orth_reports, _p00_reports,
+    _tripotent_reports,
 )
 from abscompat.reports import SideCheck, make_clause
 from abscompat.sampling import (
+    _passing,
     PairGenerator,
     PairStrategy,
     rand_contraction,
     rand_hermitian_contraction,
     rand_partial_isometry,
     rand_positive_contraction,
-    rand_unitary_block,
+    rand_unitary,
     sample_general_pair,
     sample_positive_pair,
 )
@@ -146,7 +149,7 @@ class TestExactKernel:
         a_blocks, b_blocks, f_all, g_all = [], [], [], []
         for d in dims:
             f, g = (_log_uniform_moduli(rng, d) for _ in range(2))
-            v, w1, w2 = (rand_unitary_block(rng, d) for _ in range(3))
+            v, w1, w2 = (rand_unitary(rng, AlgebraShape((d,))).matrix for _ in range(3))
             a, b = w1 @ np.diag(f) @ v.conj().T, w2 @ np.diag(g) @ v.conj().T
             if kind is CompatKind.RANGE:
                 a, b = a.conj().T, b.conj().T
@@ -172,6 +175,41 @@ def _log_uniform_moduli(rng: np.random.Generator, n: int) -> np.ndarray:
     return x
 
 
+@pytest.mark.parametrize("relation", [1e-15, 1e-8])
+@pytest.mark.parametrize("step", [-1, 0, 1], ids=["below", "at", "above"])
+def test_every_gate_applies_one_unit_ball_rule(relation, step):
+    # an operand of norm fl(1 + tol), or a float neighbour of it, against 0:
+    # at tol 1e-15 the sum 1 + tol rounds up, so ||x|| <= 1 + tol would admit
+    # fl(1 + tol) although its excess ||x|| - 1 is above tol; at 1e-8 it
+    # rounds down. Every gate must give the membership the excess gives.
+    tol, shape = ToleranceConfig(relation=relation), AlgebraShape((2,))
+    norm = float(np.nextafter(1.0 + relation, 2.0 * step)) if step else 1.0 + relation
+    a, b = AlgebraElement.single(np.diag([norm, 0.0])), zero(shape)
+    pair, T = ("probe", a, b, 0.0), identity_map(shape)
+
+    def admits(check, *args):
+        try:
+            check(*args)
+        except (NotContraction, NotInUnitInterval):
+            return False
+        return True
+
+    members = {
+        "is_contraction": is_contraction(a, tol).verdict,
+        "compat_defect": admits(compat_defect, a, b, CompatKind.FULL, tol),
+        "_passing": bool(_passing(a.matrix[None], b.matrix[None], shape, CompatKind.FULL,
+                                  tol)[1][0]),
+        "_judge": not _judge(T, [pair], CompatKind.FULL, tol)[0][1],
+        "_judge_one": not _judge_one(T, pair, CompatKind.FULL, tol)[1],
+        "commutative_compat_check": admits(commutative_compat_check, np.array([norm, 0.0]),
+                                           np.zeros(2), tol),
+        "unit-interval gate": admits(check_p00_equivalences, a, b, tol),
+    }
+    assert members == dict.fromkeys(members, norm - 1.0 <= relation)
+    # fl(1 + 1e-15) = 1 + 5 ulp lies outside; 1 + 4 ulp inside
+    assert members["is_contraction"] == ((relation, step) in {(1e-15, -1), (1e-8, -1), (1e-8, 0)})
+
+
 class TestStackedKernel:
     """The stacked kernel against a per-pair compat_defect loop, the reference."""
 
@@ -179,12 +217,12 @@ class TestStackedKernel:
     def _assert_matches_loop(pairs, shape, kind, tol=ToleranceConfig()):
         a, b = (np.stack([p[i].matrix for p in pairs]) for i in (0, 1))
         k = _compat_stack(a, b, shape, kind, tol)
-        ball = 1.0 + tol.relation
         for i, (x, y) in enumerate(pairs):
             for norm, ref in ((k.norm_a[i], op_norm(x.matrix)), (k.norm_b[i], op_norm(y.matrix))):
                 # near the ball to roundoff; outside it on the same side
-                assert abs(norm - ref) <= 1e-15 if ref <= ball else norm > ball
-            if max(k.norm_a[i], k.norm_b[i]) > ball:
+                outside = _beyond_ball(ref - 1.0, tol)
+                assert _beyond_ball(norm - 1.0, tol) if outside else abs(norm - ref) <= 1e-15
+            if _beyond_ball(k.excess[i], tol):
                 with pytest.raises(NotContraction, match="exceeds 1 \\+ tol"):
                     compat_defect(x, y, kind, tol)
             else:
@@ -248,7 +286,7 @@ class TestStackedKernel:
             delta = ratio * t / 2.0
             pairs = []
             for _ in range(8):
-                w, v = rand_unitary_block(rng, 2), rand_unitary_block(rng, 2)
+                w, v = (rand_unitary(rng, shape).matrix for _ in range(2))
                 pairs.append(tuple(AlgebraElement.single(w @ np.diag(d) @ v.conj().T)
                                    for d in ([1.0, delta], [0.0, 0.5])))
             for kind in CompatKind:

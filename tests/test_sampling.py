@@ -326,13 +326,6 @@ def test_samplers_match_the_frozen_recipes(dims):
         assert x.tobytes() == ref.standard_normal(4).tobytes()  # nothing drawn extra
 
 
-def test_unitary_block_matches_the_frozen_recipe():
-    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-    for n in (1, 2, 3, 5):
-        u = sampling.rand_unitary_block(rng, n)
-        assert u.tobytes() == frozen.rand_unitary_block(ref, n).tobytes()
-
-
 # ---------------------------------------------------------------------------
 # the compatible-pair stream against a one-draw-at-a-time reference
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import warnings
 
@@ -9,6 +10,7 @@ import pytest
 from abscompat import (
     AlgebraShape,
     CompatKind,
+    Provenance,
     ToleranceConfig,
     adjoint,
     check_orth_characterization,
@@ -21,7 +23,7 @@ from abscompat import (
     triple,
     unit,
 )
-from abscompat import relations, suites
+from abscompat import relations, sampling, suites
 from abscompat.errors import CrossCheckMismatch, ShapeIncompatible
 from abscompat.linalg import abs_value, apply_function, op_norm, polar, range_projection
 from abscompat.sampling import (
@@ -152,6 +154,23 @@ def test_factorization_row_fails_on_a_half_map_in_the_zoo(monkeypatch):
     row = suite_preservers(0, 10, [2, 3])[-1]
     assert row.name == "factorization through e* T"
     assert row.trials == 130 and row.failures == 10 and not row.passed
+
+
+def test_half_map_witness_among_the_drawn_pairs_fails_the_row(monkeypatch):
+    # on M2, 4 of the 5 known witness pairs are compatible at domain kind, so
+    # index 4 is the first drawn pair: outside the prefix of fixed pairs
+    shape = AlgebraShape((2,))
+    assert len(sampling._fixed_pairs(shape, CompatKind.DOMAIN, ToleranceConfig())) == 4
+    fuzz = suites.fuzz_counterexample
+
+    def drawn_half_map_witness(T, kind, budget, seed, tol):
+        w = fuzz(T, kind, budget, seed, tol)
+        return dataclasses.replace(w, index=4) if T.provenance is Provenance.CUSTOM else w
+
+    monkeypatch.setattr(suites, "fuzz_counterexample", drawn_half_map_witness)
+    row = suite_fuzz_regressions(0)
+    assert row.failures == 1 and not row.passed
+    assert row.note == "half-map witness not in seeded prefix"
 
 
 # The stacked batteries replayed one trial at a time: the same draws in the
