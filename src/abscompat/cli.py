@@ -35,48 +35,42 @@ _UNARY_RELATIONS = (
 )
 
 
-def _add_tol(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=1e-8,
-                        help="relation tolerance (default 1e-8)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abscompat",
         description="Check operator relations and compatibility preservers "
                     "on block matrix algebras.",
     )
+    # the options every command takes
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--tol", type=float, default=1e-8,
+                        help="relation tolerance (default 1e-8)")
+    common.add_argument("--json", action="store_true", dest="as_json",
+                        help="machine-readable report")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser(
-        "check", help="evaluate a relation on one or two matrix files")
+        "check", parents=[common], help="evaluate a relation on one or two matrix files")
     p_check.add_argument("relation",
                          choices=_BINARY_RELATIONS + _UNARY_RELATIONS)
     p_check.add_argument("file_a")
     p_check.add_argument("file_b", nargs="?")
     p_check.add_argument("--kind", choices=[k.value for k in CompatKind],
                          default="full", help="compatibility kind")
-    _add_tol(p_check)
-    p_check.add_argument("--json", action="store_true", dest="as_json",
-                         help="machine-readable report")
 
     p_suite = sub.add_parser(
-        "verify-suite", help="run every invariant and equivalence suite")
+        "verify-suite", parents=[common], help="run every invariant and equivalence suite")
     p_suite.add_argument("--dims", default="2,3",
                          help="comma list of block dims (default 2,3)")
     p_suite.add_argument("--trials", type=int, default=200)
     p_suite.add_argument("--seed", type=int, default=0)
-    _add_tol(p_suite)
-    p_suite.add_argument("--json", action="store_true", dest="as_json")
 
-    p_cls = sub.add_parser(
-        "classify", help="split a triple homomorphism into hom/anti-hom blocks")
+    p_cls = sub.add_parser("classify", parents=[common],
+                           help="split a triple homomorphism into hom/anti-hom blocks")
     p_cls.add_argument("map_file")
-    _add_tol(p_cls)
-    p_cls.add_argument("--json", action="store_true", dest="as_json")
 
     p_fuzz = sub.add_parser(
-        "fuzz", help="search compatible pairs whose images violate compatibility")
+        "fuzz", parents=[common], help="search compatible pairs whose images violate compatibility")
     p_fuzz.add_argument("map_file")
     p_fuzz.add_argument("--kind", choices=[k.value for k in CompatKind],
                         default="full")
@@ -84,8 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument("--out-dir", default=".",
                         help="directory for witness files (default .)")
-    _add_tol(p_fuzz)
-    p_fuzz.add_argument("--json", action="store_true", dest="as_json")
     return parser
 
 
@@ -116,8 +108,7 @@ def _print_consistency(report: ConsistencyReport, as_json: bool) -> int:
     return 0 if report.consistent else 1
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    tol = ToleranceConfig(relation=args.tol)
+def cmd_check(args: argparse.Namespace, tol: ToleranceConfig) -> int:
     relation = args.relation
     a = load_matrix(args.file_a)
     binary = relation in _BINARY_RELATIONS
@@ -143,14 +134,13 @@ def cmd_check(args: argparse.Namespace) -> int:
     return _print_relation(report, args.as_json)
 
 
-def cmd_verify_suite(args: argparse.Namespace) -> int:
+def cmd_verify_suite(args: argparse.Namespace, tol: ToleranceConfig) -> int:
     try:
         dims = [int(d) for d in args.dims.split(",") if d.strip()]
     except ValueError as exc:
         raise AbscompatError(f"--dims must be a comma list of ints: {exc}") from exc
     if args.trials > MAX_TRIALS:
         raise AbscompatError(f"--trials {args.trials} exceeds the limit {MAX_TRIALS}")
-    tol = ToleranceConfig(relation=args.tol)
     results = run_all_suites(dims, args.trials, args.seed, tol)
     if args.as_json:
         print(dumps_canonical({
@@ -173,8 +163,7 @@ def cmd_verify_suite(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
-    tol = ToleranceConfig(relation=args.tol)
+def cmd_classify(args: argparse.Namespace, tol: ToleranceConfig) -> int:
     tmap = load_map(args.map_file, tol)
     try:
         cls = classify_triple_hom(tmap, tol)
@@ -208,10 +197,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fuzz(args: argparse.Namespace) -> int:
+def cmd_fuzz(args: argparse.Namespace, tol: ToleranceConfig) -> int:
     if not 1 <= args.budget <= MAX_BUDGET:
         raise AbscompatError(f"--budget must be in [1, {MAX_BUDGET}], got {args.budget}")
-    tol = ToleranceConfig(relation=args.tol)
     tmap = load_map(args.map_file, tol)
     witness = fuzz_counterexample(
         tmap, CompatKind(args.kind), args.budget, args.seed, tol)
@@ -257,7 +245,10 @@ def main(argv: list[str] | None = None) -> int:
         "fuzz": cmd_fuzz,
     }
     try:
-        return handlers[args.command](args)
+        tol = ToleranceConfig(relation=args.tol)
+        if getattr(args, "seed", 0) < 0:  # fuzz and verify-suite
+            raise AbscompatError(f"--seed must be >= 0, got {args.seed}")
+        return handlers[args.command](args, tol)
     except NotTripleHom as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -33,7 +33,7 @@ from .relations import (CompatKind, _beyond_ball, _compat_stack, compat_defect,
                         is_partial_isometry)
 from .reports import RelationReport
 from .sampling import (
-    _contraction_draw, _drawn_pairs, _elements, _fixed_pairs, _growing_chunks,
+    _contraction_draw, _drawn_pairs, _elements, _fixed_pairs, _generators, _growing_chunks,
 )
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
@@ -509,8 +509,9 @@ def _judged_pairs(
     defined on the ball), with their norm excess as defect, labelled
     ``source+noncontractive-image``. The fixed pairs are judged one at a
     time, so a refutation among them draws nothing; the drawn ones in stacks."""
+    gens = _generators(seed)
     fixed = _fixed_pairs(T.domain_shape, kind, tol)[:n_pairs]
-    drawn = _drawn_pairs(T.domain_shape, kind, seed, tol, n_pairs - len(fixed))
+    drawn = _drawn_pairs(T.domain_shape, kind, gens, tol, n_pairs - len(fixed))
     judged = chain(((pair, _judge_one(T, pair, output_kind, tol)) for pair in fixed),
                    chain.from_iterable(zip(pairs, _judge(T, pairs, output_kind, tol))
                                        for pairs in _growing_chunks(drawn)))
@@ -537,6 +538,8 @@ def preserves_compat_sampled(
     if the map escapes the unit ball: the compatibility notion assumes
     contractive maps.
     """
+    if n_pairs < 1:
+        raise ValueError("n_pairs must be >= 1")
     output_kind = output_kind or kind
     spot = is_contractive_sampled(T, 16, seed=seed ^ 0x9E3779B9, tol=tol)
     if not spot.verdict:

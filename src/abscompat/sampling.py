@@ -3,7 +3,8 @@
 Everything here is driven by an explicit ``numpy.random.Generator`` or a
 ``PairGenerator`` seed, so identical seeds reproduce identical streams.
 ``compatible_pairs`` is the one stream that preservation audits and
-counterexample fuzzing judge.
+counterexample fuzzing judge; its accept loop ``_drawn_pairs`` also gives
+``generate_compat_pair``, the stream of one generator.
 
 Random elements are drawn in two phases: each block recipe's draw half takes
 a candidate's random numbers, candidate by candidate in the order a
@@ -426,23 +427,14 @@ def generate_compat_pair(
     shape: AlgebraShape,
     kind: CompatKind = CompatKind.FULL,
     tol: ToleranceConfig = DEFAULT_TOL,
-    retries: int = _RETRIES,
 ) -> tuple[AlgebraElement, AlgebraElement, float]:
-    """Draw until the pair passes compatibility at ``kind`` and return it
-    with its defect; a draw outside the unit ball counts as rejected.
-
-    The strategies are heuristic constructions; the defining identity is the
-    oracle, so every emitted pair is post-checked against it.
-    """
-    for _ in range(retries):
-        a, b = gen._draw_stack(shape, 1)
-        defect, ok = _passing(a, b, shape, kind, tol)
-        if ok[0]:
-            return (*_wrapped(shape, (a, b)), float(defect[0]))
-    raise GeneratorExhausted(
-        f"strategy {gen.strategy.value} produced no compatible pair "
-        f"in {retries} attempts on shape {shape.block_dims}"
-    )
+    """The next pair of ``gen`` that passes compatibility at ``kind``, with
+    its defect: ``_drawn_pairs`` of ``gen`` alone, one candidate per kernel
+    call. The strategies are heuristic; the defining identity is the oracle."""
+    for _, a, b, defect in _drawn_pairs(shape, kind, [gen], tol, 1):
+        return a, b, defect
+    raise GeneratorExhausted(f"strategy {gen.strategy.value} produced no compatible pair "
+                             f"on shape {shape.block_dims}")
 
 
 def _growing_chunks(items: Iterator) -> Iterator[list]:
@@ -461,20 +453,25 @@ def _fixed_pairs(shape: AlgebraShape, kind: CompatKind, tol: ToleranceConfig) ->
     return [(*pair, float(d)) for pair, d, ok in zip(fixed, defects, passed) if ok]
 
 
-def _drawn_pairs(shape: AlgebraShape, kind: CompatKind, seed: int, tol: ToleranceConfig,
-                 _wanted: int = sys.maxsize) -> Iterator[tuple]:
-    """One accepted draw from each strategy in turn (see ``compatible_pairs``),
-    the first ``_wanted`` of them. Before each turn of the rotation, the
-    strategies with no accepted draw in hand draw their next 1, 2, 4, ...
+def _generators(seed: int) -> list[PairGenerator]:
+    """One generator per strategy, each seeded by its own child of ``seed``."""
+    child_seeds = np.random.SeedSequence(seed).generate_state(len(PairStrategy))
+    return [PairGenerator(strategy, int(s)) for strategy, s in zip(PairStrategy, child_seeds)]
+
+
+def _drawn_pairs(shape: AlgebraShape, kind: CompatKind, gens: list[PairGenerator],
+                 tol: ToleranceConfig, _wanted: int = sys.maxsize) -> Iterator[tuple]:
+    """One accepted draw from each generator in ``gens`` in turn, the first
+    ``_wanted`` of them: within tol, both operands in the unit ball. A
+    generator leaves the rotation after ``_RETRIES`` rejections in a row, or
+    at once on a shape its strategy does not support. Before each turn, the
+    generators with no accepted draw in hand draw their next 1, 2, 4, ...
     candidates, each at most the pairs it emits before ``_wanted`` and
     ``_STACK_MAX`` in all, built in one ``_assemble`` and judged in one kernel
-    call. Each strategy draws from its own generator, so no pair changes."""
-    child_seeds = np.random.SeedSequence(seed).generate_state(len(PairStrategy))
-    # per strategy: its generator, its next draw's size, its rejections in a row
-    # (_RETRIES of them, or a shape it does not support, end it) and its
+    call; each draws only its own candidates, so no pair changes."""
+    # per generator: its next draw's size, its rejections in a row and its
     # accepted draws not yet emitted
-    rotation = [SimpleNamespace(gen=PairGenerator(strategy, int(s)), size=1, rejected=0,
-                                accepted=[]) for strategy, s in zip(PairStrategy, child_seeds)]
+    rotation = [SimpleNamespace(gen=gen, size=1, rejected=0, accepted=[]) for gen in gens]
     while _wanted and (rotation := [t for t in rotation if t.accepted or t.rejected < _RETRIES]):
         if all(turn.accepted for turn in rotation[:_wanted]):
             for turn in rotation[:_wanted]:
@@ -513,16 +510,14 @@ def compatible_pairs(
     """The pairs compatible at ``kind``, as ``(source, a, b, defect)``.
 
     First the ``known_witness_pairs`` compatible at ``kind`` (known-hard
-    cases make regressions deterministic), then one accepted draw from each
-    strategy in turn, each strategy seeded by its own child of ``seed``; the
-    strategies out of accepted draws draw together (``_drawn_pairs``). A draw
-    outside the unit ball is rejected. A strategy leaves the rotation after
-    ``_RETRIES`` rejections in a row, or at once if it does not support
-    ``shape``; the stream ends when every strategy has. Identical arguments
-    replay identical streams.
+    cases make regressions deterministic), then the rotation of
+    ``_drawn_pairs`` over one generator per strategy, each seeded by its own
+    child of ``seed``; the stream ends when every strategy has left it.
+    Identical arguments replay identical streams.
     """
+    gens = _generators(seed)
     yield from _fixed_pairs(shape, kind, tol)
-    yield from _drawn_pairs(shape, kind, seed, tol)
+    yield from _drawn_pairs(shape, kind, gens, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 characterization, used by the ``verify-suite`` command and the acceptance
 tests. Each suite returns a SuiteResult with trial counts, failures,
 indeterminate (near-threshold) counts and the worst defect observed.
+``_tally`` builds each row but the consistency batteries' and the audit
+rows; a fixed-case row counts each case as one check with defect 0, and its
+note joins the failed cases' notes.
 
 Every randomized battery (linear-algebra invariants, the triple product's
 conjugate-linearity, relation invariants, the characterizations and the
@@ -468,28 +471,20 @@ def suite_fuzz_regressions(
     refuted inside the prefix of fixed pairs compatible at domain kind; a
     *-homomorphism must survive the whole budget."""
     shape = AlgebraShape((2,))
-    fails = 0
-    notes = []
-
-    w = fuzz_counterexample(transpose_map(shape), CompatKind.DOMAIN, budget, seed, tol)
-    if w is None or w.source != "crossed_isometries_2x2" or w.index != 1 \
-            or abs(w.output_defect - (np.sqrt(2.0) - 1.0)) > 1e-8:
-        fails += 1
-        notes.append("transpose witness missing/wrong")
-
-    w = fuzz_counterexample(scale_map(shape, 0.5), CompatKind.DOMAIN, budget, seed, tol)
-    if w is None or w.index >= len(_fixed_pairs(shape, CompatKind.DOMAIN, tol)):
-        fails += 1
-        notes.append("half-map witness not in seeded prefix")
-
+    t = fuzz_counterexample(transpose_map(shape), CompatKind.DOMAIN, budget, seed, tol)
+    half = fuzz_counterexample(scale_map(shape, 0.5), CompatKind.DOMAIN, budget, seed, tol)
     hom = build_star_hom(shape, AlgebraShape((2, 2)), [0, 0], None, tol)
-    w = fuzz_counterexample(hom, CompatKind.FULL, budget, seed, tol)
-    if w is not None:
-        fails += 1
-        notes.append(f"false positive on a star-hom at index {w.index}")
-
-    return SuiteResult("counterexample fuzzing regressions", 3, fails, 0, 0.0,
-                       fails == 0, note="; ".join(notes))
+    star = fuzz_counterexample(hom, CompatKind.FULL, budget, seed, tol)
+    cases = [  # (failed, note)
+        (t is None or t.source != "crossed_isometries_2x2" or t.index != 1
+         or abs(t.output_defect - (np.sqrt(2.0) - 1.0)) > 1e-8,
+         "transpose witness missing/wrong"),
+        (half is None or half.index >= len(_fixed_pairs(shape, CompatKind.DOMAIN, tol)),
+         "half-map witness not in seeded prefix"),
+        (star is not None, f"false positive on a star-hom at index {getattr(star, 'index', None)}"),
+    ]
+    return _tally("counterexample fuzzing regressions", [(0.0, failed) for failed, _ in cases],
+                  "; ".join(note for failed, note in cases if failed))
 
 
 def suite_classification(
@@ -498,7 +493,7 @@ def suite_classification(
     rng = np.random.default_rng(seed)
     shape2, shape22 = AlgebraShape((2,)), AlgebraShape((2, 2))
     w = rand_unitary(rng, shape2).blocks()[0]
-    cases = [  # (map, hom blocks, anti-hom blocks, note on failure)
+    expected = [  # (map, hom blocks, anti-hom blocks, note on failure)
         (transpose_map(shape2), set(), {0}, "transpose should classify anti-homomorphic"),
         (build_star_hom(shape2, shape2, [0], [w], tol), {0}, set(),
          "star-hom should classify homomorphic"),
@@ -507,13 +502,12 @@ def suite_classification(
         (transpose_map(AlgebraShape((1, 1))), {0, 1}, set(),
          "one-dimensional blocks should default homomorphic"),
     ]
-    notes = []
-    for tmap, hom, anti, note in cases:
+    cases = []  # (failed, note)
+    for tmap, hom, anti, note in expected:
         cls = classify_triple_hom(tmap, tol)
-        if (cls.hom_block_indices, cls.antihom_block_indices) != (hom, anti):
-            notes.append(note)
-    return SuiteResult("triple-hom classification", 4, len(notes), 0, 0.0,
-                       not notes, note="; ".join(notes))
+        cases.append(((cls.hom_block_indices, cls.antihom_block_indices) != (hom, anti), note))
+    return _tally("triple-hom classification", [(0.0, failed) for failed, _ in cases],
+                  "; ".join(note for failed, note in cases if failed))
 
 
 def suite_determinism(
@@ -521,23 +515,18 @@ def suite_determinism(
 ) -> SuiteResult:
     """Identical seeds reproduce identical verdicts and witnesses."""
     shape = AlgebraShape((2,))
-    fails = 0
-
-    runs = []
+    witnesses, reports = [], []
     for _ in range(2):
         w = fuzz_counterexample(transpose_map(shape), CompatKind.DOMAIN, 50, seed, tol)
         # a missing witness fails the fuzzing regressions; here only replay counts
-        runs.append(None if w is None else
-                    (w.index, w.source, w.output_defect, w.a.matrix.tobytes()))
-    fails += runs[0] != runs[1]
-
-    reports = []
-    for _ in range(2):
+        witnesses.append(None if w is None else
+                         (w.index, w.source, w.output_defect, w.a.matrix.tobytes()))
         rep = preserves_compat_sampled(identity_map(shape), CompatKind.FULL, 25, seed, tol)
         reports.append((rep.verdict, rep.violations, rep.max_output_defect))
-    fails += reports[0] != reports[1]
-
-    return SuiteResult("deterministic replay", 2, fails, 0, 0.0, fails == 0)
+    cases = [(witnesses[0] != witnesses[1], "fuzz witness differs on replay"),
+             (reports[0] != reports[1], "audit report differs on replay")]
+    return _tally("deterministic replay", [(0.0, failed) for failed, _ in cases],
+                  "; ".join(note for failed, note in cases if failed))
 
 
 # ---------------------------------------------------------------------------

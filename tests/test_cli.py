@@ -6,7 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from abscompat import AlgebraElement, AlgebraShape, build_star_hom, scale_map, transpose_map
+from abscompat import (
+    AlgebraElement, AlgebraShape, build_star_hom, identity_map, scale_map, transpose_map,
+)
 from abscompat import cli, suites
 from abscompat.cli import main
 from abscompat.preservers import MAX_BUDGET, MAX_TRIALS
@@ -35,6 +37,8 @@ def fixtures(tmp_path):
     save_map(transpose_map(sh2), paths["transpose"])
     paths["half"] = str(tmp_path / "half.json")
     save_map(scale_map(sh2, 0.5), paths["half"])
+    paths["identity"] = str(tmp_path / "identity.json")
+    save_map(identity_map(sh2), paths["identity"])
     paths["hom"] = str(tmp_path / "hom.json")
     save_map(build_star_hom(sh2, AlgebraShape((2, 2)), [0, 0]), paths["hom"])
     bad = tmp_path / "bad.json"
@@ -249,6 +253,17 @@ class TestFuzz:
     def test_bad_budget(self, fixtures, capsys):
         assert main(["fuzz", fixtures["transpose"], "--budget", "0"]) == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("map_name", [None, "transpose", "identity"])
+def test_negative_seed_exits_two_naming_the_flag(fixtures, tmp_path, capsys, map_name):
+    # the transpose is refuted among the fixed pairs, before any seeded draw
+    argv = (["fuzz", fixtures[map_name], "--out-dir", str(tmp_path)] if map_name
+            else ["verify-suite", "--dims", "2", "--trials", "10"])
+    assert main(argv + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--seed" in captured.err
+    assert not (tmp_path / "witness_a.json").exists()
 
 
 @pytest.mark.parametrize("command, flag, limit", [

@@ -495,6 +495,12 @@ def test_max_op_norm_is_the_exact_maximum(seed, m, count, rank_one, norms, floor
 
 
 class TestPreservesCompat:
+    @pytest.mark.parametrize("n_pairs", [0, -1])
+    def test_pair_count_validated(self, n_pairs):
+        # -1 would drop a fixed pair and ask the rotation for -1 draws, a loop that never ends
+        with pytest.raises(ValueError, match="n_pairs"):
+            preserves_compat_sampled(identity_map(SH2), CompatKind.FULL, n_pairs)
+
     def test_star_hom_zero_violations(self):
         T = build_star_hom(SH2, SH22, [0, 0])
         rep = preserves_compat_sampled(T, CompatKind.FULL, 40, seed=23)
@@ -757,6 +763,12 @@ class TestFuzz:
     def test_budget_validated(self):
         with pytest.raises(ValueError):
             fuzz_counterexample(identity_map(SH2), budget=0)
+
+    @pytest.mark.parametrize("tmap", [identity_map(SH2), transpose_map(SH2)])
+    def test_negative_seed_refused_whatever_the_map(self, tmap):
+        # the transpose is refuted among the fixed pairs, before any draw
+        with pytest.raises(ValueError):
+            fuzz_counterexample(tmap, CompatKind.DOMAIN, seed=-1)
 
     def test_budget_limits_stream(self):
         # budget 1 only evaluates the first seeded pair, which the transpose

@@ -112,7 +112,7 @@ def test_generator_exhausts_when_no_draw_passes():
     gen = PairGenerator(PairStrategy.CONJUGATED_POSITIVE_PAIR, 5)
     with pytest.raises(GeneratorExhausted):
         generate_compat_pair(gen, AlgebraShape((2,)), CompatKind.FULL,
-                             ToleranceConfig(relation=1e-300), retries=20)
+                             ToleranceConfig(relation=1e-300))
 
 
 def test_known_witness_pairs_cover_shape():
@@ -334,38 +334,43 @@ def test_samplers_match_the_frozen_recipes(dims):
 def _reference_stream(shape, kind, seed, tol=ToleranceConfig()):
     """The stream one pair at a time through compat_defect and the frozen
     recipes: the fixed pairs compatible at kind, then one accepted draw from
-    each strategy in turn. A draw outside the unit ball is rejected; 100
-    rejections in a row, or a shape the strategy does not support, drop it
-    from the rotation."""
-
-    def defect_if_compatible(a, b):
-        try:
-            rep = compat_defect(a, b, kind, tol)
-        except NotContraction:
-            return None
-        return rep.defect if rep.verdict else None
-
+    each strategy in turn (``_reference_draw``), until none is left."""
     for label, a, b in known_witness_pairs(shape):
-        if (defect := defect_if_compatible(a, b)) is not None:
+        if (defect := _defect_if_compatible(a, b, kind, tol)) is not None:
             yield label, a, b, defect
     seeds = np.random.SeedSequence(seed).generate_state(len(PairStrategy))
     active = [(strategy, np.random.default_rng(int(s)))
               for strategy, s in zip(PairStrategy, seeds)]
     while active:
         for strategy, rng in list(active):
-            pair = None
-            try:
-                for _ in range(100):
-                    a, b = frozen.draw(strategy, rng, shape)
-                    if (defect := defect_if_compatible(a, b)) is not None:
-                        pair = strategy.value, a, b, defect
-                        break
-            except GeneratorExhausted:
-                pass
+            pair = _reference_draw(strategy, rng, shape, kind, tol)
             if pair is None:
                 active.remove((strategy, rng))
             else:
                 yield pair
+
+
+def _defect_if_compatible(a, b, kind, tol):
+    try:
+        rep = compat_defect(a, b, kind, tol)
+    except NotContraction:
+        return None
+    return rep.defect if rep.verdict else None
+
+
+def _reference_draw(strategy, rng, shape, kind, tol):
+    """The next accepted ``frozen.draw`` of ``strategy`` from ``rng``, as
+    ``(source, a, b, defect)``. A draw outside the unit ball is rejected;
+    after 100 rejections in a row, or on a shape the strategy does not
+    support, None."""
+    try:
+        for _ in range(100):
+            a, b = frozen.draw(strategy, rng, shape)
+            if (defect := _defect_if_compatible(a, b, kind, tol)) is not None:
+                return strategy.value, a, b, defect
+    except GeneratorExhausted:
+        pass
+    return None
 
 
 def _assert_same_pairs(stream, reference):
@@ -412,6 +417,28 @@ def test_draw_outside_the_ball_is_a_rejection():
                for _, a, b, _ in stream)
     reference = _reference_stream(shape, CompatKind.FULL, 0, tol)
     _assert_same_pairs(stream, list(islice(reference, 300)))
+
+
+@pytest.mark.parametrize("dims, kind, relation", [
+    *((dims, kind, 1e-8) for dims in [(2,), (3,), (2, 3)] for kind in CompatKind),
+    # rounding alone rejects draws: every orthogonal and conjugated one exhausts
+    ((2,), CompatKind.FULL, 1e-300),
+])
+def test_generate_compat_pair_is_the_one_draw_reference(dims, kind, relation):
+    # k calls on one generator: the reference's accepted draws, one candidate
+    # judged at a time, and the generator's rng left where the reference's is
+    shape, tol = AlgebraShape(dims), ToleranceConfig(relation=relation)
+    for strategy in PairStrategy:
+        gen, rng = PairGenerator(strategy, 17), np.random.default_rng(17)
+        for _ in range(6):
+            ref = _reference_draw(strategy, rng, shape, kind, tol)
+            if ref is None:
+                with pytest.raises(GeneratorExhausted):
+                    generate_compat_pair(gen, shape, kind, tol)
+                break
+            _assert_same_pairs([(strategy.value, *generate_compat_pair(gen, shape, kind, tol))],
+                               [ref])
+        assert gen.rng.bit_generator.state == rng.bit_generator.state
 
 
 def _recording_candidates(monkeypatch) -> list:

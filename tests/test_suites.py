@@ -173,6 +173,20 @@ def test_half_map_witness_among_the_drawn_pairs_fails_the_row(monkeypatch):
     assert row.note == "half-map witness not in seeded prefix"
 
 
+def test_replay_that_differs_fails_the_row_with_a_note(monkeypatch):
+    assert suite_determinism(0).note == ""
+    audit = suites.preserves_compat_sampled
+    runs = iter(range(2))
+
+    def drifting_audit(*args):
+        return dataclasses.replace(audit(*args), violations=next(runs))
+
+    monkeypatch.setattr(suites, "preserves_compat_sampled", drifting_audit)
+    row = suite_determinism(0)
+    assert (row.trials, row.failures, row.passed) == (2, 1, False)
+    assert row.note == "audit report differs on replay"
+
+
 # The stacked batteries replayed one trial at a time: the same draws in the
 # same order, each judged by the public one-pair functions.
 
