@@ -310,6 +310,8 @@ def is_contractive_sampled(
     a true verdict only means no violation was found."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     shape = T.domain_shape
     x = _elements(np.random.default_rng(seed), shape, _contraction_draw, n_samples)
     norm = _op_norm(x)
@@ -540,6 +542,8 @@ def preserves_compat_sampled(
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     output_kind = output_kind or kind
     spot = is_contractive_sampled(T, 16, seed=seed ^ 0x9E3779B9, tol=tol)
     if not spot.verdict:
@@ -629,6 +633,8 @@ def fuzz_counterexample(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     judged = _judged_pairs(T, kind, kind, budget, seed, tol)
     return next((w for w in judged if w.output_defect > tol.relation), None)
 

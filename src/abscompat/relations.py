@@ -444,25 +444,17 @@ def spectral_tripotent(
     """
     if not (0.0 <= lo < hi):
         raise ValueError(f"need 0 <= lo < hi, got [{lo}, {hi}]")
-    t = tol.relation
-
-    def member(sigma: float) -> bool:
-        near_lo = abs(sigma - lo) <= t
-        near_hi = abs(sigma - hi) <= t
-        if near_lo or near_hi:
-            if not snap:
-                raise EndpointAmbiguity(
-                    f"singular value {sigma:.12g} within {t:g} of an endpoint"
-                )
-            # snap to the nearest endpoint, then apply the boundary flag
-            if near_lo and (not near_hi or abs(sigma - lo) <= abs(sigma - hi)):
-                return boundary.lo_closed
-            return boundary.hi_closed
-        return lo < sigma < hi
 
     def cut_block(blk: np.ndarray) -> np.ndarray:
         u_blk, sigma, right_h, _ = _rank_cut_svd(blk, tol.rank)
-        sel = np.array([member(float(s)) for s in sigma], dtype=bool)
+        d_lo, d_hi = np.abs(sigma - lo), np.abs(sigma - hi)
+        near = np.minimum(d_lo, d_hi) <= tol.relation
+        if near.any() and not snap:
+            raise EndpointAmbiguity(f"singular value {sigma[near][0]:.12g} "
+                                    f"within {tol.relation:g} of an endpoint")
+        # snap to the nearest endpoint (lo on a tie), then apply its boundary flag
+        sel = np.where(near, np.where(d_lo <= d_hi, boundary.lo_closed, boundary.hi_closed),
+                       (lo < sigma) & (sigma < hi))
         cols = right_h[sel, :].conj().T
         proj = cols @ cols.conj().T
         return u_blk @ proj

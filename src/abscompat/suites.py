@@ -544,6 +544,8 @@ def run_all_suites(
         raise ValueError("dims must be a nonempty list of positive integers")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     # the preserver zoo's largest maps, before any battery runs
     _check_map_shapes(AlgebraShape((max(dims),) * 2), AlgebraShape(tuple(dims)))
     shapes = shapes_for_dims(dims)

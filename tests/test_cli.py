@@ -13,7 +13,7 @@ from abscompat import cli, suites
 from abscompat.cli import main
 from abscompat.preservers import MAX_BUDGET, MAX_TRIALS
 from abscompat.sampling import compatible_positive_pair_2x2, crossed_isometry_pair_2x2
-from abscompat.serialize import dumps_canonical, save_map, save_matrix
+from abscompat.serialize import dumps_canonical, matrix_to_dict, save_map, save_matrix
 
 
 @pytest.fixture
@@ -100,6 +100,16 @@ class TestCheck:
         assert payload["verdict"] is True
         assert set(payload) >= {"relation", "verdict", "defect", "tolerance",
                                 "witnesses"}
+
+    def test_indeterminate_clause_exits_zero(self, tmp_path, capsys):
+        # sides 1.4e-8 (false) and 7e-9 (true) both lie in the near-threshold band
+        path = str(tmp_path / "tiny.json")
+        save_matrix(AlgebraElement.single(np.diag([0.7e-8, 0.0])), path)
+        assert main(["check", "tripotent", path]) == 0
+        out = capsys.readouterr().out
+        assert "clause [self-compat vs partial isometry]: indeterminate" in out
+        assert "false defect=1.4e-08  self compat" in out
+        assert "true  defect=7e-09  a a* a = a" in out
 
     def test_tolerance_flag(self, fixtures):
         # at a huge tolerance even the transposed pair "passes"
@@ -197,9 +207,27 @@ class TestClassify:
         assert rc == 1
         assert "false" in out
 
+    def test_half_map_json_gives_the_reason(self, fixtures, capsys):
+        assert main(["classify", fixtures["half"], "--json"]) == 1
+        assert capsys.readouterr().out == dumps_canonical(
+            {"reason": "triple-homomorphism defect 0.375", "triple_hom": False})
+
     def test_parse_error(self, fixtures, capsys):
         assert main(["classify", fixtures["bad"]]) == 2
         capsys.readouterr()
+
+    def test_sandwich_on_another_shape_exits_two(self, tmp_path, capsys):
+        u = AlgebraElement.single(np.eye(3))
+        v = AlgebraElement.single(np.eye(2))
+        path = tmp_path / "sandwich.json"
+        path.write_text(json.dumps({
+            "domain_shape": [2], "codomain_shape": [2],
+            "builder": {"kind": "sandwich", "u": matrix_to_dict(u), "v": matrix_to_dict(v)},
+        }), encoding="utf-8")
+        assert main(["classify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sandwich u/v must live on the domain shape\n"
 
     @pytest.mark.parametrize("spec", [
         {"builder": {"kind": "transpose"}},
@@ -246,6 +274,11 @@ class TestFuzz:
         assert payload["witness_found"] is True
         assert payload["index"] == 1
 
+    def test_identity_json_reports_no_witness(self, fixtures, capsys):
+        assert main(["fuzz", fixtures["identity"], "--json"]) == 0
+        assert capsys.readouterr().out == dumps_canonical(
+            {"budget": 1000, "witness_found": False})
+
     def test_parse_error(self, fixtures, capsys):
         assert main(["fuzz", fixtures["bad"]]) == 2
         capsys.readouterr()
@@ -253,6 +286,16 @@ class TestFuzz:
     def test_bad_budget(self, fixtures, capsys):
         assert main(["fuzz", fixtures["transpose"], "--budget", "0"]) == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["check", "fuzz"])
+def test_kind_help_is_shared(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--kind {domain,range,full}" in out
+    assert "compatibility kind" in out
 
 
 @pytest.mark.parametrize("map_name", [None, "transpose", "identity"])

@@ -778,6 +778,21 @@ class TestFuzz:
         assert w is None
 
 
+_NEGATIVE_SEED_CALLS = {
+    "is_contractive_sampled": lambda: is_contractive_sampled(identity_map(SH2), seed=-1),
+    # checked before the contractivity spot check draws from seed ^ 0x9E3779B9
+    "preserves_compat_sampled": lambda: preserves_compat_sampled(
+        identity_map(SH2), CompatKind.FULL, 10, seed=-1),
+    "fuzz_counterexample": lambda: fuzz_counterexample(identity_map(SH2), seed=-1),
+}
+
+
+@pytest.mark.parametrize("name", _NEGATIVE_SEED_CALLS)
+def test_negative_seed_named_in_the_message(name):
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        _NEGATIVE_SEED_CALLS[name]()
+
+
 class TestRangeVersionAdapter:
     def test_identity(self, rng):
         S = range_version_adapter(identity_map(SH2))

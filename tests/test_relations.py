@@ -749,6 +749,26 @@ class TestSpectralTripotent:
         open_ = spectral_tripotent(a, 0.5, 1.0, IntervalBoundary.OPEN_OPEN)
         np.testing.assert_allclose(open_.matrix, np.zeros((2, 2)), atol=1e-12)
 
+    @pytest.mark.parametrize("boundary", list(IntervalBoundary))
+    def test_snap_at_hi_follows_the_hi_flag(self, boundary):
+        a = AlgebraElement.single(np.diag([1.0, 0.2]))
+        out = spectral_tripotent(a, 0.5, 1.0, boundary)
+        expected = np.diag([1.0, 0.0]) if boundary.hi_closed else np.zeros((2, 2))
+        np.testing.assert_allclose(out.matrix, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("boundary", list(IntervalBoundary))
+    def test_value_near_both_endpoints_snaps_to_the_nearer(self, boundary):
+        # hi - lo is about tol, so 0.5 + 2e-9 and 0.5 + 8e-9 are within tol of both
+        a = AlgebraElement.single(np.diag([0.5 + 2e-9, 0.5 + 8e-9, 0.2]))
+        out = spectral_tripotent(a, 0.5, 0.5 + 1e-8, boundary)
+        expected = np.diag([float(boundary.lo_closed), float(boundary.hi_closed), 0.0])
+        np.testing.assert_allclose(out.matrix, expected, atol=1e-12)
+        # an exact tie (both distances 2^-28) snaps to lo
+        a = AlgebraElement.single(np.diag([0.5 + 2.0**-28, 0.2]))
+        out = spectral_tripotent(a, 0.5, 0.5 + 2.0**-27, boundary)
+        expected = np.diag([float(boundary.lo_closed), 0.0])
+        np.testing.assert_allclose(out.matrix, expected, atol=1e-12)
+
     def test_snap_disabled_raises(self):
         a = AlgebraElement.single(np.diag([0.5 + 1e-10, 0.2]))
         with pytest.raises(EndpointAmbiguity):

@@ -11,6 +11,7 @@ from abscompat import (
     AlgebraElement,
     AlgebraShape,
     build_sandwich,
+    build_star_anti_hom,
     build_star_hom,
     scale_map,
     transpose_map,
@@ -132,6 +133,19 @@ class TestMapFiles:
         T = map_from_dict(payload)
         ref = build_star_hom(SH2, AlgebraShape((2, 2)), [0, None], [w, None])
         np.testing.assert_allclose(T.action, ref.action, atol=1e-15)
+
+    def test_builder_star_anti_hom(self, rng, tmp_path):
+        w = rand_unitary(rng, AlgebraShape((3,)))
+        path = tmp_path / "anti.json"
+        path.write_text(json.dumps({
+            "domain_shape": [2, 3], "codomain_shape": [3, 2],
+            "builder": {"kind": "star_anti_hom", "block_assignment": [1, 0],
+                        "unitaries": [matrix_to_dict(w)["blocks"][0], None]},
+        }), encoding="utf-8")
+        T = load_map(path)
+        ref = build_star_anti_hom(AlgebraShape((2, 3)), AlgebraShape((3, 2)), [1, 0],
+                                  [w.blocks()[0], None])
+        assert T.action.tobytes() == ref.action.tobytes()
 
     def test_builder_scale_and_transpose_and_identity(self, rng):
         x = rand_contraction(rng, SH2)

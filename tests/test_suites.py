@@ -82,6 +82,11 @@ def test_run_all_suites_validates_inputs():
         run_all_suites([0], trials=10, seed=0)
 
 
+def test_run_all_suites_names_a_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        run_all_suites([2], trials=10, seed=-1)
+
+
 @pytest.mark.parametrize("dims", [[17], [10, 12, 11]], ids=["doubling-34", "direct-sum-33"])
 def test_run_all_suites_checks_dims_before_any_battery(monkeypatch, dims):
     # M17 doubles to total dimension 34 and M10+M12+M11 sums to 33, both past
