@@ -45,8 +45,8 @@ class NotUnitary(AbscompatError):
 
 
 class GeneratorExhausted(AbscompatError):
-    """A pair-generation strategy could not produce a valid pair within its
-    retry budget (or does not support the requested shape)."""
+    """A compatible-pair stream ended early: ``_RETRIES`` rejected draws in a
+    row, or its one strategy does not support the requested shape."""
 
 
 class NotTripleHom(AbscompatError):

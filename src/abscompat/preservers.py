@@ -32,9 +32,7 @@ from .linalg import _op_norm, _svd, op_norm
 from .relations import (CompatKind, _beyond_ball, _compat_stack, compat_defect,
                         is_partial_isometry)
 from .reports import RelationReport
-from .sampling import (
-    _contraction_draw, _drawn_pairs, _elements, _fixed_pairs, _generators, _growing_chunks,
-)
+from .sampling import _contraction_draw, _drawn_pairs, _elements, _fixed_pairs
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
@@ -510,13 +508,14 @@ def _judged_pairs(
     escaping the unit ball are themselves violations (the relation is only
     defined on the ball), with their norm excess as defect, labelled
     ``source+noncontractive-image``. The fixed pairs are judged one at a
-    time, so a refutation among them draws nothing; the drawn ones in stacks."""
-    gens = _generators(seed)
+    time, so a refutation among them draws nothing; the drawn ones in the
+    stacks ``_drawn_pairs`` accepts them in."""
     fixed = _fixed_pairs(T.domain_shape, kind, tol)[:n_pairs]
-    drawn = _drawn_pairs(T.domain_shape, kind, gens, tol, n_pairs - len(fixed))
+    drawn = _drawn_pairs(T.domain_shape, kind, np.random.default_rng(seed), tol,
+                         n_pairs - len(fixed))
     judged = chain(((pair, _judge_one(T, pair, output_kind, tol)) for pair in fixed),
                    chain.from_iterable(zip(pairs, _judge(T, pairs, output_kind, tol))
-                                       for pairs in _growing_chunks(drawn)))
+                                       for pairs in drawn))
     for index, ((source, a, b, in_defect), (out_defect, suffix)) in enumerate(judged):
         yield Witness(a, b, in_defect, out_defect, source + suffix, index)
 
@@ -533,8 +532,8 @@ def preserves_compat_sampled(
     seed)`` (fixed witness pairs included) and report every image whose
     defect at ``output_kind`` exceeds the tolerance (default: same kind;
     anti-homomorphisms are audited with the swapped kind). The worst
-    violation is the witness. Raises GeneratorExhausted when every strategy
-    exhausts first.
+    violation is the witness. Raises GeneratorExhausted when the stream ends
+    first (``_RETRIES`` rejected draws in a row).
 
     A quick sampled contractivity check runs first and warns (never blocks)
     if the map escapes the unit ball: the compatibility notion assumes
@@ -561,7 +560,7 @@ def preserves_compat_sampled(
                 worst = w
     if judged < n_pairs:
         raise GeneratorExhausted(
-            f"every strategy exhausted after {judged} of {n_pairs} pairs "
+            f"the pair stream ended after {judged} of {n_pairs} pairs "
             f"on shape {T.domain_shape.block_dims}")
     return PreservationReport(kind, output_kind, n_pairs, violations, max_defect,
                               worst, violations == 0, tol.relation)

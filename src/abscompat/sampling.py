@@ -3,8 +3,9 @@
 Everything here is driven by an explicit ``numpy.random.Generator`` or a
 ``PairGenerator`` seed, so identical seeds reproduce identical streams.
 ``compatible_pairs`` is the one stream that preservation audits and
-counterexample fuzzing judge; its accept loop ``_drawn_pairs`` also gives
-``generate_compat_pair``, the stream of one generator.
+counterexample fuzzing judge, from one generator that picks a recipe per
+candidate; its accept loop ``_drawn_pairs``, restricted to one strategy, also
+gives ``generate_compat_pair``.
 
 Random elements are drawn in two phases: each block recipe's draw half takes
 a candidate's random numbers, candidate by candidate in the order a
@@ -21,8 +22,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
-from types import SimpleNamespace
 from typing import Iterator
 
 import numpy as np
@@ -357,23 +356,34 @@ def known_witness_pairs(
 
 
 # ---------------------------------------------------------------------------
-# compatible-pair strategies
+# compatible-pair strategies and the one stream
 # ---------------------------------------------------------------------------
 
 
 class PairStrategy(Enum):
-    ORTHOGONAL = "orthogonal"
-    COMMUTING_DIAGONAL = "commuting_diagonal"
+    """The stream's recipes: the conjugated standard 2x2 pair, or a recipe per
+    block (orthogonal, diagonal, saturated or conjugated; ``_mixed_draw``)."""
     CONJUGATED_POSITIVE_PAIR = "conjugated_positive_pair"
     DIRECT_SUM_MIX = "direct_sum_mix"
 
 
-_STRATEGY_DRAWS = {
-    PairStrategy.ORTHOGONAL: _orthogonal_draw,
-    PairStrategy.COMMUTING_DIAGONAL: _diagonal_compat_draw,
-    PairStrategy.CONJUGATED_POSITIVE_PAIR: _conjugated_positive_draw,
-    PairStrategy.DIRECT_SUM_MIX: _mixed_draw,
-}
+_STRATEGY_DRAWS = {PairStrategy.CONJUGATED_POSITIVE_PAIR: _conjugated_positive_draw,
+                   PairStrategy.DIRECT_SUM_MIX: _mixed_draw}
+
+
+def _recipes(shape: AlgebraShape, strategies) -> list[tuple[str, object]]:
+    """The ``(name, block draw)`` of each of ``strategies`` that supports
+    ``shape``: the conjugated positive pair needs a block of size 2 or more."""
+    return [(s.value, _STRATEGY_DRAWS[s]) for s in strategies
+            if s is not PairStrategy.CONJUGATED_POSITIVE_PAIR or max(shape.block_dims) >= 2]
+
+
+def _candidate(rng: np.random.Generator, shape: AlgebraShape, recipes) -> tuple[str, list]:
+    """The next candidate from ``rng``: its recipe, picked uniformly from
+    ``recipes`` (one recipe draws nothing to pick), then that recipe's
+    ``_blocks`` draws."""
+    name, draw = recipes[int(rng.integers(len(recipes)))]
+    return name, _blocks(rng, shape, draw)
 
 
 @dataclass
@@ -382,36 +392,23 @@ class PairGenerator:
 
     strategy: PairStrategy
     seed: int
-    _rng: np.random.Generator | None = field(default=None, repr=False, compare=False)
+    rng: np.random.Generator = field(init=False, repr=False, compare=False)
 
-    @property
-    def rng(self) -> np.random.Generator:
-        if self._rng is None:
-            self._rng = np.random.default_rng(self.seed)
-        return self._rng
-
-    def _candidate(self, shape: AlgebraShape) -> list[tuple]:
-        """The draws of the next candidate (see ``_blocks``). The conjugated
-        positive pair needs a block of size 2 or more."""
-        if self.strategy is PairStrategy.CONJUGATED_POSITIVE_PAIR and max(shape.block_dims) < 2:
-            raise GeneratorExhausted(f"strategy {self.strategy.value} does not support "
-                                     f"shape {shape.block_dims}")
-        return _blocks(self.rng, shape, _STRATEGY_DRAWS[self.strategy])
-
-    def _draw_stack(self, shape: AlgebraShape, count: int) -> np.ndarray:
-        """The next ``count`` raw candidates as (2, count, D, D) stacks: first
-        operands, then second operands."""
-        return _assemble(shape, [self._candidate(shape) for _ in range(count)])
+    def __post_init__(self) -> None:
+        self.rng = np.random.default_rng(self.seed)
 
     def draw(self, shape: AlgebraShape) -> tuple[AlgebraElement, AlgebraElement]:
         """One raw candidate pair; compatibility is *not* checked here."""
-        return _wrapped(shape, self._draw_stack(shape, 1))
+        if not (recipes := _recipes(shape, [self.strategy])):
+            raise GeneratorExhausted(f"strategy {self.strategy.value} does not support "
+                                     f"shape {shape.block_dims}")
+        return _wrapped(shape, _assemble(shape, [_candidate(self.rng, shape, recipes)[1]]))
 
 
-_RETRIES = 100  # rejected draws in a row that end a strategy
-# most rows in one kernel call or built stack: candidates drawn together, drawn
-# pairs judged together, or one shape's battery trials
-_STACK_MAX = 64
+_RETRIES = 100  # rejected candidates in a row that end a stream
+# most rows in one kernel call or built stack (drawn candidates, judged pairs or
+# one shape's battery trials); a mixed stack builds each recipe group once
+_STACK_MAX = 128
 
 
 def _passing(a: np.ndarray, b: np.ndarray, shape: AlgebraShape, kind: CompatKind,
@@ -422,6 +419,35 @@ def _passing(a: np.ndarray, b: np.ndarray, shape: AlgebraShape, kind: CompatKind
     return k.defect, ~_beyond_ball(k.excess, tol) & (k.defect <= tol.relation)
 
 
+def _drawn_pairs(shape: AlgebraShape, kind: CompatKind, rng: np.random.Generator,
+                 tol: ToleranceConfig, _wanted: int = sys.maxsize,
+                 strategies=tuple(PairStrategy)) -> Iterator[list[tuple]]:
+    """The first ``_wanted`` candidates from ``rng`` that pass at ``kind``
+    (within tol, both operands in the unit ball) as ``(recipe name, a, b,
+    defect)``, one list per stack. Each candidate picks one of ``strategies``
+    that supports ``shape``, then draws its blocks (``_candidate``); the next
+    1, 2, 4, ... of them, at most ``_STACK_MAX`` and the pairs still wanted,
+    are built in one ``_assemble`` and judged in one kernel call, so no pair
+    depends on its stack. The stream ends after ``_RETRIES`` rejections in a
+    row."""
+    recipes, size, rejected = _recipes(shape, strategies), 1, 0
+    while recipes and _wanted and rejected < _RETRIES:
+        names, candidates = zip(*(_candidate(rng, shape, recipes)
+                                  for _ in range(min(size, _wanted))))
+        stacks = _assemble(shape, list(candidates))
+        defects, passed = (x.tolist() for x in _passing(*stacks, shape, kind, tol))
+        accepted = []
+        for row, ok in enumerate(passed):
+            rejected = 0 if ok else rejected + 1
+            if rejected == _RETRIES:  # the rest of the stack is dropped
+                break
+            if ok:
+                accepted.append((names[row], *_wrapped(shape, stacks, row), defects[row]))
+        if accepted:
+            yield accepted
+        _wanted, size = _wanted - len(accepted), min(2 * size, _STACK_MAX)
+
+
 def generate_compat_pair(
     gen: PairGenerator,
     shape: AlgebraShape,
@@ -429,20 +455,13 @@ def generate_compat_pair(
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> tuple[AlgebraElement, AlgebraElement, float]:
     """The next pair of ``gen`` that passes compatibility at ``kind``, with
-    its defect: ``_drawn_pairs`` of ``gen`` alone, one candidate per kernel
-    call. The strategies are heuristic; the defining identity is the oracle."""
-    for _, a, b, defect in _drawn_pairs(shape, kind, [gen], tol, 1):
+    its defect: ``_drawn_pairs`` on ``gen.rng`` restricted to ``gen.strategy``,
+    one candidate per kernel call; GeneratorExhausted when that stream ends.
+    The strategies are heuristic; the defining identity is the oracle."""
+    for (_, a, b, defect), in _drawn_pairs(shape, kind, gen.rng, tol, 1, [gen.strategy]):
         return a, b, defect
     raise GeneratorExhausted(f"strategy {gen.strategy.value} produced no compatible pair "
                              f"on shape {shape.block_dims}")
-
-
-def _growing_chunks(items: Iterator) -> Iterator[list]:
-    """Lists of the next 1, 2, 4, ... items, at most ``_STACK_MAX`` at a time."""
-    size = 1
-    while chunk := list(islice(items, size)):
-        yield chunk
-        size = min(2 * size, _STACK_MAX)
 
 
 def _fixed_pairs(shape: AlgebraShape, kind: CompatKind, tol: ToleranceConfig) -> list[tuple]:
@@ -451,54 +470,6 @@ def _fixed_pairs(shape: AlgebraShape, kind: CompatKind, tol: ToleranceConfig) ->
     stacks = (np.stack([p[i].matrix for p in fixed]) for i in (1, 2))
     defects, passed = _passing(*stacks, shape, kind, tol)
     return [(*pair, float(d)) for pair, d, ok in zip(fixed, defects, passed) if ok]
-
-
-def _generators(seed: int) -> list[PairGenerator]:
-    """One generator per strategy, each seeded by its own child of ``seed``."""
-    child_seeds = np.random.SeedSequence(seed).generate_state(len(PairStrategy))
-    return [PairGenerator(strategy, int(s)) for strategy, s in zip(PairStrategy, child_seeds)]
-
-
-def _drawn_pairs(shape: AlgebraShape, kind: CompatKind, gens: list[PairGenerator],
-                 tol: ToleranceConfig, _wanted: int = sys.maxsize) -> Iterator[tuple]:
-    """One accepted draw from each generator in ``gens`` in turn, the first
-    ``_wanted`` of them: within tol, both operands in the unit ball. A
-    generator leaves the rotation after ``_RETRIES`` rejections in a row, or
-    at once on a shape its strategy does not support. Before each turn, the
-    generators with no accepted draw in hand draw their next 1, 2, 4, ...
-    candidates, each at most the pairs it emits before ``_wanted`` and
-    ``_STACK_MAX`` in all, built in one ``_assemble`` and judged in one kernel
-    call; each draws only its own candidates, so no pair changes."""
-    # per generator: its next draw's size, its rejections in a row and its
-    # accepted draws not yet emitted
-    rotation = [SimpleNamespace(gen=gen, size=1, rejected=0, accepted=[]) for gen in gens]
-    while _wanted and (rotation := [t for t in rotation if t.accepted or t.rejected < _RETRIES]):
-        if all(turn.accepted for turn in rotation[:_wanted]):
-            for turn in rotation[:_wanted]:
-                _wanted -= 1  # the pairs still wanted
-                yield turn.accepted.pop(0)
-            continue
-        owners, candidates = [], []
-        for j, turn in enumerate(rotation[:_wanted]):
-            # of the n turns in the rotation, the one at j emits ceil((_wanted - j) / n)
-            need = (_wanted - j + len(rotation) - 1) // len(rotation)
-            count = 0 if turn.accepted else min(turn.size, need, _STACK_MAX - len(candidates))
-            try:
-                candidates += [turn.gen._candidate(shape) for _ in range(count)]
-            except GeneratorExhausted:  # a shape the strategy does not support
-                turn.rejected = _RETRIES
-            owners += [turn] * (len(candidates) - len(owners))
-            turn.size = min(2 * turn.size, _STACK_MAX) if count else turn.size
-        if not candidates:
-            continue
-        stacks = _assemble(shape, candidates)
-        defects, passed = (x.tolist() for x in _passing(*stacks, shape, kind, tol))
-        for row, turn in enumerate(owners):
-            if turn.rejected < _RETRIES:  # rows after a strategy ends are dropped
-                turn.rejected = 0 if passed[row] else turn.rejected + 1
-                if passed[row]:
-                    turn.accepted.append((turn.gen.strategy.value,
-                                          *_wrapped(shape, stacks, row), defects[row]))
 
 
 def compatible_pairs(
@@ -510,14 +481,14 @@ def compatible_pairs(
     """The pairs compatible at ``kind``, as ``(source, a, b, defect)``.
 
     First the ``known_witness_pairs`` compatible at ``kind`` (known-hard
-    cases make regressions deterministic), then the rotation of
-    ``_drawn_pairs`` over one generator per strategy, each seeded by its own
-    child of ``seed``; the stream ends when every strategy has left it.
-    Identical arguments replay identical streams.
+    cases make regressions deterministic), then ``_drawn_pairs`` of every
+    ``PairStrategy`` from one ``np.random.default_rng(seed)``, which ends
+    after ``_RETRIES`` rejections in a row. Identical arguments replay
+    identical streams.
     """
-    gens = _generators(seed)
     yield from _fixed_pairs(shape, kind, tol)
-    yield from _drawn_pairs(shape, kind, gens, tol)
+    for pairs in _drawn_pairs(shape, kind, np.random.default_rng(seed), tol):
+        yield from pairs
 
 
 # ---------------------------------------------------------------------------

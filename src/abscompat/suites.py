@@ -53,8 +53,6 @@ from .relations import (
 )
 from .sampling import (
     _STACK_MAX,
-    PairGenerator,
-    PairStrategy,
     _assemble,
     _blocks,
     _contraction_draw,
@@ -64,6 +62,7 @@ from .sampling import (
     _fixed_pairs,
     _general_pair,
     _hermitian_contraction_draw,
+    _orthogonal_draw,
     _partial_isometry_draw,
     _positive_pair,
     rand_unitary,
@@ -285,7 +284,7 @@ def suite_relation_invariants(
         return [(d, d > t) if ok else (0.0, True)
                 for ok, d in zip(orth.tolist(), defects.tolist())]
 
-    gen = PairGenerator(PairStrategy.ORTHOGONAL, seed ^ 0x0F0F0F0F)
+    orth_rng = np.random.default_rng(seed ^ 0x0F0F0F0F)
     general = lambda shape: _general_pair(rng, shape)
     return [
         _tally("compat symmetry", _in_stacks(
@@ -293,7 +292,8 @@ def suite_relation_invariants(
         _tally("adjoint duality of verdicts", _in_stacks(
             _trials(shapes, trials, general), adjoint_duality)),
         _tally("orthogonality implies compatibility", _in_stacks(
-            _trials(shapes, trials, gen._candidate), orthogonal_pairs)),
+            _trials(shapes, trials, lambda shape: _blocks(orth_rng, shape, _orthogonal_draw)),
+            orthogonal_pairs)),
     ]
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from abscompat.algebra import AlgebraElement, AlgebraShape
 from abscompat.errors import GeneratorExhausted
 from abscompat.linalg import op_norm
-from abscompat.sampling import PairStrategy, compatible_positive_pair_2x2
+from abscompat.sampling import compatible_positive_pair_2x2
 
 
 def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -168,25 +168,25 @@ def _mixed_blocks(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndar
     return recipes[int(rng.integers(0, 4 if n >= 2 else 3))](rng, n)
 
 
-_STRATEGY_BLOCKS = {
-    PairStrategy.ORTHOGONAL: _orthogonal_blocks,
-    PairStrategy.COMMUTING_DIAGONAL: _diagonal_compat_blocks,
-    PairStrategy.CONJUGATED_POSITIVE_PAIR: _conjugated_positive_blocks,
-    PairStrategy.DIRECT_SUM_MIX: _mixed_blocks,
+_RECIPE_BLOCKS = {
+    "orthogonal": _orthogonal_blocks,
+    "commuting_diagonal": _diagonal_compat_blocks,
+    "conjugated_positive_pair": _conjugated_positive_blocks,
+    "direct_sum_mix": _mixed_blocks,
 }
 
 
-def draw(strategy: PairStrategy, rng: np.random.Generator,
+def draw(recipe: str, rng: np.random.Generator,
          shape: AlgebraShape) -> tuple[AlgebraElement, AlgebraElement]:
-    """``PairGenerator.draw`` of a generator of ``strategy`` whose generator
-    is ``rng``: one raw candidate pair; compatibility is *not* checked here.
-    The conjugated positive pair needs a block of size 2 or more."""
-    if strategy is PairStrategy.CONJUGATED_POSITIVE_PAIR and max(shape.block_dims) < 2:
+    """One raw candidate pair of the pair recipe named ``recipe`` from
+    ``rng``; compatibility is *not* checked here. The conjugated positive
+    pair needs a block of size 2 or more."""
+    if recipe == "conjugated_positive_pair" and max(shape.block_dims) < 2:
         raise GeneratorExhausted(
-            f"strategy {strategy.value} does not support shape "
+            f"strategy {recipe} does not support shape "
             f"{shape.block_dims}"
         )
-    return _blockpair(rng, shape, _STRATEGY_BLOCKS[strategy])
+    return _blockpair(rng, shape, _RECIPE_BLOCKS[recipe])
 
 
 def sample_general_pair(

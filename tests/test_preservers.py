@@ -564,6 +564,21 @@ class TestPreservesCompat:
                     assert w.output_defect == compat_defect(ta, tb, kind, tol).defect
 
     @pytest.mark.parametrize("kind", list(CompatKind))
+    @pytest.mark.parametrize("dims", [(2,), (1, 2)])
+    def test_judged_inputs_are_the_streams_first_pairs(self, dims, kind):
+        # the judge asks the stream for no more pairs than it wants, so its
+        # stacks differ from the stream's; the pairs, drawn candidate by
+        # candidate from one generator, must not
+        shape, tol = AlgebraShape(dims), ToleranceConfig()
+        stream = list(islice(compatible_pairs(shape, kind, 6, tol), 129))
+        for n in (1, 2, 3, 63, 64, 65, 129):
+            judged = list(preservers._judged_pairs(identity_map(shape), kind, kind, n, 6, tol))
+            assert [(w.source, w.a.matrix.tobytes(), w.b.matrix.tobytes(),
+                     np.float64(w.input_defect).tobytes()) for w in judged] == [
+                (source, a.matrix.tobytes(), b.matrix.tobytes(), np.float64(d).tobytes())
+                for source, a, b, d in stream[:n]]
+
+    @pytest.mark.parametrize("kind", list(CompatKind))
     @pytest.mark.parametrize("dims", [(2,), (2, 3)])
     def test_regrouped_pairs_give_each_pair_its_bytes(self, dims, kind):
         # under x -> 1.5 x the fixed pairs' images leave the ball; four more

@@ -43,8 +43,6 @@ from abscompat.relations import (
 from abscompat.reports import SideCheck, make_clause
 from abscompat.sampling import (
     _passing,
-    PairGenerator,
-    PairStrategy,
     rand_contraction,
     rand_hermitian_contraction,
     rand_partial_isometry,
@@ -53,6 +51,8 @@ from abscompat.sampling import (
     sample_general_pair,
     sample_positive_pair,
 )
+
+import frozen_sampling as frozen
 
 SQRT2 = np.sqrt(2.0)
 
@@ -424,7 +424,8 @@ class TestStackedCharacterizations:
         positive += [(zero(shape), zero(shape)),
                      (_scaled(rand_positive_contraction(rng, shape), 1.0 + tol.relation / 2),
                       positive[0][1])]
-        diagonal = [PairGenerator(PairStrategy.COMMUTING_DIAGONAL, 5).draw(AlgebraShape((5,)))
+        rng5 = np.random.default_rng(5)
+        diagonal = [frozen.draw("commuting_diagonal", rng5, AlgebraShape((5,)))
                     for _ in range(20)]
         diagonal += [tuple(AlgebraElement.single(np.diag(np.diag(x.matrix))) for x in pair)
                      for pair in general[:20]]

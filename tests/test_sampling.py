@@ -58,12 +58,7 @@ def test_different_seed_different_stream():
     assert not np.allclose(a1.matrix, a2.matrix)
 
 
-@pytest.mark.parametrize("strategy", [
-    PairStrategy.ORTHOGONAL,
-    PairStrategy.COMMUTING_DIAGONAL,
-    PairStrategy.CONJUGATED_POSITIVE_PAIR,
-    PairStrategy.DIRECT_SUM_MIX,
-])
+@pytest.mark.parametrize("strategy", list(PairStrategy))
 def test_strategies_emit_compatible_pairs(strategy):
     shape = AlgebraShape((2, 3))
     gen = PairGenerator(strategy, 7)
@@ -75,11 +70,17 @@ def test_strategies_emit_compatible_pairs(strategy):
         assert op_norm(b.matrix) <= 1.0 + 1e-12
 
 
-def test_orthogonal_strategy_is_orthogonal():
-    gen = PairGenerator(PairStrategy.ORTHOGONAL, 13)
-    shape = AlgebraShape((4,))
-    for _ in range(10):
-        a, b = gen.draw(shape)
+def _recipe_pairs(draw, shape, seed, count):
+    """``count`` raw candidates of the block recipe ``draw`` from one
+    generator seeded ``seed``, as element pairs."""
+    rng = np.random.default_rng(seed)
+    stacks = sampling._assemble(shape, [sampling._blocks(rng, shape, draw)
+                                        for _ in range(count)])
+    return [sampling._wrapped(shape, stacks, row) for row in range(count)]
+
+
+def test_orthogonal_recipe_is_orthogonal():
+    for a, b in _recipe_pairs(sampling._orthogonal_draw, AlgebraShape((4,)), 13, 10):
         assert is_orthogonal(a, b).verdict
 
 
@@ -90,15 +91,14 @@ def test_conjugated_pair_is_noncommuting():
     assert op_norm((a @ b - b @ a).matrix) > 0.1
 
 
-def test_commuting_diagonal_matches_pointwise_criterion():
+def test_commuting_diagonal_recipe_matches_pointwise_criterion():
     from abscompat import commutative_compat_check
 
-    gen = PairGenerator(PairStrategy.COMMUTING_DIAGONAL, 29)
     shape = AlgebraShape((5,))
-    for _ in range(10):
-        a, b, _ = generate_compat_pair(gen, shape, CompatKind.FULL)
+    for a, b in _recipe_pairs(sampling._diagonal_compat_draw, shape, 29, 10):
         f, g = np.diagonal(a.matrix), np.diagonal(b.matrix)
         assert commutative_compat_check(f, g).verdict
+        assert compat_defect(a, b, CompatKind.FULL).verdict
 
 
 def test_conjugated_pair_needs_wide_block():
@@ -252,39 +252,68 @@ def test_stacked_rank_cut_gives_the_boolean_slice_bytes():
                 sigma_i.tobytes(), right_h_i.tobytes())
 
 
+# the pair recipes by the name frozen_sampling.draw knows them by: the
+# stream's strategies, and the orthogonal and diagonal recipes its mixed
+# strategy draws per block
+_PAIR_RECIPES = [
+    ("orthogonal", sampling._orthogonal_draw),
+    ("commuting_diagonal", sampling._diagonal_compat_draw),
+    ("conjugated_positive_pair", sampling._conjugated_positive_draw),
+    ("direct_sum_mix", sampling._mixed_draw),
+]
+
+
+def _narrow(dims, name):
+    return name == "conjugated_positive_pair" and max(dims) < 2
+
+
 @pytest.mark.parametrize("dims", FROZEN_DIMS)
-def test_strategy_candidates_match_the_frozen_recipes(dims):
+def test_pair_recipes_match_the_frozen_recipes(dims):
     shape = AlgebraShape(dims)
     for seed in range(3):
-        for strategy in PairStrategy:
-            gen, rng = PairGenerator(strategy, seed), np.random.default_rng(seed)
-            if strategy is PairStrategy.CONJUGATED_POSITIVE_PAIR and max(dims) < 2:
+        for name, draw in _PAIR_RECIPES:
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            if _narrow(dims, name):  # the stream leaves it out on this shape
                 with pytest.raises(GeneratorExhausted):
-                    gen._draw_stack(shape, 1)
-                with pytest.raises(GeneratorExhausted):
-                    frozen.draw(strategy, rng, shape)
+                    frozen.draw(name, ref, shape)
                 continue
             for count in STACK_COUNTS:
-                a, b = gen._draw_stack(shape, count)
-                reference = [frozen.draw(strategy, rng, shape) for _ in range(count)]
+                a, b = sampling._assemble(shape, [sampling._blocks(rng, shape, draw)
+                                                  for _ in range(count)])
+                reference = [frozen.draw(name, ref, shape) for _ in range(count)]
                 _same_bytes(a, [p[0] for p in reference])
                 _same_bytes(b, [p[1] for p in reference])
-            a, b = gen.draw(shape)  # the case N = 1
-            _same_bytes([a.matrix, b.matrix], frozen.draw(strategy, rng, shape))
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("dims", FROZEN_DIMS)
-def test_interleaved_strategies_assemble_to_each_strategys_bytes(dims):
-    # the stream builds every strategy's candidates in one _assemble
+def test_generator_draw_is_the_frozen_recipe(dims):
+    # PairGenerator.draw, the case N = 1; the conjugated pair needs a 2x2 block
+    shape = AlgebraShape(dims)
+    for strategy in PairStrategy:
+        gen, rng = PairGenerator(strategy, 4), np.random.default_rng(4)
+        for _ in range(5):
+            if _narrow(dims, strategy.value):
+                with pytest.raises(GeneratorExhausted):
+                    gen.draw(shape)
+                break
+            a, b = gen.draw(shape)
+            _same_bytes([a.matrix, b.matrix], frozen.draw(strategy.value, rng, shape))
+
+
+@pytest.mark.parametrize("dims", FROZEN_DIMS)
+def test_interleaved_recipes_assemble_to_each_recipes_bytes(dims):
+    # a stack of the stream mixes recipes in one _assemble
     shape, rng = AlgebraShape(dims), np.random.default_rng(5)
-    strategies = [s for s in PairStrategy
-                  if max(dims) >= 2 or s is not PairStrategy.CONJUGATED_POSITIVE_PAIR]
-    order = [strategies[i] for i in rng.permutation(np.repeat(range(len(strategies)), 9))]
-    gens = {s: PairGenerator(s, 3) for s in strategies}
-    together = sampling._assemble(shape, [gens[s]._candidate(shape) for s in order])
-    for strategy in strategies:
-        rows = [i for i, s in enumerate(order) if s is strategy]
-        alone = PairGenerator(strategy, 3)._draw_stack(shape, len(rows))
+    recipes = [(name, draw) for name, draw in _PAIR_RECIPES if not _narrow(dims, name)]
+    order = rng.permutation(np.repeat(range(len(recipes)), 9)).tolist()
+    rngs = [np.random.default_rng(3) for _ in recipes]
+    together = sampling._assemble(shape, [sampling._blocks(rngs[i], shape, recipes[i][1])
+                                          for i in order])
+    for i, (_, draw) in enumerate(recipes):
+        rows = [row for row, j in enumerate(order) if j == i]
+        rng = np.random.default_rng(3)
+        alone = sampling._assemble(shape, [sampling._blocks(rng, shape, draw) for _ in rows])
         assert together[:, rows].tobytes() == alone.tobytes()
 
 
@@ -333,21 +362,30 @@ def test_samplers_match_the_frozen_recipes(dims):
 
 def _reference_stream(shape, kind, seed, tol=ToleranceConfig()):
     """The stream one pair at a time through compat_defect and the frozen
-    recipes: the fixed pairs compatible at kind, then one accepted draw from
-    each strategy in turn (``_reference_draw``), until none is left."""
+    recipes: the fixed pairs compatible at kind, then the accepted draws of
+    one generator seeded ``seed`` (``_reference_drawn``)."""
     for label, a, b in known_witness_pairs(shape):
         if (defect := _defect_if_compatible(a, b, kind, tol)) is not None:
             yield label, a, b, defect
-    seeds = np.random.SeedSequence(seed).generate_state(len(PairStrategy))
-    active = [(strategy, np.random.default_rng(int(s)))
-              for strategy, s in zip(PairStrategy, seeds)]
-    while active:
-        for strategy, rng in list(active):
-            pair = _reference_draw(strategy, rng, shape, kind, tol)
-            if pair is None:
-                active.remove((strategy, rng))
-            else:
-                yield pair
+    yield from _reference_drawn(np.random.default_rng(seed), shape, kind, tol,
+                                list(PairStrategy))
+
+
+def _reference_drawn(rng, shape, kind, tol, strategies):
+    """Each candidate picks one of ``strategies`` that supports ``shape``
+    uniformly from ``rng`` (one strategy draws nothing to pick), then takes
+    its ``frozen.draw``; yields ``(source, a, b, defect)`` for each candidate
+    compatible at ``kind`` (a draw outside the unit ball is rejected) and
+    ends after 100 rejections in a row."""
+    names = [s.value for s in strategies if not _narrow(shape.block_dims, s.value)]
+    rejected = 0
+    while names and rejected < 100:
+        name = names[int(rng.integers(len(names)))]
+        a, b = frozen.draw(name, rng, shape)
+        defect = _defect_if_compatible(a, b, kind, tol)
+        rejected = 0 if defect is not None else rejected + 1
+        if defect is not None:
+            yield name, a, b, defect
 
 
 def _defect_if_compatible(a, b, kind, tol):
@@ -359,18 +397,9 @@ def _defect_if_compatible(a, b, kind, tol):
 
 
 def _reference_draw(strategy, rng, shape, kind, tol):
-    """The next accepted ``frozen.draw`` of ``strategy`` from ``rng``, as
-    ``(source, a, b, defect)``. A draw outside the unit ball is rejected;
-    after 100 rejections in a row, or on a shape the strategy does not
-    support, None."""
-    try:
-        for _ in range(100):
-            a, b = frozen.draw(strategy, rng, shape)
-            if (defect := _defect_if_compatible(a, b, kind, tol)) is not None:
-                return strategy.value, a, b, defect
-    except GeneratorExhausted:
-        pass
-    return None
+    """The next accepted draw of ``strategy`` alone from ``rng``, as
+    ``(source, a, b, defect)``, or None when its stream ends first."""
+    return next(_reference_drawn(rng, shape, kind, tol, [strategy]), None)
 
 
 def _assert_same_pairs(stream, reference):
@@ -383,28 +412,25 @@ def _assert_same_pairs(stream, reference):
 
 
 @pytest.mark.parametrize("kind", list(CompatKind))
-@pytest.mark.parametrize("dims", [(1,), (2,), (3,), (2, 1), (2, 3), (4,), (1, 2)])
-def test_stream_replays_the_one_pair_rotation(dims, kind):
+@pytest.mark.parametrize("dims", [(1,), (2,), (3,), (2, 1), (2, 3), (4,), (1, 2), (1, 1)])
+def test_stream_replays_the_one_pair_reference(dims, kind):
     shape = AlgebraShape(dims)
     for seed in range(3):
         stream = list(islice(compatible_pairs(shape, kind, seed), 300))
         _assert_same_pairs(stream, list(islice(_reference_stream(shape, kind, seed), 300)))
 
 
-@pytest.mark.parametrize("kind", list(CompatKind))
-@pytest.mark.parametrize("dims, relation, left", [
-    # the conjugated pair needs a 2x2 block
-    ((1, 1), 1e-8, {"conjugated_positive_pair"}),
-    # rounding alone rejects every orthogonal and conjugated draw; the
-    # diagonal ones are often exact and carry on
-    ((2,), 1e-300, {"orthogonal", "conjugated_positive_pair"}),
+@pytest.mark.parametrize("dims, kind, drawn", [
+    ((3,), CompatKind.DOMAIN, 62), ((3,), CompatKind.RANGE, 38), ((3,), CompatKind.FULL, 34),
+    ((2, 3), CompatKind.DOMAIN, 3), ((2, 3), CompatKind.RANGE, 0), ((2, 3), CompatKind.FULL, 0),
 ])
-def test_strategies_leave_where_the_rotation_drops_them(dims, relation, left, kind):
-    shape, tol = AlgebraShape(dims), ToleranceConfig(relation=relation)
-    stream = list(islice(compatible_pairs(shape, kind, 1, tol), 300))
-    _assert_same_pairs(stream, list(islice(_reference_stream(shape, kind, 1, tol), 300)))
-    drawn = {strategy.value for strategy in PairStrategy}
-    assert {src for src, _, _, _ in stream[-100:]} == drawn - left
+def test_stream_ends_where_the_reference_ends(dims, kind, drawn):
+    # rounding alone rejects every conjugated draw and most mixed ones at
+    # relation 1e-300: the stream ends after 100 rejections in a row
+    shape, tol = AlgebraShape(dims), ToleranceConfig(relation=1e-300)
+    stream = list(compatible_pairs(shape, kind, 1, tol))
+    _assert_same_pairs(stream, list(_reference_stream(shape, kind, 1, tol)))
+    assert len(stream) == len(sampling._fixed_pairs(shape, kind, tol)) + drawn
 
 
 def test_draw_outside_the_ball_is_a_rejection():
@@ -421,7 +447,7 @@ def test_draw_outside_the_ball_is_a_rejection():
 
 @pytest.mark.parametrize("dims, kind, relation", [
     *((dims, kind, 1e-8) for dims in [(2,), (3,), (2, 3)] for kind in CompatKind),
-    # rounding alone rejects draws: every orthogonal and conjugated one exhausts
+    # rounding alone rejects every conjugated draw: that generator exhausts
     ((2,), CompatKind.FULL, 1e-300),
 ])
 def test_generate_compat_pair_is_the_one_draw_reference(dims, kind, relation):
@@ -442,12 +468,17 @@ def test_generate_compat_pair_is_the_one_draw_reference(dims, kind, relation):
 
 
 def _recording_candidates(monkeypatch) -> list:
-    """The strategy of every candidate the stream draws, in draw order: every
-    candidate is drawn through PairGenerator._candidate."""
+    """The recipe of every candidate the stream draws, in draw order: every
+    candidate is drawn through sampling._candidate."""
     draws = []
-    original = PairGenerator._candidate
-    monkeypatch.setattr(PairGenerator, "_candidate", lambda gen, shape:
-                        draws.append(gen.strategy) or original(gen, shape))
+
+    def recorded(*args):
+        name, blocks = candidate(*args)
+        draws.append(name)
+        return name, blocks
+
+    candidate = sampling._candidate
+    monkeypatch.setattr(sampling, "_candidate", recorded)
     return draws
 
 
@@ -458,13 +489,13 @@ def test_refutation_in_the_fixed_pairs_draws_nothing(monkeypatch):
     assert draws == []
 
 
-def test_refutation_by_the_first_drawn_pair_draws_one_round(monkeypatch):
+def test_refutation_by_the_first_drawn_pair_draws_one_candidate(monkeypatch):
     # x -> (x + x^T) / 2 keeps the three fixed pairs compatible at full kind;
-    # at seed 2 the first drawn pair refutes it
+    # at seed 1 the first drawn pair refutes it
     shape = AlgebraShape((2,))
     action = (identity_map(shape).action + transpose_map(shape).action) / 2.0
     symmetrize = LinearMap(shape, shape, action, Provenance.CUSTOM)
     draws = _recording_candidates(monkeypatch)
-    w = fuzz_counterexample(symmetrize, CompatKind.FULL, seed=2)
-    assert (w.index, w.source) == (3, "orthogonal")
-    assert draws == list(PairStrategy)  # one candidate from each strategy
+    w = fuzz_counterexample(symmetrize, CompatKind.FULL, seed=1)
+    assert (w.index, w.source) == (3, "conjugated_positive_pair")
+    assert draws == ["conjugated_positive_pair"]
