@@ -11,9 +11,9 @@ is conclusive, "true" only means no violation was found within the budget.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -32,7 +32,7 @@ from .linalg import _op_norm, _svd, op_norm
 from .relations import (CompatKind, _beyond_ball, _compat_stack, compat_defect,
                         is_partial_isometry)
 from .reports import RelationReport
-from .sampling import _contraction_draw, _drawn_pairs, _elements, _fixed_pairs
+from .sampling import _contraction_draw, _drawn_pairs, _elements, _fixed_pairs, _wrapped
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
@@ -370,7 +370,8 @@ def _pair_pass(T: LinearMap, e: np.ndarray, split: bool) -> tuple[float, list[li
     units inside each domain block. Per codomain block, both come from the table
     P[x, y] = Tx e* Ty, one matrix product per ``_tiles`` tile of P[x, y] and one
     of P[y, x]. J's residual is symmetric, so it is judged for x <= y only;
-    ``split`` takes both orders from e* times the same two tiles. No product is
+    ``split`` takes both orders of those pairs from e* times the same two
+    tiles, which covers the pairs y < x. No product is
     mapped: for x = e_ij and y = e_kl, T(xy) = δ_jk T(e_il) and T(yx) = δ_li
     T(e_kj) are columns of the action."""
     shape, n, m = T.domain_shape, T.domain_shape.total_dim, T.codomain_shape.total_dim
@@ -395,14 +396,15 @@ def _pair_pass(T: LinearMap, e: np.ndarray, split: bool) -> tuple[float, list[li
         for bi, end, a, b, c, d in _tiles(shape, mc):
             i, j, k, l = rows[a:b, None], cols[a:b, None], rows[c:d], cols[c:d]
             hit_xy, hit_yx = j == k, l == i  # xy = e_il, yx = e_kj
+            lower = np.tril_indices(b - a, -1)  # y < x (then c = a): judged as (y, x)
+            hit_xy[lower] = hit_yx[lower] = False
             u_xy, u_yx = index[i, l][hit_xy], index[k, j][hit_yx]
             diff = np.ascontiguousarray(table(neg_half, a, b, c, d))  # one product at a time
             diff += table(neg_half, c, d, a, b).swapaxes(0, 1)  # -(P[x, y] + P[y, x]) / 2
+            diff[lower] = 0.0
             flat = diff.reshape(-1, mc, mc)
             flat[np.flatnonzero(hit_xy)] -= neg_half[u_xy]
             flat[np.flatnonzero(hit_yx)] -= neg_half[u_yx]
-            if b - a > 1:  # y < x: judged as (y, x)
-                diff[np.tril_indices(b - a, -1)] = 0.0
             defect = _max_op_norm(flat, defect)
             d = min(d, end)  # the pairs inside the block; every hit is one of them
             if not split or c >= d:
@@ -412,6 +414,7 @@ def _pair_pass(T: LinearMap, e: np.ndarray, split: bool) -> tuple[float, list[li
             q = np.empty((2, b - a, d - c, mc, mc), dtype=np.complex128)
             q[0] = table(neg_e_t, a, b, c, d)  # -e* P[x, y]
             q[1] = table(neg_e_t, c, d, a, b).swapaxes(0, 1)  # -e* P[y, x]
+            q[:, lower[0], lower[1]] = 0.0  # both orders of y < x are those of (y, x)
             q = q.reshape(2, -1, mc, mc)
             # T(xy) against P[x, y] (multiplicativity), then against P[y, x]
             for side, (s_xy, s_yx) in enumerate([(0, 1), (1, 0)]):
@@ -488,36 +491,57 @@ def _judge_one(T: LinearMap, pair: tuple, output_kind: CompatKind,
         return max(op_norm(ta.matrix), op_norm(tb.matrix)) - 1.0, "+noncontractive-image"
 
 
-def _judge(T: LinearMap, pairs: list, output_kind: CompatKind,
-           tol: ToleranceConfig) -> list[tuple[float, str]]:
-    """``_judge_one`` of each pair in ``pairs``, from one matrix-vector product
-    per element, as ``T.apply`` takes it, and one kernel call."""
-    n = len(pairs)
-    images = T._apply_stack(np.stack([p[i].matrix for i in (1, 2) for p in pairs]))
-    k = _compat_stack(images[:n], images[n:], T.codomain_shape, output_kind, tol)
-    return [(float(e), "+noncontractive-image") if _beyond_ball(e, tol) else (float(d), "")
-            for d, e in zip(k.defect, k.excess)]
+def _judge(T: LinearMap, stacks: np.ndarray, output_kind: CompatKind,
+           tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``_judge_one`` of each pair of the ``(2, M, D, D)`` ``stacks``: the
+    output defects, and which pairs have an image outside the unit ball, from
+    one matrix-vector product per element, as ``T.apply`` takes it, and one
+    kernel call."""
+    m = stacks.shape[1]
+    images = T._apply_stack(stacks.reshape(2 * m, *stacks.shape[2:]))
+    k = _compat_stack(images[:m], images[m:], T.codomain_shape, output_kind, tol)
+    outside = _beyond_ball(k.excess, tol)
+    return np.where(outside, k.excess, k.defect), outside
+
+
+# a stack of judged pairs: the stream index of its first row, the sources, the
+# (2, M, D, D) stacks of a and b, and per row the input defect, the output defect
+# and whether an image left the unit ball
+_Judged = namedtuple("_Judged", "start names stacks input_defects output_defects outside")
+
+
+def _witness(shape: AlgebraShape, judged: _Judged, row: int) -> Witness:
+    """Row ``row`` of a ``_Judged`` stack, wrapped as elements of ``shape``."""
+    suffix = "+noncontractive-image" if judged.outside[row] else ""
+    return Witness(*_wrapped(shape, judged.stacks, row), float(judged.input_defects[row]),
+                   float(judged.output_defects[row]), judged.names[row] + suffix,
+                   judged.start + int(row))
 
 
 def _judged_pairs(
     T: LinearMap, kind: CompatKind, output_kind: CompatKind, n_pairs: int,
     seed: int, tol: ToleranceConfig,
-) -> Iterator[Witness]:
-    """The first ``n_pairs`` pairs of ``compatible_pairs`` at ``kind``, each
-    with the compatibility defect of its image at ``output_kind``. Images
-    escaping the unit ball are themselves violations (the relation is only
-    defined on the ball), with their norm excess as defect, labelled
-    ``source+noncontractive-image``. The fixed pairs are judged one at a
-    time, so a refutation among them draws nothing; the drawn ones in the
-    stacks ``_drawn_pairs`` accepts them in."""
-    fixed = _fixed_pairs(T.domain_shape, kind, tol)[:n_pairs]
-    drawn = _drawn_pairs(T.domain_shape, kind, np.random.default_rng(seed), tol,
-                         n_pairs - len(fixed))
-    judged = chain(((pair, _judge_one(T, pair, output_kind, tol)) for pair in fixed),
-                   chain.from_iterable(zip(pairs, _judge(T, pairs, output_kind, tol))
-                                       for pairs in drawn))
-    for index, ((source, a, b, in_defect), (out_defect, suffix)) in enumerate(judged):
-        yield Witness(a, b, in_defect, out_defect, source + suffix, index)
+) -> Iterator[_Judged]:
+    """The first ``n_pairs`` pairs of ``compatible_pairs`` at ``kind``, with
+    the compatibility defects of their images at ``output_kind``, one
+    ``_Judged`` per stack. Images escaping the unit ball are themselves
+    violations (the relation is only defined on the ball), with their norm
+    excess as defect, labelled ``source+noncontractive-image``. The fixed
+    pairs are judged one at a time (``_judge_one``), each a stack of one, so
+    a refutation among them draws nothing; the drawn ones stay in the stacks
+    ``_drawn_pairs`` accepts them in, one ``_judge`` each. Nothing is wrapped
+    here: ``_witness`` wraps the row an audit returns."""
+    shape, start = T.domain_shape, 0
+    fixed = _fixed_pairs(shape, kind, tol)[:n_pairs]
+    for pair in fixed:
+        out_defect, suffix = _judge_one(T, pair, output_kind, tol)
+        yield _Judged(start, [pair[0]], np.stack([pair[1].matrix, pair[2].matrix])[:, None],
+                      np.array([pair[3]]), np.array([out_defect]), np.array([bool(suffix)]))
+        start += 1
+    for names, stacks, in_defects in _drawn_pairs(shape, kind, np.random.default_rng(seed),
+                                                  tol, n_pairs - len(fixed)):
+        yield _Judged(start, names, stacks, in_defects, *_judge(T, stacks, output_kind, tol))
+        start += len(names)
 
 
 def preserves_compat_sampled(
@@ -532,8 +556,9 @@ def preserves_compat_sampled(
     seed)`` (fixed witness pairs included) and report every image whose
     defect at ``output_kind`` exceeds the tolerance (default: same kind;
     anti-homomorphisms are audited with the swapped kind). The worst
-    violation is the witness. Raises GeneratorExhausted when the stream ends
-    first (``_RETRIES`` rejected draws in a row).
+    violation, the first pair of largest defect, is the witness. Raises
+    GeneratorExhausted when the stream ends first (``_RETRIES`` rejected
+    draws in a row).
 
     A quick sampled contractivity check runs first and warns (never blocks)
     if the map escapes the unit ball: the compatibility notion assumes
@@ -551,17 +576,19 @@ def preserves_compat_sampled(
             "preservation of compatibility presumes a contraction",
             UserWarning,
         )
-    violations, worst, max_defect, judged = 0, None, 0.0, 0
-    for judged, w in enumerate(_judged_pairs(T, kind, output_kind, n_pairs, seed, tol), 1):
-        max_defect = max(max_defect, w.output_defect)
-        if w.output_defect > tol.relation:
-            violations += 1
-            if worst is None or w.output_defect > worst.output_defect:
-                worst = w
+    violations, max_defect, top, judged = 0, 0.0, None, 0
+    for chunk in _judged_pairs(T, kind, output_kind, n_pairs, seed, tol):
+        out = chunk.output_defects
+        violations += int(np.count_nonzero(out > tol.relation))
+        row = int(out.argmax())  # the first row of largest defect
+        if out[row] > max_defect:  # later ties keep the earlier pair
+            max_defect, top = float(out[row]), (chunk, row)
+        judged = chunk.start + len(chunk.names)
     if judged < n_pairs:
         raise GeneratorExhausted(
             f"the pair stream ended after {judged} of {n_pairs} pairs "
             f"on shape {T.domain_shape.block_dims}")
+    worst = _witness(T.domain_shape, *top) if violations else None
     return PreservationReport(kind, output_kind, n_pairs, violations, max_defect,
                               worst, violations == 0, tol.relation)
 
@@ -634,8 +661,11 @@ def fuzz_counterexample(
         raise ValueError("budget must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    judged = _judged_pairs(T, kind, kind, budget, seed, tol)
-    return next((w for w in judged if w.output_defect > tol.relation), None)
+    for chunk in _judged_pairs(T, kind, kind, budget, seed, tol):
+        over = np.flatnonzero(chunk.output_defects > tol.relation)
+        if over.size:
+            return _witness(T.domain_shape, chunk, over[0])
+    return None
 
 
 def range_version_adapter(T: LinearMap) -> LinearMap:

@@ -5,7 +5,9 @@ Everything here is driven by an explicit ``numpy.random.Generator`` or a
 ``compatible_pairs`` is the one stream that preservation audits and
 counterexample fuzzing judge, from one generator that picks a recipe per
 candidate; its accept loop ``_drawn_pairs``, restricted to one strategy, also
-gives ``generate_compat_pair``.
+gives ``generate_compat_pair``. The loop yields its accepted pairs as
+``(2, M, D, D)`` stacks, which the audits judge as they are; rows become
+``AlgebraElement`` pairs only where the public API hands them out.
 
 Random elements are drawn in two phases: each block recipe's draw half takes
 a candidate's random numbers, candidate by candidate in the order a
@@ -22,6 +24,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -84,17 +87,24 @@ def _unitary_build(key, z):
     return (_haar(z),)
 
 
-def _contraction_draw(rng: np.random.Generator, n: int, hermitian: bool = False):
-    g = _ginibre(rng.standard_normal((2, n, n)))
-    if hermitian:
-        g = (g + g.conj().T) / 2.0
+def _scaled_draw(rng: np.random.Generator, build, g: np.ndarray):
     # the scale is drawn only for a nonzero draw: measure zero, but keep it total
     nonzero = bool(g.any())
-    return _scaled_build, nonzero, (g, rng.uniform(0.05, 1.0) if nonzero else 0.0)
+    return build, nonzero, (g, rng.uniform(0.05, 1.0) if nonzero else 0.0)
+
+
+def _contraction_draw(rng: np.random.Generator, n: int):
+    # a Ginibre matrix is zero exactly when its normal draws are
+    return _scaled_draw(rng, _contraction_build, rng.standard_normal((2, n, n)))
+
+
+def _contraction_build(nonzero, z, scale):
+    return _scaled_build(nonzero, _ginibre(z), scale)
 
 
 def _hermitian_contraction_draw(rng: np.random.Generator, n: int):
-    return _contraction_draw(rng, n, hermitian=True)
+    g = _ginibre(rng.standard_normal((2, n, n)))
+    return _scaled_draw(rng, _scaled_build, (g + g.conj().T) / 2.0)
 
 
 def _scaled_build(nonzero, g, scale):
@@ -150,15 +160,25 @@ def _orthogonal_build(k, z, d):
 def _diagonal_draw(*cases: str):
     """Diagonal pairs diag(f), diag(g), coordinate by coordinate in one of the
     equally likely ``cases``: a letter for f and one for g, ``0`` (zero), ``d``
-    (in the disk: modulus, then phase) or ``c`` (on the circle)."""
+    (in the disk: modulus, then phase) or ``c`` (on the circle). Each
+    coordinate takes its uniforms in one call, the same numbers one call per
+    uniform takes; the build half forms modulus times exp(2 pi i phase)."""
+    plans = [([c != "0" for c in case],  # the moduli of f and g, and the slots of the uniforms
+              [2 * s + j for s, c in enumerate(case) for j in {"0": (), "c": (1,), "d": (0, 1)}[c]])
+             for case in cases]
+
     def draw(rng: np.random.Generator, n: int):
-        circle = lambda: np.exp(2j * np.pi * rng.uniform())
-        value = {"0": lambda: 0.0, "c": circle, "d": lambda: rng.uniform() * circle()}
-        f, g = np.zeros((2, n), dtype=np.complex128)
+        v = np.zeros((n, 4))  # per coordinate: the modulus and phase of f, then of g
         for t in range(n):
-            f[t], g[t] = (value[c]() for c in cases[int(rng.integers(0, len(cases)))])
-        return _diagonal_build, None, (f, g)
+            moduli, slots = plans[int(rng.integers(0, len(cases)))]
+            v[t, ::2] = moduli
+            v[t, slots] = rng.uniform(size=len(slots))
+        return _polar_diagonal_build, None, (v,)
     return draw
+
+
+def _polar_diagonal_build(key, v):
+    return _diagonal_build(key, *(v[..., s] * np.exp(2j * np.pi * v[..., s + 1]) for s in (0, 2)))
 
 
 # pointwise compatible: at every coordinate the product vanishes or a modulus is 1
@@ -180,8 +200,15 @@ def _conjugated_positive_build(wide, *z):
     if not wide:
         return ()  # the blocks stay zero
     w = _haar(z[0])
-    pad = (0, w.shape[-1] - 2)
-    return tuple(w @ np.pad(m, pad) @ _adj(w) for m in compatible_positive_pair_2x2())
+    return tuple(w @ m @ _adj(w) for m in _padded_positive_pair(w.shape[-1]))
+
+
+@lru_cache
+def _padded_positive_pair(n: int) -> np.ndarray:
+    """``compatible_positive_pair_2x2`` zero-padded to n x n, read-only."""
+    pair = np.pad(compatible_positive_pair_2x2(), ((0, 0), (0, n - 2), (0, n - 2)))
+    pair.flags.writeable = False
+    return pair
 
 
 def _saturated_draw(rng: np.random.Generator, n: int):
@@ -192,7 +219,7 @@ def _saturated_draw(rng: np.random.Generator, n: int):
 
 
 def _saturated_build(nonzero, z, *contraction):
-    return _haar(z), *_scaled_build(nonzero, *contraction)
+    return _haar(z), *_contraction_build(nonzero, *contraction)
 
 
 def _mixed_draw(rng: np.random.Generator, n: int):
@@ -421,30 +448,34 @@ def _passing(a: np.ndarray, b: np.ndarray, shape: AlgebraShape, kind: CompatKind
 
 def _drawn_pairs(shape: AlgebraShape, kind: CompatKind, rng: np.random.Generator,
                  tol: ToleranceConfig, _wanted: int = sys.maxsize,
-                 strategies=tuple(PairStrategy)) -> Iterator[list[tuple]]:
+                 strategies=tuple(PairStrategy)) -> Iterator[tuple]:
     """The first ``_wanted`` candidates from ``rng`` that pass at ``kind``
-    (within tol, both operands in the unit ball) as ``(recipe name, a, b,
-    defect)``, one list per stack. Each candidate picks one of ``strategies``
-    that supports ``shape``, then draws its blocks (``_candidate``); the next
-    1, 2, 4, ... of them, at most ``_STACK_MAX`` and the pairs still wanted,
-    are built in one ``_assemble`` and judged in one kernel call, so no pair
-    depends on its stack. The stream ends after ``_RETRIES`` rejections in a
-    row."""
+    (within tol, both operands in the unit ball), one ``(names, stacks,
+    defects)`` per stack: the recipe names, the ``(2, M, D, D)`` stacks of a
+    and b and the defects of the M accepted rows, unwrapped. Each candidate
+    picks one of ``strategies`` that supports ``shape``, then draws its blocks
+    (``_candidate``); the next 1, 2, 4, ... of them, at most ``_STACK_MAX`` and
+    the pairs still wanted, are built in one ``_assemble`` and judged in one
+    kernel call, so no pair depends on its stack. The accepted rows are
+    indexed out only when some row was rejected. The stream ends after
+    ``_RETRIES`` rejections in a row."""
     recipes, size, rejected = _recipes(shape, strategies), 1, 0
     while recipes and _wanted and rejected < _RETRIES:
         names, candidates = zip(*(_candidate(rng, shape, recipes)
                                   for _ in range(min(size, _wanted))))
         stacks = _assemble(shape, list(candidates))
-        defects, passed = (x.tolist() for x in _passing(*stacks, shape, kind, tol))
+        defects, passed = _passing(*stacks, shape, kind, tol)
         accepted = []
-        for row, ok in enumerate(passed):
+        for row, ok in enumerate(passed.tolist()):
             rejected = 0 if ok else rejected + 1
             if rejected == _RETRIES:  # the rest of the stack is dropped
                 break
             if ok:
-                accepted.append((names[row], *_wrapped(shape, stacks, row), defects[row]))
-        if accepted:
-            yield accepted
+                accepted.append(row)
+        if len(accepted) == len(names):
+            yield names, stacks, defects
+        elif accepted:
+            yield [names[r] for r in accepted], stacks[:, accepted], defects[accepted]
         _wanted, size = _wanted - len(accepted), min(2 * size, _STACK_MAX)
 
 
@@ -458,8 +489,8 @@ def generate_compat_pair(
     its defect: ``_drawn_pairs`` on ``gen.rng`` restricted to ``gen.strategy``,
     one candidate per kernel call; GeneratorExhausted when that stream ends.
     The strategies are heuristic; the defining identity is the oracle."""
-    for (_, a, b, defect), in _drawn_pairs(shape, kind, gen.rng, tol, 1, [gen.strategy]):
-        return a, b, defect
+    for _, stacks, defects in _drawn_pairs(shape, kind, gen.rng, tol, 1, [gen.strategy]):
+        return (*_wrapped(shape, stacks), float(defects[0]))
     raise GeneratorExhausted(f"strategy {gen.strategy.value} produced no compatible pair "
                              f"on shape {shape.block_dims}")
 
@@ -484,11 +515,14 @@ def compatible_pairs(
     cases make regressions deterministic), then ``_drawn_pairs`` of every
     ``PairStrategy`` from one ``np.random.default_rng(seed)``, which ends
     after ``_RETRIES`` rejections in a row. Identical arguments replay
-    identical streams.
+    identical streams. The drawn rows are wrapped as elements here, where
+    they are handed out; the audits judge ``_drawn_pairs``' stacks as they
+    come.
     """
     yield from _fixed_pairs(shape, kind, tol)
-    for pairs in _drawn_pairs(shape, kind, np.random.default_rng(seed), tol):
-        yield from pairs
+    for names, stacks, defects in _drawn_pairs(shape, kind, np.random.default_rng(seed), tol):
+        for row, (name, defect) in enumerate(zip(names, defects.tolist())):
+            yield (name, *_wrapped(shape, stacks, row), defect)
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,14 @@ def brute_force_pair_defect(T, scalars=(1.0,)) -> float:
     return worst
 
 
+def judged_witnesses(T, kind, output_kind, n_pairs, seed, tol) -> list:
+    """Every pair ``preservers._judged_pairs`` judges, wrapped as the Witness
+    an audit returning it would give."""
+    return [preservers._witness(T.domain_shape, chunk, row)
+            for chunk in preservers._judged_pairs(T, kind, output_kind, n_pairs, seed, tol)
+            for row in range(len(chunk.names))]
+
+
 def random_action(rng, domain: AlgebraShape, codomain: AlgebraShape) -> np.ndarray:
     n, m = domain.total_dim, codomain.total_dim
     action = rng.standard_normal((m * m, n * n)) + 1j * rng.standard_normal((m * m, n * n))
@@ -545,9 +553,9 @@ class TestPreservesCompat:
                                                 rand_unitary(rng, SH2))}[name]()
         tol = ToleranceConfig()
         for kind in CompatKind:
-            judged = list(preservers._judged_pairs(T, kind, kind, 150, 4, tol))
+            judged = judged_witnesses(T, kind, kind, 150, 4, tol)
             stream = compatible_pairs(T.domain_shape, kind, 4, tol)
-            assert len(judged) == 150
+            assert [w.index for w in judged] == list(range(150))
             for w, (source, a, b, in_defect) in zip(judged, stream):
                 ta, tb = T.apply(a), T.apply(b)
                 assert w.a.matrix.tobytes() == a.matrix.tobytes()
@@ -572,7 +580,7 @@ class TestPreservesCompat:
         shape, tol = AlgebraShape(dims), ToleranceConfig()
         stream = list(islice(compatible_pairs(shape, kind, 6, tol), 129))
         for n in (1, 2, 3, 63, 64, 65, 129):
-            judged = list(preservers._judged_pairs(identity_map(shape), kind, kind, n, 6, tol))
+            judged = judged_witnesses(identity_map(shape), kind, kind, n, 6, tol)
             assert [(w.source, w.a.matrix.tobytes(), w.b.matrix.tobytes(),
                      np.float64(w.input_defect).tobytes()) for w in judged] == [
                 (source, a.matrix.tobytes(), b.matrix.tobytes(), np.float64(d).tobytes())
@@ -592,8 +600,10 @@ class TestPreservesCompat:
                   for k, (source, a, b, d) in enumerate(nonzero[:4], 2)]
 
         def judged(rows):
-            return [(np.float64(d).tobytes(), suffix)
-                    for d, suffix in preservers._judge(T, [pairs[i] for i in rows], kind, tol)]
+            stacks = np.array([[pairs[i][j].matrix for i in rows] for j in (1, 2)])
+            defects, outside = preservers._judge(T, stacks, kind, tol)
+            return [(np.float64(d).tobytes(), "+noncontractive-image" if out else "")
+                    for d, out in zip(defects, outside)]
 
         expected = judged(range(len(pairs)))
         norms = [max(op_norm(T.apply(a).matrix), op_norm(T.apply(b).matrix))
@@ -605,6 +615,43 @@ class TestPreservesCompat:
         order = np.random.default_rng(5).permutation(len(pairs))
         for lo, hi in ((0, len(pairs)), (0, 1), (1, 4), (4, 11), (11, len(pairs))):
             assert judged(order[lo:hi]) == [expected[i] for i in order[lo:hi]]
+
+    @pytest.mark.parametrize("kind", list(CompatKind))
+    def test_stacked_reduction_keeps_the_per_pair_order(self, monkeypatch, kind):
+        # a stream that repeats its largest violation, within a stack and
+        # across stacks: the audit's witness is the earliest of the tied pairs
+        # and the fuzz witness the first row over tol, as a pair-by-pair scan
+        T, tol = scale_map(SH2, 0.5), ToleranceConfig()
+        zero = AlgebraElement.single(np.zeros((2, 2)))
+        pairs = list(islice(compatible_pairs(SH2, kind, 0, tol), 40))
+        over = sorted((p for p in pairs if preservers._judge_one(T, p, kind, tol)[0] > tol.relation),
+                      key=lambda p: preservers._judge_one(T, p, kind, tol)[0])
+        low, top, clean = over[0], over[-1], ("zero", zero, zero, 0.0)
+        assert preservers._judge_one(T, low, kind, tol)[0] < preservers._judge_one(T, top, kind, tol)[0]
+
+        def stacked(*rows):
+            return ([r[0] for r in rows], np.array([[r[i].matrix for r in rows] for i in (1, 2)]),
+                    np.array([r[3] for r in rows]))
+
+        def replay(*stacks):
+            monkeypatch.setattr(preservers, "_drawn_pairs", lambda *args: iter(stacks))
+            return [r for rows in stacks for r in zip(rows[0], *rows[1], rows[2])]
+
+        monkeypatch.setattr(preservers, "_fixed_pairs", lambda *args: [])
+        rows = [clean, low, top, clean, top, top, low, top]
+        flat = replay(stacked(*rows[:2]), stacked(*rows[2:3]), stacked(*rows[3:6]), stacked(*rows[6:]))
+        defects = [preservers._judge_one(T, r, kind, tol)[0] for r in rows]
+        rep = preserves_compat_sampled(T, kind, len(rows))
+        assert rep.worst.index == defects.index(max(defects)) == 2
+        assert rep.worst.a.matrix.tobytes() == flat[2][1].tobytes()
+        assert rep.max_output_defect == rep.worst.output_defect == max(defects)
+        assert rep.violations == sum(d > tol.relation for d in defects) == 6
+        replay(stacked(clean, clean), stacked(clean), stacked(clean, top, low))
+        w = fuzz_counterexample(T, kind, 6)
+        assert (w.index, w.source) == (4, top[0])
+        assert w.b.matrix.tobytes() == top[2].matrix.tobytes()
+        replay(stacked(clean, clean), stacked(clean))
+        assert fuzz_counterexample(T, kind, 3) is None
 
     def test_stream_ending_early_raises(self, monkeypatch):
         monkeypatch.setattr(preservers, "_fixed_pairs", lambda *args: [])
@@ -625,7 +672,7 @@ class TestPreservesCompat:
             return compat_defect(*args)
 
         monkeypatch.setattr(preservers, "compat_defect", counted)
-        judged = list(preservers._judged_pairs(transpose_map(shape), kind, kind, 40, 0, tol))
+        judged = judged_witnesses(transpose_map(shape), kind, kind, 40, 0, tol)
         passing = [label for label, a, b in known_witness_pairs(shape)
                    if compat_defect(a, b, kind, tol).verdict]
         assert len(judged) == 40

@@ -199,7 +199,7 @@ def test_every_gate_applies_one_unit_ball_rule(relation, step):
         "compat_defect": admits(compat_defect, a, b, CompatKind.FULL, tol),
         "_passing": bool(_passing(a.matrix[None], b.matrix[None], shape, CompatKind.FULL,
                                   tol)[1][0]),
-        "_judge": not _judge(T, [pair], CompatKind.FULL, tol)[0][1],
+        "_judge": not _judge(T, np.array([[a.matrix], [b.matrix]]), CompatKind.FULL, tol)[1][0],
         "_judge_one": not _judge_one(T, pair, CompatKind.FULL, tol)[1],
         "commutative_compat_check": admits(commutative_compat_check, np.array([norm, 0.0]),
                                            np.zeros(2), tol),

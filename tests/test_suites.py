@@ -394,6 +394,28 @@ def test_stacked_batteries_replay_the_one_pair_rows(stacked, one_pair, seed, tri
     assert stacked(seed, trials, shapes, tol) == one_pair(seed, trials, shapes, tol)
 
 
+@pytest.mark.parametrize("cap", [2, 3, 7])
+def test_self_sizing_batteries_do_not_depend_on_the_stack_cap(monkeypatch, cap):
+    # these batteries spread their trials over sizes 1 to 6 or 8, so at the
+    # default cap no size fills a stack; a cap of a few rows makes every size
+    # cross full stacks, and the rows must not move by a bit
+    def rows():
+        return [repr(dataclasses.asdict(r)) for seed in (0, 1) for r in
+                [*suite_linalg_invariants(seed, 60), suite_commutative_crosscheck(seed, 60)]]
+
+    expected = rows()
+    sizes, assemble = [], suites._assemble
+
+    def counted(shape, candidates):
+        sizes.append(len(candidates))
+        return assemble(shape, candidates)
+
+    monkeypatch.setattr(suites, "_assemble", counted)
+    monkeypatch.setattr(suites, "_STACK_MAX", cap)
+    assert rows() == expected
+    assert max(sizes) == cap and sizes.count(cap) > 10
+
+
 @pytest.mark.parametrize("seed, trials", [(0, 40), (3, 130)])
 def test_commutative_crosscheck_judges_the_one_trial_samples(monkeypatch, seed, trials):
     # stacks of one size judge, in call order, the one-trial samples of that
