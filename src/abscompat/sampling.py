@@ -3,20 +3,21 @@
 Everything here is driven by an explicit ``numpy.random.Generator`` or a
 ``PairGenerator`` seed, so identical seeds reproduce identical streams.
 ``compatible_pairs`` is the one stream that preservation audits and
-counterexample fuzzing judge, from one generator that picks a recipe per
-candidate; its accept loop ``_drawn_pairs``, restricted to one strategy, also
-gives ``generate_compat_pair``. The loop yields its accepted pairs as
-``(2, M, D, D)`` stacks, which the audits judge as they are; rows become
+counterexample fuzzing judge, drawn a page of ``_STACK_MAX`` candidates at a
+time (``_page``: one call picks every row's recipe); its accept loop
+``_drawn_pairs``, restricted to one strategy in pages of one, also gives
+``generate_compat_pair``. The loop yields its accepted pairs as ``(2, M, D,
+D)`` stacks, which the audits judge as they are; rows become
 ``AlgebraElement`` pairs only where the public API hands them out.
 
 Random elements are drawn in two phases: each block recipe's draw half takes
-a candidate's random numbers, candidate by candidate in the order a
-one-at-a-time loop takes them; its build half (Haar QR and phase fixing,
-norms, products, placement into block-diagonal ``(N, D, D)`` stacks) draws
-nothing and runs once per stack. Numpy's stacked ``qr``, ``matmul`` and
-``svd`` give each matrix the bytes a call on it alone gives, so no candidate
-depends on its stack; ``PairGenerator.draw``, ``rand_*`` and ``sample_*``
-are the case N = 1.
+the random numbers of a group of rows (a page's rows of one recipe, or one
+candidate) with one Generator call per array; its build half (Haar QR and
+phase fixing, norms, products, placement into block-diagonal ``(N, D, D)``
+stacks) draws nothing and runs once per stack. Numpy's stacked ``qr``,
+``matmul`` and ``svd`` give each matrix the bytes a call on it alone gives,
+so no candidate depends on its stack; ``PairGenerator.draw`` (a page of
+one), ``rand_*``, ``sample_*`` and the suites draw candidate by candidate.
 """
 
 from __future__ import annotations
@@ -56,13 +57,34 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# block recipes: a draw half per candidate, a build half per stack
+# block recipes: a draw half per group of rows, a build half per stack
 # ---------------------------------------------------------------------------
-# A draw half ``_*_draw(rng, n)`` takes the random numbers of one n x n block
-# and returns ``(build, key, data)``: its build half, a group key (a rank, or
-# whether a value was drawn) and a tuple of arrays. ``build(key, *stacks)``
-# takes the data of M blocks with one key, each item stacked along a new first
-# axis, and returns the (M, n, n) stack of each block it outputs.
+# A draw half ``_*_draw(rng, n, count)`` takes the random numbers of ``count``
+# n x n blocks, one Generator call per array for all (count = 1: the calls of one
+# block), and returns its groups ``(rows, build, key, data)``: the rows (None:
+# all) of one build half and key (a rank, or whether a value was drawn) and their
+# arrays. ``build(key, *data)`` returns the (M, n, n) stacks of M blocks' outputs.
+
+
+def _keyed(keys: list) -> list[tuple]:
+    """The ``(key, rows)`` groups of one key per row, in key order (rows None: all)."""
+    if len(set(keys)) == 1:
+        return [(keys[0], None)]
+    groups: dict = {}
+    for row, key in enumerate(keys):
+        groups.setdefault(key, []).append(row)
+    return sorted((key, np.array(rows)) for key, rows in groups.items())
+
+
+def _groups(build, keys: list, *data: np.ndarray) -> list[tuple]:
+    """The groups of a draw half's rows by their ``keys``."""
+    return [(rows, build, key, data if rows is None else [x[rows] for x in data])
+            for key, rows in _keyed(keys)]
+
+
+def _ints(rng: np.random.Generator, high: int, count: int) -> list[int]:
+    """``count`` uniform integers in [0, high) as ``count`` scalar calls draw them."""
+    return [int(rng.integers(high))] if count == 1 else rng.integers(high, size=count).tolist()
 
 
 def _ginibre(z: np.ndarray) -> np.ndarray:
@@ -79,51 +101,55 @@ def _haar(z: np.ndarray) -> np.ndarray:
     return q * (phases / np.abs(phases))[..., None, :]
 
 
-def _unitary_draw(rng: np.random.Generator, n: int):
-    return _unitary_build, None, (rng.standard_normal((2, n, n)),)
+def _unitary_draw(rng: np.random.Generator, n: int, count: int):
+    return [(None, _unitary_build, None, (rng.standard_normal((count, 2, n, n)),))]
 
 
 def _unitary_build(key, z):
     return (_haar(z),)
 
 
-def _scaled_draw(rng: np.random.Generator, build, g: np.ndarray):
-    # the scale is drawn only for a nonzero draw: measure zero, but keep it total
-    nonzero = bool(g.any())
-    return build, nonzero, (g, rng.uniform(0.05, 1.0) if nonzero else 0.0)
+def _scaled(rng: np.random.Generator, g: np.ndarray) -> tuple[list, np.ndarray]:
+    """Which rows of g are nonzero, and their scales, drawn for those rows only."""
+    nonzero = g.reshape(len(g), -1).any(axis=1).tolist()
+    scale = drawn = rng.uniform(0.05, 1.0, size=sum(nonzero))
+    if not all(nonzero):  # measure zero, but keep it total
+        np.place(scale := np.zeros(len(g)), nonzero, drawn)
+    return nonzero, scale
 
 
-def _contraction_draw(rng: np.random.Generator, n: int):
+def _contraction_draw(rng: np.random.Generator, n: int, count: int):
     # a Ginibre matrix is zero exactly when its normal draws are
-    return _scaled_draw(rng, _contraction_build, rng.standard_normal((2, n, n)))
+    z = rng.standard_normal((count, 2, n, n))
+    return _groups(_contraction_build, *_scaled(rng, z), z)
 
 
-def _contraction_build(nonzero, z, scale):
-    return _scaled_build(nonzero, _ginibre(z), scale)
+def _contraction_build(nonzero, scale, z):
+    return _scaled_build(nonzero, scale, _ginibre(z))
 
 
-def _hermitian_contraction_draw(rng: np.random.Generator, n: int):
-    g = _ginibre(rng.standard_normal((2, n, n)))
-    return _scaled_draw(rng, _scaled_build, (g + g.conj().T) / 2.0)
+def _hermitian_contraction_draw(rng: np.random.Generator, n: int, count: int):
+    h = _hermitize(_ginibre(rng.standard_normal((count, 2, n, n))))
+    return _groups(_scaled_build, *_scaled(rng, h), h)
 
 
-def _scaled_build(nonzero, g, scale):
+def _scaled_build(nonzero, scale, g):
     """Each g rescaled to operator norm ``scale``; zero g stay zero."""
     return (g * (scale / _op_norm(g))[:, None, None] if nonzero else g,)
 
 
-def _positive_contraction_draw(rng: np.random.Generator, n: int):
-    return _positive_contraction_build, None, (
-        rng.standard_normal((2, n, n)), rng.uniform(0.0, 1.0, size=n))
+def _positive_contraction_draw(rng: np.random.Generator, n: int, count: int):
+    return [(None, _positive_contraction_build, None, (
+        rng.standard_normal((count, 2, n, n)), rng.random((count, n))))]
 
 
 def _positive_contraction_build(key, z, lam):
     return (_weighted_gram(_haar(z), lam),)
 
 
-def _projection_draw(rng: np.random.Generator, n: int):
-    rank = int(rng.integers(0, n + 1))
-    return _projection_build, rank, (rng.standard_normal((2, n, n)),)
+def _projection_draw(rng: np.random.Generator, n: int, count: int):
+    ranks = _ints(rng, n + 1, count)
+    return _groups(_projection_build, ranks, rng.standard_normal((count, 2, n, n)))
 
 
 def _projection_build(rank, z):
@@ -131,11 +157,11 @@ def _projection_build(rank, z):
     return (_hermitize(cols @ _adj(cols)),)
 
 
-def _partial_isometry_draw(rng: np.random.Generator, n: int, scale: float = 1.0):
-    """A partial isometry of random rank, times ``scale`` (as multiplying its
-    element by ``scale`` would)."""
-    rank = int(rng.integers(0, n + 1))
-    return _partial_isometry_build, (rank, scale), (rng.standard_normal((2, 2, n, n)),)
+def _partial_isometry_draw(rng: np.random.Generator, n: int, count: int, scale: float = 1.0):
+    """Partial isometries of random rank, times ``scale`` (as multiplying
+    their elements by ``scale`` would)."""
+    keys = [(rank, scale) for rank in _ints(rng, n + 1, count)]
+    return _groups(_partial_isometry_build, keys, rng.standard_normal((count, 2, 2, n, n)))
 
 
 def _partial_isometry_build(key, z):
@@ -145,9 +171,10 @@ def _partial_isometry_build(key, z):
     return (w if scale == 1.0 else w * complex(scale),)
 
 
-def _orthogonal_draw(rng: np.random.Generator, n: int):
-    k = int(rng.integers(0, n + 1))
-    return _orthogonal_build, k, (rng.standard_normal((2, 2, n, n)), rng.uniform(0.0, 1.0, size=n))
+def _orthogonal_draw(rng: np.random.Generator, n: int, count: int):
+    ranks = _ints(rng, n + 1, count)
+    return _groups(_orthogonal_build, ranks, rng.standard_normal((count, 2, 2, n, n)),
+                   rng.random((count, n)))
 
 
 def _orthogonal_build(k, z, d):
@@ -160,20 +187,22 @@ def _orthogonal_build(k, z, d):
 def _diagonal_draw(*cases: str):
     """Diagonal pairs diag(f), diag(g), coordinate by coordinate in one of the
     equally likely ``cases``: a letter for f and one for g, ``0`` (zero), ``d``
-    (in the disk: modulus, then phase) or ``c`` (on the circle). Each
-    coordinate takes its uniforms in one call, the same numbers one call per
-    uniform takes; the build half forms modulus times exp(2 pi i phase)."""
-    plans = [([c != "0" for c in case],  # the moduli of f and g, and the slots of the uniforms
-              [2 * s + j for s, c in enumerate(case) for j in {"0": (), "c": (1,), "d": (0, 1)}[c]])
-             for case in cases]
+    (in the disk: modulus, then phase) or ``c`` (on the circle). Each coordinate
+    picks all rows' cases in one call, then takes their uniforms in one call,
+    row by row; the build half forms modulus times exp(2 pi i phase)."""
+    # per case: moduli (1 unless zero) and phases of f and g, and the slots its uniforms fill
+    base = np.array([[c != "0", 0.0] for case in cases for c in case]).reshape(-1, 4)
+    slots = np.array([[c == "d", c != "0"] for case in cases for c in case]).reshape(-1, 4)
+    sizes = slots.sum(axis=1).tolist()
 
-    def draw(rng: np.random.Generator, n: int):
-        v = np.zeros((n, 4))  # per coordinate: the modulus and phase of f, then of g
-        for t in range(n):
-            moduli, slots = plans[int(rng.integers(0, len(cases)))]
-            v[t, ::2] = moduli
-            v[t, slots] = rng.uniform(size=len(slots))
-        return _polar_diagonal_build, None, (v,)
+    def draw(rng: np.random.Generator, n: int, count: int):
+        picks, uniforms = [], []
+        for _ in range(n):
+            picks.append(_ints(rng, len(cases), count))
+            uniforms.append(rng.random(sum(sizes[c] for c in picks[-1])))
+        v = base[picks := np.array(picks)]  # (n, count, 4), filled coordinate by coordinate
+        v[slots[picks]] = np.concatenate(uniforms)
+        return [(None, _polar_diagonal_build, None, (v.swapaxes(0, 1),))]
     return draw
 
 
@@ -189,11 +218,11 @@ def _diagonal_build(key, *diagonals):
     return tuple(map(_diag, diagonals))
 
 
-def _conjugated_positive_draw(rng: np.random.Generator, n: int):
+def _conjugated_positive_draw(rng: np.random.Generator, n: int, count: int):
     """The standard 2x2 pair, zero-padded and unitarily conjugated (1x1:
     zeros, drawing nothing)."""
-    return _conjugated_positive_build, n >= 2, (
-        (rng.standard_normal((2, n, n)),) if n >= 2 else ())
+    return [(None, _conjugated_positive_build, n >= 2,
+             (rng.standard_normal((count, 2, n, n)),) if n >= 2 else ())]
 
 
 def _conjugated_positive_build(wide, *z):
@@ -211,31 +240,33 @@ def _padded_positive_pair(n: int) -> np.ndarray:
     return pair
 
 
-def _saturated_draw(rng: np.random.Generator, n: int):
+def _saturated_draw(rng: np.random.Generator, n: int, count: int):
     # (unitary, anything in the ball) always satisfies the identity.
-    z = rng.standard_normal((2, n, n))
-    _, nonzero, contraction = _contraction_draw(rng, n)
-    return _saturated_build, nonzero, (z, *contraction)
+    z, c = rng.standard_normal((count, 2, n, n)), rng.standard_normal((count, 2, n, n))
+    return _groups(_saturated_build, *_scaled(rng, c), z, c)
 
 
-def _saturated_build(nonzero, z, *contraction):
-    return _haar(z), *_contraction_build(nonzero, *contraction)
+def _saturated_build(nonzero, scale, z, c):
+    return _haar(z), *_contraction_build(nonzero, scale, c)
 
 
-def _mixed_draw(rng: np.random.Generator, n: int):
-    """An independent recipe per block; 1x1 blocks skip the conjugated pair."""
+def _mixed_draw(rng: np.random.Generator, n: int, count: int):
+    """An independent recipe per block, picked for all rows in one call, then
+    each recipe's rows in recipe order; 1x1 blocks skip the conjugated pair."""
     recipes = (_orthogonal_draw, _diagonal_compat_draw, _saturated_draw,
                _conjugated_positive_draw)
-    return recipes[int(rng.integers(0, 4 if n >= 2 else 3))](rng, n)
+    return [(rows if sub is None else sub if rows is None else rows[sub], *group)
+            for r, rows in _keyed(_ints(rng, 4 if n >= 2 else 3, count))
+            for sub, *group in recipes[r](rng, n, count if rows is None else len(rows))]
 
 
 def _spectral_pair_draw(weights):
     """A pair ``w diag(s) w*`` with one Haar w and the weights ``s`` that
     ``weights(mask, lam)`` makes from a fair coin per eigenvector and
     uniform [0, 1) values."""
-    def draw(rng: np.random.Generator, n: int):
-        return _spectral_pair_build, weights, (
-            rng.standard_normal((2, n, n)), rng.uniform(size=(2, n)))
+    def draw(rng: np.random.Generator, n: int, count: int):
+        return [(None, _spectral_pair_build, weights, (
+            rng.standard_normal((count, 2, n, n)), rng.random((count, 2, n))))]
     return draw
 
 
@@ -253,39 +284,41 @@ _orthogonal_positive_draw = _spectral_pair_draw(
 
 
 # ---------------------------------------------------------------------------
-# candidates and their assembly into stacks
+# candidates, pages and their assembly into stacks
 # ---------------------------------------------------------------------------
 
 
 def _blocks(rng: np.random.Generator, shape: AlgebraShape, draw,
-            outs: tuple[int, ...] = (0, 1)) -> list[tuple]:
-    """One candidate's draws from ``draw`` for each block of ``shape`` in
-    turn, filling its outputs ``outs``: ``(outs, block, build, key, data)``."""
-    return [(outs, i, *draw(rng, n)) for i, n in enumerate(shape.block_dims)]
+            outs: tuple[int, ...] = (0, 1), rows: np.ndarray | None = None) -> list[tuple]:
+    """Jobs ``(outs, block, rows, build, key, data)``: ``draw``'s groups for each block of
+    ``shape`` in turn, filling outputs ``outs``, of one candidate or the page rows ``rows``."""
+    return [(outs, i, rows if sub is None else rows[sub], build, key, data)
+            for i, n in enumerate(shape.block_dims)
+            for sub, build, key, data in draw(rng, n, 1 if rows is None else len(rows))]
 
 
-def _assemble(shape: AlgebraShape, candidates: list[list[tuple]]) -> np.ndarray:
-    """The ``(outputs, N, D, D)`` block-diagonal stacks of N candidates of
-    ``shape`` from their ``_blocks`` draws, one build call per group of draws
-    with one output, block, build half and key."""
+def _assemble(shape: AlgebraShape, candidates: list[list], count: int = 0) -> np.ndarray:
+    """The ``(outputs, N, D, D)`` block-diagonal stacks of ``shape`` from the ``_blocks``
+    jobs of N ``candidates``, a row each, or of a page of ``count`` rows in a list of
+    one; one build call per group of rows with one output, block, build half and key."""
     groups: dict[tuple, tuple[list, list]] = {}
-    for row, jobs in enumerate(candidates):
-        for outs, block, build, key, data in jobs:
-            rows, datas = groups.setdefault((outs, block, build, key), ([], []))
-            rows.append(row)
+    for i, jobs in enumerate(candidates):
+        for outs, block, rows, build, key, data in jobs:
+            at, datas = groups.setdefault((outs, block, build, key), ([], []))
+            at += [i] if rows is None else rows.tolist()
             datas.append(data)
     d, n_out = shape.total_dim, 1 + max(max(outs) for outs, *_ in groups)
-    out = np.zeros((n_out, len(candidates), d, d), dtype=np.complex128)
-    for (outs, block, build, key), (rows, datas) in groups.items():
+    out = np.zeros((n_out, count or len(candidates), d, d), dtype=np.complex128)
+    for (outs, block, build, key), (at, datas) in groups.items():
         sl = shape.block_slices()[block]
-        for o, blocks in zip(outs, build(key, *map(np.array, zip(*datas)))):
-            out[o, rows, sl, sl] = blocks
+        for o, blocks in zip(outs, build(key, *map(np.concatenate, zip(*datas)))):
+            out[o, at, sl, sl] = blocks
     return out
 
 
 def _elements(rng: np.random.Generator, shape: AlgebraShape, draw, count: int) -> np.ndarray:
-    """``count`` elements of ``shape`` from the block recipe ``draw``, as a
-    ``(count, D, D)`` stack."""
+    """``count`` elements of ``shape`` from the block recipe ``draw``, one
+    candidate after another, as a ``(count, D, D)`` stack."""
     return _assemble(shape, [_blocks(rng, shape, draw, (0,)) for _ in range(count)])[0]
 
 
@@ -405,12 +438,15 @@ def _recipes(shape: AlgebraShape, strategies) -> list[tuple[str, object]]:
             if s is not PairStrategy.CONJUGATED_POSITIVE_PAIR or max(shape.block_dims) >= 2]
 
 
-def _candidate(rng: np.random.Generator, shape: AlgebraShape, recipes) -> tuple[str, list]:
-    """The next candidate from ``rng``: its recipe, picked uniformly from
-    ``recipes`` (one recipe draws nothing to pick), then that recipe's
-    ``_blocks`` draws."""
-    name, draw = recipes[int(rng.integers(len(recipes)))]
-    return name, _blocks(rng, shape, draw)
+def _page(rng: np.random.Generator, shape: AlgebraShape, recipes,
+          size: int) -> tuple[list[str], np.ndarray]:
+    """The next ``size`` candidates, as recipe names and ``(2, size, D, D)`` stacks: one
+    call picks each row's recipe from ``recipes`` (one recipe draws nothing to pick),
+    then each recipe's rows, in recipe order, take their ``_blocks`` draws."""
+    picks = _ints(rng, len(recipes), size) if len(recipes) > 1 else [0] * size
+    jobs = [job for r, rows in _keyed(picks) for job in _blocks(
+        rng, shape, recipes[r][1], rows=np.arange(size) if rows is None else rows)]
+    return [recipes[r][0] for r in picks], _assemble(shape, [jobs], size)
 
 
 @dataclass
@@ -429,12 +465,12 @@ class PairGenerator:
         if not (recipes := _recipes(shape, [self.strategy])):
             raise GeneratorExhausted(f"strategy {self.strategy.value} does not support "
                                      f"shape {shape.block_dims}")
-        return _wrapped(shape, _assemble(shape, [_candidate(self.rng, shape, recipes)[1]]))
+        return _wrapped(shape, _page(self.rng, shape, recipes, 1)[1])
 
 
 _RETRIES = 100  # rejected candidates in a row that end a stream
-# most rows in one kernel call or built stack (drawn candidates, judged pairs or
-# one shape's battery trials); a mixed stack builds each recipe group once
+# rows of a page of drawn candidates, and most rows in one kernel call or built
+# stack (judged pairs or one shape's battery trials)
 _STACK_MAX = 128
 
 
@@ -448,23 +484,25 @@ def _passing(a: np.ndarray, b: np.ndarray, shape: AlgebraShape, kind: CompatKind
 
 def _drawn_pairs(shape: AlgebraShape, kind: CompatKind, rng: np.random.Generator,
                  tol: ToleranceConfig, _wanted: int = sys.maxsize,
-                 strategies=tuple(PairStrategy)) -> Iterator[tuple]:
+                 strategies=tuple(PairStrategy), _size: int = _STACK_MAX) -> Iterator[tuple]:
     """The first ``_wanted`` candidates from ``rng`` that pass at ``kind``
     (within tol, both operands in the unit ball), one ``(names, stacks,
     defects)`` per stack: the recipe names, the ``(2, M, D, D)`` stacks of a
-    and b and the defects of the M accepted rows, unwrapped. Each candidate
-    picks one of ``strategies`` that supports ``shape``, then draws its blocks
-    (``_candidate``); the next 1, 2, 4, ... of them, at most ``_STACK_MAX`` and
-    the pairs still wanted, are built in one ``_assemble`` and judged in one
-    kernel call, so no pair depends on its stack. The accepted rows are
-    indexed out only when some row was rejected. The stream ends after
-    ``_RETRIES`` rejections in a row."""
-    recipes, size, rejected = _recipes(shape, strategies), 1, 0
+    and b and the defects of the M accepted rows, unwrapped. Candidates are
+    drawn a page of ``_size`` at a time (``_page``, each row picking one of
+    ``strategies`` that supports ``shape``), so each depends only on the seed
+    and its page; the next 1, 2, 4, ... of them, at most ``_STACK_MAX`` and the
+    pairs still wanted, are judged in one kernel call. The accepted rows are
+    indexed out only when some row was rejected; ``_RETRIES`` rejections in a
+    row end the stream."""
+    recipes, size, rejected, names = _recipes(shape, strategies), 1, 0, []
+    stacks = np.empty((2, 0, shape.total_dim, shape.total_dim), dtype=np.complex128)
     while recipes and _wanted and rejected < _RETRIES:
-        names, candidates = zip(*(_candidate(rng, shape, recipes)
-                                  for _ in range(min(size, _wanted))))
-        stacks = _assemble(shape, list(candidates))
-        defects, passed = _passing(*stacks, shape, kind, tol)
+        while len(names) < (take := min(size, _wanted)):  # the drawn rows not yet judged
+            drawn, page = _page(rng, shape, recipes, _size)
+            names, stacks = names + drawn, np.concatenate([stacks, page], axis=1)
+        window, names, judged, stacks = names[:take], names[take:], *np.split(stacks, [take], 1)
+        defects, passed = _passing(*judged, shape, kind, tol)
         accepted = []
         for row, ok in enumerate(passed.tolist()):
             rejected = 0 if ok else rejected + 1
@@ -472,10 +510,10 @@ def _drawn_pairs(shape: AlgebraShape, kind: CompatKind, rng: np.random.Generator
                 break
             if ok:
                 accepted.append(row)
-        if len(accepted) == len(names):
-            yield names, stacks, defects
+        if len(accepted) == take:
+            yield window, judged, defects
         elif accepted:
-            yield [names[r] for r in accepted], stacks[:, accepted], defects[accepted]
+            yield [window[r] for r in accepted], judged[:, accepted], defects[accepted]
         _wanted, size = _wanted - len(accepted), min(2 * size, _STACK_MAX)
 
 
@@ -487,9 +525,9 @@ def generate_compat_pair(
 ) -> tuple[AlgebraElement, AlgebraElement, float]:
     """The next pair of ``gen`` that passes compatibility at ``kind``, with
     its defect: ``_drawn_pairs`` on ``gen.rng`` restricted to ``gen.strategy``,
-    one candidate per kernel call; GeneratorExhausted when that stream ends.
-    The strategies are heuristic; the defining identity is the oracle."""
-    for _, stacks, defects in _drawn_pairs(shape, kind, gen.rng, tol, 1, [gen.strategy]):
+    in pages of one, so nothing is drawn past the pair; GeneratorExhausted when
+    that stream ends. The strategies are heuristic; the identity is the oracle."""
+    for _, stacks, defects in _drawn_pairs(shape, kind, gen.rng, tol, 1, [gen.strategy], 1):
         return (*_wrapped(shape, stacks), float(defects[0]))
     raise GeneratorExhausted(f"strategy {gen.strategy.value} produced no compatible pair "
                              f"on shape {shape.block_dims}")
@@ -513,11 +551,11 @@ def compatible_pairs(
 
     First the ``known_witness_pairs`` compatible at ``kind`` (known-hard
     cases make regressions deterministic), then ``_drawn_pairs`` of every
-    ``PairStrategy`` from one ``np.random.default_rng(seed)``, which ends
-    after ``_RETRIES`` rejections in a row. Identical arguments replay
-    identical streams. The drawn rows are wrapped as elements here, where
-    they are handed out; the audits judge ``_drawn_pairs``' stacks as they
-    come.
+    ``PairStrategy`` from one ``np.random.default_rng(seed)``, drawn in pages
+    of ``_STACK_MAX`` candidates, which ends after ``_RETRIES`` rejections in
+    a row. Identical arguments replay identical streams. The drawn rows are
+    wrapped as elements here, where they are handed out; the audits judge
+    ``_drawn_pairs``' stacks as they come.
     """
     yield from _fixed_pairs(shape, kind, tol)
     for names, stacks, defects in _drawn_pairs(shape, kind, np.random.default_rng(seed), tol):

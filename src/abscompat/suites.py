@@ -61,7 +61,9 @@ from .sampling import (
     _elements,
     _fixed_pairs,
     _general_pair,
+    _groups,
     _hermitian_contraction_draw,
+    _ints,
     _orthogonal_draw,
     _partial_isometry_draw,
     _positive_pair,
@@ -117,10 +119,10 @@ def _tally(name: str, checks, note: str = "") -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def _square_draw(rng: np.random.Generator, n: int, deficient: bool = False):
-    """An n x n matrix with standard normal real and imaginary parts; a
+def _square_draw(rng: np.random.Generator, n: int, count: int, deficient: bool = False):
+    """n x n matrices with standard normal real and imaginary parts; a
     ``deficient`` one has its last column copied onto its first."""
-    return _square_build, deficient, (rng.standard_normal((2, n, n)),)
+    return [(None, _square_build, deficient, (rng.standard_normal((count, 2, n, n)),))]
 
 
 def _square_build(deficient, z):
@@ -130,11 +132,11 @@ def _square_build(deficient, z):
     return (m,)
 
 
-def _qr_projection_draw(rng: np.random.Generator, n: int):
+def _qr_projection_draw(rng: np.random.Generator, n: int, count: int):
     """The projection onto the first k columns (k drawn after the matrix) of
     the QR factor of a ``_square_draw`` matrix."""
-    z = rng.standard_normal((2, n, n))
-    return _qr_projection_build, int(rng.integers(0, n + 1)), (z,)
+    z = rng.standard_normal((count, 2, n, n))
+    return _groups(_qr_projection_build, _ints(rng, n + 1, count), z)
 
 
 def _qr_projection_build(k, z):
@@ -142,9 +144,9 @@ def _qr_projection_build(k, z):
     return (cols @ _adj(cols),)
 
 
-def _uniform_diagonal_draw(rng: np.random.Generator, n: int):
-    """A diagonal matrix of n uniform values in [0, 2)."""
-    return _diagonal_build, None, (rng.uniform(0, 2, n),)
+def _uniform_diagonal_draw(rng: np.random.Generator, n: int, count: int):
+    """Diagonal matrices of n uniform values in [0, 2)."""
+    return [(None, _diagonal_build, None, (2.0 * rng.random((count, n)),))]
 
 
 def suite_linalg_invariants(
@@ -152,13 +154,13 @@ def suite_linalg_invariants(
 ) -> list[SuiteResult]:
     rng = np.random.default_rng(seed)
 
-    def squares(draw=lambda rng, n, i: _square_draw(rng, n), outs=((0,),)):
-        """Trials of a drawn size 1 to 6; ``draw(rng, n, i)`` draws trial i's
-        matrices, one per output in ``outs``."""
+    def squares(draw=lambda rng, n, count, i: _square_draw(rng, n, count), outs=((0,),)):
+        """Trials of a drawn size 1 to 6; ``draw(rng, n, count, i)`` draws
+        trial i's matrices, one per output in ``outs``."""
         for i in range(trials):
             shape = AlgebraShape((int(rng.integers(1, 7)),))
             yield shape, [job for o in outs for job in _blocks(
-                rng, shape, lambda rng, n: draw(rng, n, i), o)]
+                rng, shape, lambda rng, n, count: draw(rng, n, count, i), o)]
 
     def functional_calculus(shape, g):
         a = _hermitize(g)
@@ -191,9 +193,9 @@ def suite_linalg_invariants(
         _tally("functional-calculus identity",
                _in_stacks(squares(), functional_calculus)),
         _tally("abs-value idempotence", _in_stacks(
-            squares(lambda rng, n, i: abs_draws[i % 3](rng, n)), abs_idempotence)),
+            squares(lambda rng, n, count, i: abs_draws[i % 3](rng, n, count)), abs_idempotence)),
         _tally("polar reconstruction", _in_stacks(
-            squares(lambda rng, n, i: _square_draw(rng, n, i % 3 == 0 and n > 1)),
+            squares(lambda rng, n, count, i: _square_draw(rng, n, count, i % 3 == 0 and n > 1)),
             polar_reconstruction)),
         _tally("operator-norm submultiplicativity",
                _in_stacks(squares(outs=((0,), (1,))), submultiplicativity)),
@@ -347,7 +349,7 @@ def suite_tripotent_characterization(
     stream = chain(
         elements(trials, _contraction_draw),
         elements(n_isometries, _partial_isometry_draw),
-        elements(n_isometries, lambda rng, n: _partial_isometry_draw(rng, n, 0.9)),
+        elements(n_isometries, lambda rng, n, count: _partial_isometry_draw(rng, n, count, 0.9)),
     )
     reports = _in_stacks(stream, lambda shape, a: _tripotent_reports(a, shape, tol))
     return _tally("tripotent characterization",
