@@ -93,12 +93,18 @@ def brute_force_pair_defect(T, scalars=(1.0,)) -> float:
     return worst
 
 
-def judged_witnesses(T, kind, output_kind, n_pairs, seed, tol) -> list:
+def judged_witnesses(T, kind, output_kind, n_pairs, seed, tol, full_stacks=False) -> list:
     """Every pair ``preservers._judged_pairs`` judges, wrapped as the Witness
-    an audit returning it would give."""
+    an audit returning it would give; by default on the early-exit schedule."""
     return [preservers._witness(T.domain_shape, chunk, row)
-            for chunk in preservers._judged_pairs(T, kind, output_kind, n_pairs, seed, tol)
+            for chunk in preservers._judged_pairs(T, kind, output_kind, n_pairs, seed, tol,
+                                                  full_stacks)
             for row in range(len(chunk.names))]
+
+
+def witness_bytes(w) -> tuple:
+    return (w.index, w.source, w.a.matrix.tobytes(), w.b.matrix.tobytes(),
+            np.float64(w.input_defect).tobytes(), np.float64(w.output_defect).tobytes())
 
 
 def random_action(rng, domain: AlgebraShape, codomain: AlgebraShape) -> np.ndarray:
@@ -634,7 +640,7 @@ class TestPreservesCompat:
                     np.array([r[3] for r in rows]))
 
         def replay(*stacks):
-            monkeypatch.setattr(preservers, "_drawn_pairs", lambda *args: iter(stacks))
+            monkeypatch.setattr(preservers, "_drawn_pairs", lambda *args, **kw: iter(stacks))
             return [r for rows in stacks for r in zip(rows[0], *rows[1], rows[2])]
 
         monkeypatch.setattr(preservers, "_fixed_pairs", lambda *args: [])
@@ -655,7 +661,7 @@ class TestPreservesCompat:
 
     def test_stream_ending_early_raises(self, monkeypatch):
         monkeypatch.setattr(preservers, "_fixed_pairs", lambda *args: [])
-        monkeypatch.setattr(preservers, "_drawn_pairs", lambda *args: iter([]))
+        monkeypatch.setattr(preservers, "_drawn_pairs", lambda *args, **kw: iter([]))
         with pytest.raises(GeneratorExhausted, match="after 0 of 3 pairs"):
             preserves_compat_sampled(identity_map(SH2), CompatKind.FULL, 3)
 
@@ -678,6 +684,43 @@ class TestPreservesCompat:
         assert len(judged) == 40
         assert len(calls) == len(passing) >= 2
         assert [w.source.split("+")[0] for w in judged[:len(passing)]] == passing
+
+    @pytest.mark.filterwarnings("ignore:map appears non-contractive")
+    @pytest.mark.parametrize("kind", list(CompatKind))
+    @pytest.mark.parametrize("name", ["transpose", "scale 0.5", "symmetrization", "sandwich",
+                                      "scale 1.5", "scale 2"])
+    def test_full_stacks_judge_the_early_exit_schedules_pairs(self, name, kind):
+        # the audit judges the fixed pairs (cut at n_pairs) as one stack and
+        # the drawn ones in full windows; fuzzing's schedule judges them one
+        # at a time and in windows of 1, 2, 4, ...: every pair and every report
+        # must be the same, at the cut of the fixed prefix and around the pages.
+        # Under x -> 1.5x and x -> 2x the fixed pairs' images leave the ball; at
+        # 2x the kernel's norm excess of the first differs from op_norm's
+        shape, tol, seed = AlgebraShape((1, 2)), ToleranceConfig(), 3
+        pair_rng = np.random.default_rng(12)
+        T = {"transpose": lambda: transpose_map(shape),
+             "scale 0.5": lambda: scale_map(shape, 0.5),
+             "symmetrization": lambda: LinearMap(shape, shape, (
+                 identity_map(shape).action + transpose_map(shape).action) / 2),
+             "sandwich": lambda: build_sandwich(rand_unitary(pair_rng, shape),
+                                                rand_unitary(pair_rng, shape)),
+             "scale 1.5": lambda: scale_map(shape, 1.5),
+             "scale 2": lambda: scale_map(shape, 2.0)}[name]()
+        fixed = len(preservers._fixed_pairs(shape, kind, tol))
+        stream = judged_witnesses(T, kind, kind, 257, seed, tol)  # the n-th pair is its n-th
+        for n in sorted({1, fixed - 1, fixed, fixed + 1, 127, 128, 129, 257}):
+            reference = stream[:n]
+            stacked = judged_witnesses(T, kind, kind, n, seed, tol, full_stacks=True)
+            assert list(map(witness_bytes, stacked)) == list(map(witness_bytes, reference))
+            rep = preserves_compat_sampled(T, kind, n, seed, tol)
+            top = max(reference, key=lambda w: w.output_defect)  # the first of largest defect
+            assert rep.violations == sum(w.output_defect > tol.relation for w in reference)
+            assert (np.float64(rep.max_output_defect).tobytes()
+                    == np.float64(max(0.0, top.output_defect)).tobytes())
+            if rep.violations:
+                assert witness_bytes(rep.worst) == witness_bytes(top)
+            else:
+                assert rep.worst is None
 
     @pytest.mark.parametrize("kind", list(CompatKind))
     @pytest.mark.parametrize("name", ["transpose", "scale 0.5", "sandwich"])
