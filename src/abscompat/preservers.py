@@ -32,7 +32,7 @@ from .linalg import _op_norm, _svd, op_norm
 from .relations import (CompatKind, _beyond_ball, _compat_stack, compat_defect,
                         is_partial_isometry)
 from .reports import RelationReport
-from .sampling import _STACK_MAX, _contraction_draw, _drawn_pairs, _elements, _fixed_pairs, _wrapped
+from .sampling import _contraction_draw, _drawn_pairs, _elements, _fixed_pairs, _wrapped
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
@@ -520,34 +520,34 @@ def _witness(shape: AlgebraShape, judged: _Judged, row: int) -> Witness:
 
 def _judged_pairs(
     T: LinearMap, kind: CompatKind, output_kind: CompatKind, n_pairs: int,
-    seed: int, tol: ToleranceConfig, full_stacks: bool = False,
+    seed: int, tol: ToleranceConfig, stack_fixed: bool = False,
 ) -> Iterator[_Judged]:
     """The first ``n_pairs`` pairs of ``compatible_pairs`` at ``kind``, with
     the compatibility defects of their images at ``output_kind``, one
     ``_Judged`` per stack. Images escaping the unit ball are themselves
     violations (the relation is only defined on the ball), with their norm
-    excess as defect, labelled ``source+noncontractive-image``. The default
-    schedule suits an early exit (fuzzing): the fixed pairs are judged one at
-    a time (``_judge_one``), so a refutation among them draws nothing, then
-    the drawn ones in windows of 1, 2, 4, ...; with ``full_stacks`` (audits,
-    which judge every pair) the fixed pairs are one stack and the drawn ones
-    come in windows of ``_STACK_MAX``, one ``_judge`` each. Nothing is wrapped
-    here: ``_witness`` wraps the row an audit returns."""
+    excess as defect, labelled ``source+noncontractive-image``. The fixed
+    pairs, cut at ``n_pairs``, are judged one at a time (``_judge_one``) by
+    default, so a search that stops among them (fuzzing) draws nothing; with
+    ``stack_fixed`` (audits, which judge every pair) they are one stack and
+    one ``_judge``, a pair outside the unit ball taking its norm excess from
+    ``_judge_one``. The drawn pairs stay in the stacks ``_drawn_pairs``
+    accepts them in, one ``_judge`` each. Nothing is wrapped here:
+    ``_witness`` wraps the row an audit returns."""
     shape, fixed = T.domain_shape, _fixed_pairs(T.domain_shape, kind, tol)[:n_pairs]
-    if full_stacks and fixed:
+    if stack_fixed and fixed:
         stacks = np.array([[pair[i].matrix for pair in fixed] for i in (1, 2)])
         out, outside = _judge(T, stacks, output_kind, tol)
         for row in np.flatnonzero(outside):  # the norm excess as _judge_one takes it
             out[row] = _judge_one(T, fixed[row], output_kind, tol)[0]
         yield _Judged(0, [pair[0] for pair in fixed], stacks,
                       np.array([pair[3] for pair in fixed]), out, outside)
-    for start, pair in enumerate([] if full_stacks else fixed):
+    for start, pair in enumerate([] if stack_fixed else fixed):
         out_defect, suffix = _judge_one(T, pair, output_kind, tol)
         yield _Judged(start, [pair[0]], np.stack([pair[1].matrix, pair[2].matrix])[:, None],
                       np.array([pair[3]]), np.array([out_defect]), np.array([bool(suffix)]))
     start, rng = len(fixed), np.random.default_rng(seed)
-    for names, stacks, in_defects in _drawn_pairs(shape, kind, rng, tol, n_pairs - start,
-                                                  _window=_STACK_MAX if full_stacks else 1):
+    for names, stacks, in_defects in _drawn_pairs(shape, kind, rng, tol, n_pairs - start):
         yield _Judged(start, names, stacks, in_defects, *_judge(T, stacks, output_kind, tol))
         start += len(names)
 
@@ -565,9 +565,10 @@ def preserves_compat_sampled(
     defect at ``output_kind`` exceeds the tolerance (default: same kind;
     anti-homomorphisms are audited with the swapped kind). The worst
     violation, the first pair of largest defect, is the witness. Every pair
-    is judged, so in full stacks (``_judged_pairs``), with the bytes fuzzing's
-    early-exit schedule gives. Raises GeneratorExhausted when the stream ends
-    first (``_RETRIES`` rejected draws in a row).
+    is judged, so the fixed pairs are judged as one stack (``_judged_pairs``),
+    with the bytes fuzzing gives them one at a time. Raises
+    GeneratorExhausted when the stream ends first (``_RETRIES`` rejected
+    draws in a row).
 
     A quick sampled contractivity check runs first and warns (never blocks)
     if the map escapes the unit ball: the compatibility notion assumes
@@ -586,7 +587,7 @@ def preserves_compat_sampled(
             UserWarning,
         )
     violations, max_defect, top, judged = 0, 0.0, None, 0
-    for chunk in _judged_pairs(T, kind, output_kind, n_pairs, seed, tol, full_stacks=True):
+    for chunk in _judged_pairs(T, kind, output_kind, n_pairs, seed, tol, stack_fixed=True):
         out = chunk.output_defects
         violations += int(np.count_nonzero(out > tol.relation))
         row = int(out.argmax())  # the first row of largest defect
@@ -664,8 +665,8 @@ def fuzz_counterexample(
     kind, seed)`` whose image violates compatibility at ``kind``, or None.
 
     The fixed witness pairs come first, so known-hard cases make regressions
-    deterministic; identical seeds replay identical searches. It judges on
-    the early-exit schedule of ``_judged_pairs``.
+    deterministic; identical seeds replay identical searches. The fixed pairs
+    are judged one at a time, so a refutation among them draws nothing.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")

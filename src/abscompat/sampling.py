@@ -7,10 +7,9 @@ counterexample fuzzing judge, drawn a page of ``_STACK_MAX`` candidates at a
 time (``_page``: one call picks every row's recipe); its accept loop
 ``_drawn_pairs``, restricted to one strategy in pages of one, also gives
 ``generate_compat_pair``. The loop yields its accepted pairs as ``(2, M, D,
-D)`` stacks, which the audits judge as they are: preservation audits in full
-stacks of ``_STACK_MAX``, fuzzing in windows of 1, 2, 4, ... so that it can
-stop at its first witness. Rows become ``AlgebraElement`` pairs only where
-the public API hands them out.
+D)`` stacks of at most ``_STACK_MAX`` rows, which the audits and fuzzing
+judge as they are; rows become ``AlgebraElement`` pairs only where the
+public API hands them out.
 
 Random elements are drawn in two phases: each block recipe's draw half takes
 the random numbers of a group of rows (a page's rows of one recipe, or one
@@ -486,25 +485,21 @@ def _passing(a: np.ndarray, b: np.ndarray, shape: AlgebraShape, kind: CompatKind
 
 def _drawn_pairs(shape: AlgebraShape, kind: CompatKind, rng: np.random.Generator,
                  tol: ToleranceConfig, _wanted: int = sys.maxsize,
-                 strategies=tuple(PairStrategy), _size: int = _STACK_MAX,
-                 _window: int = 1) -> Iterator[tuple]:
+                 strategies=tuple(PairStrategy), _size: int = _STACK_MAX) -> Iterator[tuple]:
     """The first ``_wanted`` candidates from ``rng`` that pass at ``kind``
     (within tol, both operands in the unit ball), one ``(names, stacks,
     defects)`` per stack: the recipe names, the ``(2, M, D, D)`` stacks of a
     and b and the defects of the M accepted rows, unwrapped. Candidates are
     drawn a page of ``_size`` at a time (``_page``, each row picking one of
     ``strategies`` that supports ``shape``), so each depends only on the seed
-    and its page. The next ``_window`` of them, then twice as many each time,
-    at most ``_STACK_MAX`` and the pairs still wanted, are judged in one
-    kernel call: windows of 1, 2, 4, ... by default, for a caller that stops at
-    its first pair of interest (fuzzing); audits, which judge every pair,
-    start at ``_STACK_MAX``. No pair depends on its window. The accepted rows
-    are indexed out only when some row was rejected; ``_RETRIES`` rejections
-    in a row end the stream."""
-    recipes, size, rejected, names = _recipes(shape, strategies), _window, 0, []
+    and its page; the next ``_STACK_MAX`` of them, at most the pairs still
+    wanted, are judged in one kernel call. No pair depends on its stack. The
+    accepted rows are indexed out only when some row was rejected;
+    ``_RETRIES`` rejections in a row end the stream."""
+    recipes, rejected, names = _recipes(shape, strategies), 0, []
     stacks = np.empty((2, 0, shape.total_dim, shape.total_dim), dtype=np.complex128)
     while recipes and _wanted and rejected < _RETRIES:
-        while len(names) < (take := min(size, _wanted)):  # the drawn rows not yet judged
+        while len(names) < (take := min(_STACK_MAX, _wanted)):  # the drawn rows not yet judged
             drawn, page = _page(rng, shape, recipes, _size)
             names, stacks = names + drawn, np.concatenate([stacks, page], axis=1)
         window, names, judged, stacks = names[:take], names[take:], *np.split(stacks, [take], 1)
@@ -520,7 +515,7 @@ def _drawn_pairs(shape: AlgebraShape, kind: CompatKind, rng: np.random.Generator
             yield window, judged, defects
         elif accepted:
             yield [window[r] for r in accepted], judged[:, accepted], defects[accepted]
-        _wanted, size = _wanted - len(accepted), min(2 * size, _STACK_MAX)
+        _wanted -= len(accepted)
 
 
 def generate_compat_pair(

@@ -156,7 +156,7 @@ def test_package_exports_are_its_public_names():
 
 # `wc -l src/abscompat/*.py`, a tracked metric: growth is a deliberate edit of
 # this pin, recorded with its reason in CHANGES.md
-_SOURCE_LINES = 3554
+_SOURCE_LINES = 3550
 
 
 def test_source_line_count_is_pinned():

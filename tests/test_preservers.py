@@ -93,12 +93,12 @@ def brute_force_pair_defect(T, scalars=(1.0,)) -> float:
     return worst
 
 
-def judged_witnesses(T, kind, output_kind, n_pairs, seed, tol, full_stacks=False) -> list:
+def judged_witnesses(T, kind, output_kind, n_pairs, seed, tol, stack_fixed=False) -> list:
     """Every pair ``preservers._judged_pairs`` judges, wrapped as the Witness
-    an audit returning it would give; by default on the early-exit schedule."""
+    an audit returning it would give; by default the fixed pairs one at a time."""
     return [preservers._witness(T.domain_shape, chunk, row)
             for chunk in preservers._judged_pairs(T, kind, output_kind, n_pairs, seed, tol,
-                                                  full_stacks)
+                                                  stack_fixed)
             for row in range(len(chunk.names))]
 
 
@@ -640,7 +640,7 @@ class TestPreservesCompat:
                     np.array([r[3] for r in rows]))
 
         def replay(*stacks):
-            monkeypatch.setattr(preservers, "_drawn_pairs", lambda *args, **kw: iter(stacks))
+            monkeypatch.setattr(preservers, "_drawn_pairs", lambda *args: iter(stacks))
             return [r for rows in stacks for r in zip(rows[0], *rows[1], rows[2])]
 
         monkeypatch.setattr(preservers, "_fixed_pairs", lambda *args: [])
@@ -661,7 +661,7 @@ class TestPreservesCompat:
 
     def test_stream_ending_early_raises(self, monkeypatch):
         monkeypatch.setattr(preservers, "_fixed_pairs", lambda *args: [])
-        monkeypatch.setattr(preservers, "_drawn_pairs", lambda *args, **kw: iter([]))
+        monkeypatch.setattr(preservers, "_drawn_pairs", lambda *args: iter([]))
         with pytest.raises(GeneratorExhausted, match="after 0 of 3 pairs"):
             preserves_compat_sampled(identity_map(SH2), CompatKind.FULL, 3)
 
@@ -689,10 +689,10 @@ class TestPreservesCompat:
     @pytest.mark.parametrize("kind", list(CompatKind))
     @pytest.mark.parametrize("name", ["transpose", "scale 0.5", "symmetrization", "sandwich",
                                       "scale 1.5", "scale 2"])
-    def test_full_stacks_judge_the_early_exit_schedules_pairs(self, name, kind):
-        # the audit judges the fixed pairs (cut at n_pairs) as one stack and
-        # the drawn ones in full windows; fuzzing's schedule judges them one
-        # at a time and in windows of 1, 2, 4, ...: every pair and every report
+    def test_stacked_fixed_pairs_judge_as_one_at_a_time(self, name, kind):
+        # the audit judges the fixed pairs (cut at n_pairs) as one stack, the
+        # fuzzer one at a time; the drawn ones come in windows of at most
+        # _STACK_MAX, split where n_pairs cuts them: every pair and every report
         # must be the same, at the cut of the fixed prefix and around the pages.
         # Under x -> 1.5x and x -> 2x the fixed pairs' images leave the ball; at
         # 2x the kernel's norm excess of the first differs from op_norm's
@@ -710,7 +710,7 @@ class TestPreservesCompat:
         stream = judged_witnesses(T, kind, kind, 257, seed, tol)  # the n-th pair is its n-th
         for n in sorted({1, fixed - 1, fixed, fixed + 1, 127, 128, 129, 257}):
             reference = stream[:n]
-            stacked = judged_witnesses(T, kind, kind, n, seed, tol, full_stacks=True)
+            stacked = judged_witnesses(T, kind, kind, n, seed, tol, stack_fixed=True)
             assert list(map(witness_bytes, stacked)) == list(map(witness_bytes, reference))
             rep = preserves_compat_sampled(T, kind, n, seed, tol)
             top = max(reference, key=lambda w: w.output_defect)  # the first of largest defect

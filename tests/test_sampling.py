@@ -626,7 +626,7 @@ def test_refutation_in_the_fixed_pairs_draws_nothing(monkeypatch):
 def test_refutation_by_the_first_drawn_pair_draws_one_page(monkeypatch):
     # x -> (x + x^T) / 2 keeps the three fixed pairs compatible at full kind;
     # at seed 1 the first drawn pair refutes it. The stream draws a whole
-    # page, and the audit judges that one pair
+    # page, and the search judges it as one stack
     shape = AlgebraShape((2,))
     action = (identity_map(shape).action + transpose_map(shape).action) / 2.0
     symmetrize = LinearMap(shape, shape, action, Provenance.CUSTOM)
@@ -634,4 +634,4 @@ def test_refutation_by_the_first_drawn_pair_draws_one_page(monkeypatch):
     w = fuzz_counterexample(symmetrize, CompatKind.FULL, seed=1)
     assert (w.index, w.source) == (3, "conjugated_positive_pair")
     assert [len(names) for names in pages] == [sampling._STACK_MAX]
-    assert pages[0][0] == w.source and judged == [1]
+    assert pages[0][0] == w.source and judged == [sampling._STACK_MAX]
