@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -297,6 +298,61 @@ class TestStackedKernel:
                     assert abs(d - 2.0 * delta) <= 1e-15
                     assert abs(rep.defect - 2.0 * delta) <= 1e-15
                     assert (d <= t) == rep.verdict == (ratio < 1.0)
+
+
+def _unitary(rng: np.random.Generator, d: int) -> np.ndarray:
+    """A Haar unitary from the QR of a complex Gaussian, phases fixed."""
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _graded_pair(rng: np.random.Generator, shape: AlgebraShape, shared: bool):
+    """U diag(f) V and U' diag(g) V' per block, moduli log-uniform over
+    [1e-12, 1]; with ``shared`` the same U and V, so |a| and |b| commute."""
+    a, b = [], []
+    for d in shape.block_dims:
+        u, v = _unitary(rng, d), _unitary(rng, d)
+        f, g = (_log_uniform_moduli(rng, d) for _ in range(2))
+        a.append((u * f) @ v)
+        if not shared:
+            u, v = _unitary(rng, d), _unitary(rng, d)
+        b.append((u * g) @ v)
+    return tuple(AlgebraElement.from_blocks(shape, x) for x in (a, b))
+
+
+_PINNED_SHAPES = [(d,) for d in range(1, 9)] + [(1, 1), (2, 3, 4)]
+
+
+def test_compat_defect_bytes_are_pinned():
+    # one md5 over every defect and witness byte of compat_defect at all three
+    # kinds, in each report's key order, and over the rows of one 128-row
+    # _gated stack: a kernel rewrite must reproduce them bit for bit
+    rng, tol = np.random.default_rng(25), ToleranceConfig()
+    pairs = [_graded_pair(rng, AlgebraShape(dims), shared)
+             for dims in _PINNED_SHAPES for shared in (True, False)]
+    x, y = _graded_pair(rng, AlgebraShape((3,)), False)
+    pairs.append((_scaled(x, 1.0 + tol.relation / 2), y))  # renormalized from (1, 1 + tol]
+    x, y = _graded_pair(rng, AlgebraShape((1, 2)), True)
+    pairs.append((x, _scaled(y, 1.0 + tol.relation / 3)))
+    # self pairs on M2, M5, M2+M3+M4 and in the band
+    pairs += [(x, x) for x, _ in pairs[2:4] + pairs[8:10] + pairs[18:21]]
+    digest = hashlib.md5()
+    for a, b in pairs:
+        for kind in CompatKind:
+            rep = compat_defect(a, b, kind, tol)
+            digest.update(np.float64(rep.defect).tobytes())
+            for key, w in rep.witnesses.items():
+                digest.update(key.encode() + w.tobytes())
+    shape = AlgebraShape((2, 3))
+    stack = [_graded_pair(rng, shape, i % 2 == 0) for i in range(128)]
+    stack[5:9] = [(_scaled(x, 1.0 + tol.relation * (i + 1) / 5), y)
+                  for i, (x, y) in enumerate(stack[5:9])]
+    a, b = (np.stack([p[i].matrix for p in stack]) for i in (0, 1))
+    for kind in CompatKind:
+        k, ga, gb = _gated(a, b, shape, kind, tol)
+        for x in (k.defect, *k.sides.values(), k.norm_a, k.norm_b, k.excess, ga, gb):
+            digest.update(x.tobytes())
+    assert digest.hexdigest() == "e9cbc798e1434099aca144996272fa8c"
 
 
 def _scaled(x: AlgebraElement, norm: float) -> AlgebraElement:
