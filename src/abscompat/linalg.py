@@ -1,18 +1,18 @@
 """Dense complex matrix substrate on one exact spectral kernel: one SVD
 x = U S V* gives |x| = V S V*, |x*| = U S U* and the operator norm S[0]; one
-eigh h = W diag(l) W* gives |h| = W diag(|l|) W* for Hermitian h. Nothing is
-squared and no singular value is floored, so absolute values stay accurate on
-spectra spanning many decades. Polar decompositions and the functional
-calculus are built on the same kernel.
+eigh h = W diag(l) W* gives |h| = W diag(|l|) W* for Hermitian h, and polar
+decompositions and the functional calculus. Nothing is squared and no singular
+value is floored, so absolute values stay accurate over many decades.
 
 Public functions take and return plain 2-D ``numpy`` arrays (square,
-complex128), validate them and call a private kernel (``_abs_parts``,
-``_op_norm``, ``_calculus``, ``_polar``, ``_range_projection``, ``_rank_cut_svd``
-and the helpers under them). The kernel also takes stacks ``(N, n, n)``, skips
-input validation and works matrix by matrix through numpy's broadcasting
-``svd``/``eigh``/``eigvalsh``; ``_calculus`` reads the lower triangle of its
-Hermitian input. Eigenvector phases are never canonicalized; every guarantee
-is phrased through reconstructions.
+complex128) and validate them. The private kernel under them (``_abs_parts``,
+``_op_norm``, ``_calculus``, ``_polar``, ``_range_projection``, ``_rank_cut_svd``)
+also takes ``(N, n, n)`` stacks, skips validation and makes one call of
+``np.linalg.svd``, ``eigh`` or ``eigvalsh`` per stack, looked up at call time;
+each matrix gets the bytes of a call on it alone, and a LAPACK failure raises
+NumericalFailure. ``_calculus`` reads the lower triangle of its Hermitian
+input. Eigenvector phases are never canonicalized; every guarantee is phrased
+through reconstructions.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def _pairs(x: np.ndarray) -> list:
 def _svd(a: np.ndarray, compute_uv: bool = True):
     try:
         return np.linalg.svd(a, compute_uv=compute_uv)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+    except np.linalg.LinAlgError as exc:
         raise NumericalFailure("SVD did not converge") from exc
 
 
@@ -81,7 +81,7 @@ def _eigh(h: np.ndarray, vectors: bool = True):
     """eigh (or eigvalsh) of a Hermitian matrix; reads its lower triangle."""
     try:
         return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+    except np.linalg.LinAlgError as exc:
         raise NumericalFailure("eigensolver did not converge") from exc
 
 
@@ -99,12 +99,10 @@ def _weighted_gram(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     return _hermitize((w * s[..., None, :]) @ _adj(w))
 
 
-def _abs_parts(
-    x: np.ndarray, domain: bool = True, range_: bool = True
-) -> tuple[np.ndarray, np.ndarray | float]:
+def _abs_parts(x: np.ndarray, domain: bool = True,
+               range_: bool = True) -> tuple[np.ndarray, np.ndarray | float]:
     """|x| (if domain) and |x*| (if range_), stacked in that order along a new
-    first axis, and the operator norm of x (of each x in a stack), from one
-    SVD."""
+    first axis, and the operator norm of x (of each x in a stack), from one SVD."""
     left, sigma, right_h = _svd(x)
     w = np.array([_adj(right_h)] * domain + [left] * range_)
     return _weighted_gram(w, sigma), sigma[..., 0] if sigma.size else 0.0

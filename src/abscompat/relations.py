@@ -83,15 +83,21 @@ def _beyond_ball(excess, tol: ToleranceConfig):
 
 
 class _CompatStack(NamedTuple):
-    """Per pair: the defect at the kind asked for, each side's defect, both
-    norms, the excess max(||a||, ||b||) - 1, and the identity's terms per block."""
+    """Per pair: the defect at the kind asked for, each side's defect, both norms
+    and the excess max(||a||, ||b||) - 1; per block, the (sides, operands, N, d, d)
+    absolute values and the (2, sides, N, d, d) | |a|-|b| | and | 1-|a|-|b| |."""
 
     defect: np.ndarray
     sides: dict[CompatKind, np.ndarray]
     norm_a: np.ndarray
     norm_b: np.ndarray
     excess: np.ndarray
-    terms: dict[str, list[np.ndarray]]
+    terms: list[tuple[np.ndarray, np.ndarray]]
+
+
+_TERMS = ("abs_a", "abs_b", "abs_diff", "unit_gap")  # compat_defect's witnesses per side
+_WITNESSES = {CompatKind.DOMAIN: _TERMS, CompatKind.RANGE: tuple(t + "_adj" for t in _TERMS)}
+_WITNESSES[CompatKind.FULL] = _WITNESSES[CompatKind.DOMAIN] + _WITNESSES[CompatKind.RANGE]
 
 
 def _compat_stack(
@@ -107,33 +113,25 @@ def _compat_stack(
     pair's values do not depend on its stack."""
     sides = (CompatKind.DOMAIN, CompatKind.RANGE) if kind is CompatKind.FULL else (kind,)
     wanted = (CompatKind.DOMAIN in sides, CompatKind.RANGE in sides)
-    operands = a[None] if b is a else np.stack((a, b))
-    # (sides, operands, N, d, d) stacks per block, and the (operands, N) norms
-    blocks, block_norms = zip(*(_abs_parts(operands[..., sl, sl], *wanted)
-                                for sl in shape.block_slices()))
+    operands = a[None] if b is a else np.array((a, b))
+    absolutes, block_norms = zip(*(_abs_parts(operands[..., sl, sl], *wanted)
+                                   for sl in shape.block_slices()))
     norm = reduce(np.maximum, block_norms)
     if norm.max() > 1.0:
         band = ((norm > 1.0) & ~_beyond_ball(norm - 1.0, tol))[..., None, None]
         scale = np.where(band, norm[..., None, None], 1.0)
-        blocks = [np.where(band, x / scale, x) for x in blocks]
-    abs_a, abs_b = [x[:, 0] for x in blocks], [x[:, -1] for x in blocks]
-    residuals, diffs, gaps = [], [], []
-    for x, y in zip(abs_a, abs_b):
-        one = np.eye(x.shape[-1])
-        diff, gap = _calculus(np.array((x - y, one - x - y)), np.abs)
-        diffs.append(diff)
-        gaps.append(gap)
+        absolutes = [np.where(band, x / scale, x) for x in absolutes]
+    one, terms, residuals = np.eye(shape.total_dim, dtype=complex), [], []  # 1 - x: no cast
+    for sl, x in zip(shape.block_slices(), absolutes):
+        x_a, x_b, eye = x[:, 0], x[:, -1], one[sl, sl]
+        diff_gap = _calculus(np.array((x_a - x_b, eye - x_a - x_b)), np.abs)
+        terms.append((x, diff_gap))
         # the residual's norm: its eigenvalue of largest modulus
-        residuals.append(np.abs(_eigh(diff + gap - one, vectors=False)).max(-1))
-    per_side = reduce(np.maximum, residuals)
-    terms = {}
-    for s, side in enumerate(sides):
-        suffix = "_adj" if side is CompatKind.RANGE else ""
-        for key, blocks in zip(("abs_a", "abs_b", "abs_diff", "unit_gap"),
-                               (abs_a, abs_b, diffs, gaps)):
-            terms[key + suffix] = [blk[s] for blk in blocks]
-    return _CompatStack(per_side.max(axis=0), dict(zip(sides, per_side)), norm[0], norm[-1],
-                        norm.max(axis=0) - 1.0, terms)
+        residuals.append(np.abs(_eigh(diff_gap[0] + diff_gap[1] - eye, vectors=False)).max(-1))
+    # the larger of the first and last rows: a single row is its own
+    per_side, norm_a, norm_b = reduce(np.maximum, residuals), norm[0], norm[-1]
+    return _CompatStack(np.maximum(per_side[0], per_side[-1]), dict(zip(sides, per_side)),
+                        norm_a, norm_b, np.maximum(norm_a, norm_b) - 1.0, terms)
 
 
 def _operand(label: str, i: int, n: int) -> str:
@@ -173,10 +171,15 @@ def compat_defect(
     Witnesses carry the absolute values and both terms of the identity.
     """
     a._check_same_shape(b)
-    k = _gated(a.matrix[None], b.matrix[None], a.shape, kind, tol)[0]
-    witnesses = {key: _block_diag(a.shape, blocks) for key, blocks in k.terms.items()}
+    x = a.matrix[None]
+    k = _gated(x, x if b is a else b.matrix[None], a.shape, kind, tol)[0]
+    keys, n = _WITNESSES[kind], a.shape.total_dim
+    w = np.zeros((len(k.sides), len(_TERMS), n, n), dtype=np.complex128)  # every witness
+    for sl, (x, diff_gap) in zip(a.shape.block_slices(), k.terms):
+        w[:, :2, sl, sl] = x[:, :, 0]  # a self pair's one operand fills both
+        w[:, 2:, sl, sl] = diff_gap[:, :, 0].swapaxes(0, 1)
     return RelationReport.from_defect(f"compat_{kind.value}", k.defect[0], tol.relation,
-                                      witnesses)
+                                      dict(zip(keys, w.reshape(-1, n, n))))
 
 
 def _star_norms(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,9 +251,8 @@ def _orth_reports(
 ) -> list[ConsistencyReport]:
     k, a, b = _gated(a, b, shape, CompatKind.FULL, tol)
     # lambda_max of |a| + |b| and of |a*| + |b*|: a norm sum is <= 1 iff it is
-    lam_max = (reduce(np.maximum, (_herm_eigvals(x + y)[..., -1] for x, y in
-                                   zip(k.terms["abs_a" + suffix], k.terms["abs_b" + suffix])))
-               for suffix in ("", "_adj"))
+    lam_max = reduce(np.maximum, (_herm_eigvals(x[:, 0] + x[:, -1])[..., -1]
+                                  for x, _ in k.terms))
     herm_gaps = np.maximum(*(_op_norm(x - _adj(x)) for x in (a, b)))
     rows = zip(*(x.tolist() for x in (k.sides[CompatKind.DOMAIN], k.sides[CompatKind.RANGE],
                                       *lam_max, *_star_norms(a, b), herm_gaps)))

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from abscompat import (
-    AlgebraElement, AlgebraShape, build_star_hom, identity_map, scale_map, transpose_map,
+    AlgebraElement, AlgebraShape, build_star_hom, compat_defect, identity_map, scale_map,
+    transpose_map,
 )
 from abscompat import cli, suites
 from abscompat.cli import main
+from abscompat.errors import NumericalFailure
 from abscompat.preservers import MAX_BUDGET, MAX_TRIALS
 from abscompat.sampling import compatible_positive_pair_2x2, crossed_isometry_pair_2x2
 from abscompat.serialize import dumps_canonical, matrix_to_dict, save_map, save_matrix
@@ -127,6 +129,28 @@ class TestCheck:
         assert "not Hermitian" in capsys.readouterr().err
         assert main(["check", "p00", str(a), str(zero), "--tol", "1e-6"]) == 0
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("solver, message", [("svd", "SVD did not converge"),
+                                             ("eigh", "eigensolver did not converge"),
+                                             ("eigvalsh", "eigensolver did not converge")])
+def test_lapack_failure_exits_two_without_a_verdict(fixtures, monkeypatch, capsys, solver,
+                                                     message):
+    # the kernel looks each solver up at call time, so a LAPACK failure in
+    # any of them reaches it as LinAlgError and leaves as NumericalFailure
+    a, b = compatible_positive_pair_2x2()
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, fail)
+    with pytest.raises(NumericalFailure, match=message):
+        compat_defect(AlgebraElement.single(a), AlgebraElement.single(b))
+    for json_flag in ([], ["--json"]):
+        assert main(["check", "compat", fixtures["a"], fixtures["b"], *json_flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])
