@@ -1,8 +1,8 @@
 """Dense complex matrix substrate on one exact spectral kernel: one SVD
-x = U S V* gives |x| = V S V*, |x*| = U S U* and the operator norm S[0]; one
-eigh h = W diag(l) W* gives |h| = W diag(|l|) W* for Hermitian h, and polar
-decompositions and the functional calculus. Nothing is squared and no singular
-value is floored, so absolute values stay accurate over many decades.
+x = U S V* gives |x| = V S V*, |x*| = U S U*, the operator norm S[0] and polar
+decompositions; one eigh h = W diag(l) W* gives the functional calculus, and
+|h| = W diag(|l|) W* for Hermitian h. Nothing is squared and no singular value
+is floored, so absolute values stay accurate on spectra spanning many decades.
 
 Public functions take and return plain 2-D ``numpy`` arrays (square,
 complex128) and validate them. The private kernel under them (``_abs_parts``,

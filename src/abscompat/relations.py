@@ -171,8 +171,8 @@ def compat_defect(
     Witnesses carry the absolute values and both terms of the identity.
     """
     a._check_same_shape(b)
-    x = a.matrix[None]
-    k = _gated(x, x if b is a else b.matrix[None], a.shape, kind, tol)[0]
+    m = a.matrix[None]
+    k = _gated(m, m if b is a else b.matrix[None], a.shape, kind, tol)[0]
     keys, n = _WITNESSES[kind], a.shape.total_dim
     w = np.zeros((len(k.sides), len(_TERMS), n, n), dtype=np.complex128)  # every witness
     for sl, (x, diff_gap) in zip(a.shape.block_slices(), k.terms):
