@@ -11,14 +11,14 @@ D)`` stacks of at most ``_STACK_MAX`` rows, which the audits and fuzzing
 judge as they are; rows become ``AlgebraElement`` pairs only where the
 public API hands them out.
 
-Random elements are drawn in two phases: each block recipe's draw half takes
-the random numbers of a group of rows (a page's rows of one recipe, or one
-candidate) with one Generator call per array; its build half (Haar QR and
-phase fixing, norms, products, placement into block-diagonal ``(N, D, D)``
-stacks) draws nothing and runs once per stack. Numpy's stacked ``qr``,
-``matmul`` and ``svd`` give each matrix the bytes a call on it alone gives,
-so no candidate depends on its stack; ``PairGenerator.draw`` (a page of
-one), ``rand_*``, ``sample_*`` and the suites draw candidate by candidate.
+Every draw is a page. Random elements are drawn in two phases: each block
+recipe's draw half takes the random numbers of a page's rows of one recipe
+with one Generator call per array; its build half (Haar QR and phase fixing,
+norms, products, placement into block-diagonal ``(N, D, D)`` stacks) draws
+nothing and runs once per stack. Numpy's stacked ``qr``, ``matmul`` and
+``svd`` give each matrix the bytes a call on it alone gives, so no row
+depends on its stack. ``rand_*``, ``sample_*`` and ``PairGenerator.draw``
+are pages of one; ``_elements`` and the suites' batteries draw larger pages.
 """
 
 from __future__ import annotations
@@ -61,16 +61,18 @@ __all__ = [
 # block recipes: a draw half per group of rows, a build half per stack
 # ---------------------------------------------------------------------------
 # A draw half ``_*_draw(rng, n, count)`` takes the random numbers of ``count``
-# n x n blocks, one Generator call per array for all (count = 1: the calls of one
-# block), and returns its groups ``(rows, build, key, data)``: the rows (None:
-# all) of one build half and key (a rank, or whether a value was drawn) and their
-# arrays. ``build(key, *data)`` returns the (M, n, n) stacks of M blocks' outputs.
+# n x n blocks, one Generator call per array for all, and returns its groups
+# ``(rows, build, key, data)``: the rows (an index array or ``_ALL``) of one
+# build half and key (a rank, or whether a value was drawn) and their arrays.
+# ``build(key, *data)`` returns the (M, n, n) stacks of M blocks' outputs.
+
+_ALL = slice(None)  # every row
 
 
 def _keyed(keys: list) -> list[tuple]:
-    """The ``(key, rows)`` groups of one key per row, in key order (rows None: all)."""
+    """The ``(key, rows)`` groups of one key per row, in key order (one key: ``_ALL``)."""
     if len(set(keys)) == 1:
-        return [(keys[0], None)]
+        return [(keys[0], _ALL)]
     groups: dict = {}
     for row, key in enumerate(keys):
         groups.setdefault(key, []).append(row)
@@ -79,12 +81,12 @@ def _keyed(keys: list) -> list[tuple]:
 
 def _groups(build, keys: list, *data: np.ndarray) -> list[tuple]:
     """The groups of a draw half's rows by their ``keys``."""
-    return [(rows, build, key, data if rows is None else [x[rows] for x in data])
-            for key, rows in _keyed(keys)]
+    return [(rows, build, key, [x[rows] for x in data]) for key, rows in _keyed(keys)]
 
 
 def _ints(rng: np.random.Generator, high: int, count: int) -> list[int]:
-    """``count`` uniform integers in [0, high) as ``count`` scalar calls draw them."""
+    """``count`` uniform integers in [0, high), in one call; a page of one takes
+    the scalar call, which draws the same bytes in a third of the time."""
     return [int(rng.integers(high))] if count == 1 else rng.integers(high, size=count).tolist()
 
 
@@ -103,7 +105,7 @@ def _haar(z: np.ndarray) -> np.ndarray:
 
 
 def _unitary_draw(rng: np.random.Generator, n: int, count: int):
-    return [(None, _unitary_build, None, (rng.standard_normal((count, 2, n, n)),))]
+    return [(_ALL, _unitary_build, None, (rng.standard_normal((count, 2, n, n)),))]
 
 
 def _unitary_build(key, z):
@@ -140,7 +142,7 @@ def _scaled_build(nonzero, scale, g):
 
 
 def _positive_contraction_draw(rng: np.random.Generator, n: int, count: int):
-    return [(None, _positive_contraction_build, None, (
+    return [(_ALL, _positive_contraction_build, None, (
         rng.standard_normal((count, 2, n, n)), rng.random((count, n))))]
 
 
@@ -203,7 +205,7 @@ def _diagonal_draw(*cases: str):
             uniforms.append(rng.random(sum(sizes[c] for c in picks[-1])))
         v = base[picks := np.array(picks)]  # (n, count, 4), filled coordinate by coordinate
         v[slots[picks]] = np.concatenate(uniforms)
-        return [(None, _polar_diagonal_build, None, (v.swapaxes(0, 1),))]
+        return [(_ALL, _polar_diagonal_build, None, (v.swapaxes(0, 1),))]
     return draw
 
 
@@ -222,7 +224,7 @@ def _diagonal_build(key, *diagonals):
 def _conjugated_positive_draw(rng: np.random.Generator, n: int, count: int):
     """The standard 2x2 pair, zero-padded and unitarily conjugated (1x1:
     zeros, drawing nothing)."""
-    return [(None, _conjugated_positive_build, n >= 2,
+    return [(_ALL, _conjugated_positive_build, n >= 2,
              (rng.standard_normal((count, 2, n, n)),) if n >= 2 else ())]
 
 
@@ -256,9 +258,10 @@ def _mixed_draw(rng: np.random.Generator, n: int, count: int):
     each recipe's rows in recipe order; 1x1 blocks skip the conjugated pair."""
     recipes = (_orthogonal_draw, _diagonal_compat_draw, _saturated_draw,
                _conjugated_positive_draw)
-    return [(rows if sub is None else sub if rows is None else rows[sub], *group)
-            for r, rows in _keyed(_ints(rng, 4 if n >= 2 else 3, count))
-            for sub, *group in recipes[r](rng, n, count if rows is None else len(rows))]
+    rows = np.arange(count)
+    return [(rows[picked][sub], *group)
+            for r, picked in _keyed(_ints(rng, 4 if n >= 2 else 3, count))
+            for sub, *group in recipes[r](rng, n, len(rows[picked]))]
 
 
 def _spectral_pair_draw(weights):
@@ -266,7 +269,7 @@ def _spectral_pair_draw(weights):
     ``weights(mask, lam)`` makes from a fair coin per eigenvector and
     uniform [0, 1) values."""
     def draw(rng: np.random.Generator, n: int, count: int):
-        return [(None, _spectral_pair_build, weights, (
+        return [(_ALL, _spectral_pair_build, weights, (
             rng.standard_normal((count, 2, n, n)), rng.random((count, 2, n))))]
     return draw
 
@@ -285,42 +288,67 @@ _orthogonal_positive_draw = _spectral_pair_draw(
 
 
 # ---------------------------------------------------------------------------
-# candidates, pages and their assembly into stacks
+# pages and their assembly into stacks
 # ---------------------------------------------------------------------------
+# A page recipe ``recipe(rng, shape, rows)`` returns the ``_blocks`` jobs of the
+# page rows ``rows`` (an index array).
 
 
-def _blocks(rng: np.random.Generator, shape: AlgebraShape, draw,
-            outs: tuple[int, ...] = (0, 1), rows: np.ndarray | None = None) -> list[tuple]:
-    """Jobs ``(outs, block, rows, build, key, data)``: ``draw``'s groups for each block of
-    ``shape`` in turn, filling outputs ``outs``, of one candidate or the page rows ``rows``."""
-    return [(outs, i, rows if sub is None else rows[sub], build, key, data)
+def _blocks(rng: np.random.Generator, shape: AlgebraShape, draw, rows: np.ndarray,
+            outs: tuple[int, ...] = (0, 1)) -> list[tuple]:
+    """Jobs ``(outs, block, rows, build, key, data)``: ``draw``'s groups of the page
+    rows ``rows`` for each block of ``shape`` in turn, filling outputs ``outs``."""
+    return [(outs, i, rows[sub], build, key, data)
             for i, n in enumerate(shape.block_dims)
-            for sub, build, key, data in draw(rng, n, 1 if rows is None else len(rows))]
+            for sub, build, key, data in draw(rng, n, len(rows))]
 
 
-def _assemble(shape: AlgebraShape, candidates: list[list], count: int = 0) -> np.ndarray:
-    """The ``(outputs, N, D, D)`` block-diagonal stacks of ``shape`` from the ``_blocks``
-    jobs of N ``candidates``, a row each, or of a page of ``count`` rows in a list of
-    one; one build call per group of rows with one output, block, build half and key."""
+def _assemble(shape: AlgebraShape, jobs: list[tuple], count: int) -> np.ndarray:
+    """The ``(outputs, count, D, D)`` block-diagonal stacks of ``shape`` from the
+    ``_blocks`` jobs of a page of ``count`` rows; one build call per group of rows
+    with one output, block, build half and key. It draws nothing."""
     groups: dict[tuple, tuple[list, list]] = {}
-    for i, jobs in enumerate(candidates):
-        for outs, block, rows, build, key, data in jobs:
-            at, datas = groups.setdefault((outs, block, build, key), ([], []))
-            at += [i] if rows is None else rows.tolist()
-            datas.append(data)
+    for outs, block, rows, build, key, data in jobs:
+        at, datas = groups.setdefault((outs, block, build, key), ([], []))
+        at.append(rows)
+        datas.append(data)
     d, n_out = shape.total_dim, 1 + max(max(outs) for outs, *_ in groups)
-    out = np.zeros((n_out, count or len(candidates), d, d), dtype=np.complex128)
+    out = np.zeros((n_out, count, d, d), dtype=np.complex128)
     for (outs, block, build, key), (at, datas) in groups.items():
         sl = shape.block_slices()[block]
         for o, blocks in zip(outs, build(key, *map(np.concatenate, zip(*datas)))):
-            out[o, at, sl, sl] = blocks
+            out[o, np.concatenate(at), sl, sl] = blocks
     return out
 
 
+def _drawing(*parts: tuple):
+    """The page recipe of ``parts``, ``(block recipe, outputs)`` pairs drawn in turn."""
+    def recipe(rng: np.random.Generator, shape: AlgebraShape, rows: np.ndarray) -> list:
+        return [job for draw, outs in parts for job in _blocks(rng, shape, draw, rows, outs)]
+    return recipe
+
+
+def _pair(draw):  # the page recipe of a pair block recipe
+    return _drawing((draw, (0, 1)))
+
+
+def _two(draw):  # the page recipe of two independent elements of a block recipe
+    return _drawing((draw, (0,)), (draw, (1,)))
+
+
+def _picked(rng: np.random.Generator, shape: AlgebraShape, recipes, rows: np.ndarray,
+            keys: list | None = None) -> tuple[list[int], list[tuple]]:
+    """The keys and jobs of the page rows ``rows``: each recipe's rows (row i: the page
+    recipe ``recipes[keys[i]]``), in recipe order, take its draws. Keys None: one
+    call picks them (one recipe draws nothing to pick)."""
+    if keys is None:
+        keys = _ints(rng, len(recipes), len(rows)) if len(recipes) > 1 else [0] * len(rows)
+    return keys, [job for r, sub in _keyed(keys) for job in recipes[r](rng, shape, rows[sub])]
+
+
 def _elements(rng: np.random.Generator, shape: AlgebraShape, draw, count: int) -> np.ndarray:
-    """``count`` elements of ``shape`` from the block recipe ``draw``, one
-    candidate after another, as a ``(count, D, D)`` stack."""
-    return _assemble(shape, [_blocks(rng, shape, draw, (0,)) for _ in range(count)])[0]
+    """A page of ``count`` elements of ``shape`` from ``draw``: a (count, D, D) stack."""
+    return _assemble(shape, _blocks(rng, shape, draw, np.arange(count), (0,)), count)[0]
 
 
 def _wrapped(shape: AlgebraShape, stacks: np.ndarray, row: int = 0) -> tuple:
@@ -428,26 +456,23 @@ class PairStrategy(Enum):
     DIRECT_SUM_MIX = "direct_sum_mix"
 
 
-_STRATEGY_DRAWS = {PairStrategy.CONJUGATED_POSITIVE_PAIR: _conjugated_positive_draw,
-                   PairStrategy.DIRECT_SUM_MIX: _mixed_draw}
+_STRATEGY_RECIPES = {PairStrategy.CONJUGATED_POSITIVE_PAIR: _pair(_conjugated_positive_draw),
+                     PairStrategy.DIRECT_SUM_MIX: _pair(_mixed_draw)}
 
 
 def _recipes(shape: AlgebraShape, strategies) -> list[tuple[str, object]]:
-    """The ``(name, block draw)`` of each of ``strategies`` that supports
+    """The ``(name, page recipe)`` of each of ``strategies`` that supports
     ``shape``: the conjugated positive pair needs a block of size 2 or more."""
-    return [(s.value, _STRATEGY_DRAWS[s]) for s in strategies
+    return [(s.value, _STRATEGY_RECIPES[s]) for s in strategies
             if s is not PairStrategy.CONJUGATED_POSITIVE_PAIR or max(shape.block_dims) >= 2]
 
 
 def _page(rng: np.random.Generator, shape: AlgebraShape, recipes,
           size: int) -> tuple[list[str], np.ndarray]:
-    """The next ``size`` candidates, as recipe names and ``(2, size, D, D)`` stacks: one
-    call picks each row's recipe from ``recipes`` (one recipe draws nothing to pick),
-    then each recipe's rows, in recipe order, take their ``_blocks`` draws."""
-    picks = _ints(rng, len(recipes), size) if len(recipes) > 1 else [0] * size
-    jobs = [job for r, rows in _keyed(picks) for job in _blocks(
-        rng, shape, recipes[r][1], rows=np.arange(size) if rows is None else rows)]
-    return [recipes[r][0] for r in picks], _assemble(shape, [jobs], size)
+    """The next ``size`` candidates, as recipe names and ``(2, size, D, D)`` stacks
+    (``_picked`` over the page recipes of ``recipes``)."""
+    picks, jobs = _picked(rng, shape, [recipe for _, recipe in recipes], np.arange(size))
+    return [recipes[r][0] for r in picks], _assemble(shape, jobs, size)
 
 
 @dataclass
@@ -565,33 +590,28 @@ def compatible_pairs(
 
 
 # ---------------------------------------------------------------------------
-# mixed streams for the consistency suites
+# mixed pairs for the consistency suites
 # ---------------------------------------------------------------------------
 
 
-def _general_pair(rng: np.random.Generator, shape: AlgebraShape) -> list[tuple]:
-    """One candidate of ``sample_general_pair`` (its ``_blocks`` draws)."""
-    wide = any(d >= 2 for d in shape.block_dims)
-    case = int(rng.integers(0, 6 if wide else 5))
-    if case in (2, 3, 4):  # two independent elements of one recipe
-        draw = (_hermitian_contraction_draw, _positive_contraction_draw,
-                _contraction_draw)[case - 2]
-        return _blocks(rng, shape, draw, (0,)) + _blocks(rng, shape, draw, (1,))
-    draw = {0: _orthogonal_draw, 1: _diagonal_compat_draw, 5: _conjugated_positive_draw}
-    return _blocks(rng, shape, draw[case])
+def _cases(wide: tuple, narrow: tuple):
+    """The page recipe that picks each row's case in one call, from ``wide`` on a
+    shape with a block of size 2 or more and from ``narrow`` on any other."""
+    def recipe(rng: np.random.Generator, shape: AlgebraShape, rows: np.ndarray) -> list:
+        return _picked(rng, shape, wide if max(shape.block_dims) >= 2 else narrow, rows)[1]
+    return recipe
 
 
-def _positive_pair(rng: np.random.Generator, shape: AlgebraShape) -> list[tuple]:
-    """One candidate of ``sample_positive_pair`` (its ``_blocks`` draws)."""
-    case = int(rng.integers(0, 4))
-    if case == 0:
-        return _blocks(rng, shape, _projection_commuting_draw)
-    if case == 1:
-        return _blocks(rng, shape, _orthogonal_positive_draw)
-    if case == 2 and any(d >= 2 for d in shape.block_dims):
-        return _blocks(rng, shape, _conjugated_positive_draw)
-    return (_blocks(rng, shape, _positive_contraction_draw, (0,))
-            + _blocks(rng, shape, _positive_contraction_draw, (1,)))
+# the cases of sample_general_pair; the conjugated pair needs a wide block
+_GENERAL = (_pair(_orthogonal_draw), _pair(_diagonal_compat_draw),
+            _two(_hermitian_contraction_draw), _two(_positive_contraction_draw),
+            _two(_contraction_draw), _pair(_conjugated_positive_draw))
+_general_pair = _cases(_GENERAL, _GENERAL[:5])
+# the cases of sample_positive_pair; without a wide block the conjugated
+# pair's case draws two positive contractions
+_POSITIVE = (_pair(_projection_commuting_draw), _pair(_orthogonal_positive_draw),
+             _pair(_conjugated_positive_draw), _two(_positive_contraction_draw))
+_positive_pair = _cases(_POSITIVE, _POSITIVE[:2] + _POSITIVE[3:] * 2)
 
 
 def sample_general_pair(
@@ -599,11 +619,11 @@ def sample_general_pair(
 ) -> tuple[AlgebraElement, AlgebraElement]:
     """Contraction pairs mixing orthogonal constructions, conjugated
     compatible pairs, Hermitian/positive pairs and plain random contractions."""
-    return _wrapped(shape, _assemble(shape, [_general_pair(rng, shape)]))
+    return _wrapped(shape, _assemble(shape, _general_pair(rng, shape, np.arange(1)), 1))
 
 
 def sample_positive_pair(
     rng: np.random.Generator, shape: AlgebraShape
 ) -> tuple[AlgebraElement, AlgebraElement]:
     """Positive contraction pairs, a mix of compatible and incompatible ones."""
-    return _wrapped(shape, _assemble(shape, [_positive_pair(rng, shape)]))
+    return _wrapped(shape, _assemble(shape, _positive_pair(rng, shape, np.arange(1)), 1))

@@ -8,18 +8,18 @@ note joins the failed cases' notes.
 
 Every randomized battery (linear-algebra invariants, the triple product's
 conjugate-linearity, relation invariants, the characterizations and the
-commutative cross-check) takes its operands' random numbers trial by trial,
-in the order a one-trial loop takes them, and builds and judges them through
-``_in_stacks`` in one (N, n, n) stack per shape of at most ``_STACK_MAX``
-trials. The preserver rows audit one zoo of triple homs, built once; the
-factorization row draws each map's samples as one stack and maps them with
-one matrix-vector product per sample, as ``LinearMap.apply`` does.
+commutative cross-check) draws its trials as pages of at most ``_STACK_MAX``
+trials of one shape (``_in_pages``), as the pair stream does; a battery that
+draws a size per trial draws every size in one call first. The preserver
+rows audit one zoo of triple homs, built once; the factorization row draws
+each map's samples as one page and maps them with one matrix-vector product
+per sample, as ``LinearMap.apply`` does.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import chain, cycle, islice
+from functools import partial
 
 import numpy as np
 
@@ -52,20 +52,24 @@ from .relations import (
     _tripotent_reports,
 )
 from .sampling import (
+    _ALL,
     _STACK_MAX,
     _assemble,
-    _blocks,
     _contraction_draw,
     _diagonal_build,
     _diagonal_draw,
+    _drawing,
     _elements,
     _fixed_pairs,
     _general_pair,
     _groups,
     _hermitian_contraction_draw,
     _ints,
+    _keyed,
     _orthogonal_draw,
+    _pair,
     _partial_isometry_draw,
+    _picked,
     _positive_pair,
     rand_unitary,
 )
@@ -99,10 +103,22 @@ def shapes_for_dims(dims: list[int]) -> list[AlgebraShape]:
     return shapes
 
 
-def _trials(shapes: list[AlgebraShape], count: int, candidate):
-    """``(shape, candidate(shape))`` for ``count`` trials on the shapes in
-    turn, each drawn when it is taken."""
-    return ((shape, candidate(shape)) for shape in islice(cycle(shapes), count))
+def _in_pages(rng: np.random.Generator, shapes: list[AlgebraShape], on, recipes, judge,
+              by: list[int] | None = None) -> list:
+    """``judge(shape, *stacks)`` of every trial, in page order: trial i is on
+    ``shapes[on[i]]`` (the shapes in turn: ``arange(trials) % len(shapes)``) and
+    draws the page recipe ``recipes[by[i]]`` (by None: ``recipes[0]``). Shape by
+    shape in index order, the shape's trials make pages of at most
+    ``_STACK_MAX`` rows; each recipe's rows of a page, in recipe order, take
+    their draws, then the page is built and judged."""
+    results = []
+    for s, trials in _keyed(on):
+        trials = np.arange(len(on))[trials]
+        for page in np.split(trials, range(_STACK_MAX, len(trials), _STACK_MAX)):
+            keys = [0] * len(page) if by is None else [by[i] for i in page.tolist()]
+            jobs = _picked(rng, shapes[s], recipes, np.arange(len(page)), keys)[1]
+            results += judge(shapes[s], *_assemble(shapes[s], jobs, len(page)))
+    return results
 
 
 def _tally(name: str, checks, note: str = "") -> SuiteResult:
@@ -122,7 +138,7 @@ def _tally(name: str, checks, note: str = "") -> SuiteResult:
 def _square_draw(rng: np.random.Generator, n: int, count: int, deficient: bool = False):
     """n x n matrices with standard normal real and imaginary parts; a
     ``deficient`` one has its last column copied onto its first."""
-    return [(None, _square_build, deficient, (rng.standard_normal((count, 2, n, n)),))]
+    return [(_ALL, _square_build, deficient, (rng.standard_normal((count, 2, n, n)),))]
 
 
 def _square_build(deficient, z):
@@ -146,21 +162,17 @@ def _qr_projection_build(k, z):
 
 def _uniform_diagonal_draw(rng: np.random.Generator, n: int, count: int):
     """Diagonal matrices of n uniform values in [0, 2)."""
-    return [(None, _diagonal_build, None, (2.0 * rng.random((count, n)),))]
+    return [(_ALL, _diagonal_build, None, (2.0 * rng.random((count, n)),))]
 
 
 def suite_linalg_invariants(
     seed: int, trials: int, tol: ToleranceConfig = DEFAULT_TOL
 ) -> list[SuiteResult]:
-    rng = np.random.default_rng(seed)
+    rng, shapes = np.random.default_rng(seed), [AlgebraShape((n,)) for n in range(1, 7)]
 
-    def squares(draw=lambda rng, n, count, i: _square_draw(rng, n, count), outs=((0,),)):
-        """Trials of a drawn size 1 to 6; ``draw(rng, n, count, i)`` draws
-        trial i's matrices, one per output in ``outs``."""
-        for i in range(trials):
-            shape = AlgebraShape((int(rng.integers(1, 7)),))
-            yield shape, [job for o in outs for job in _blocks(
-                rng, shape, lambda rng, n, count: draw(rng, n, count, i), o)]
+    def squares(judge, *draws, by=None, outs=((0,),)):  # every size drawn in one call first
+        recipes = [_drawing(*((draw, o) for o in outs)) for draw in draws]
+        return _in_pages(rng, shapes, _ints(rng, 6, trials), recipes, judge, by)
 
     def functional_calculus(shape, g):
         a = _hermitize(g)
@@ -187,19 +199,19 @@ def suite_linalg_invariants(
         rows = zip(_op_norm(_adj(x) @ x).tolist(), _op_norm(x).tolist())
         return [(d, d > 1e-8) for d in (abs(lhs - n ** 2) / max(1.0, n ** 2) for lhs, n in rows)]
 
-    abs_draws = (_square_draw, _qr_projection_draw, _uniform_diagonal_draw)
+    thirds = [i % 3 for i in range(trials)]
     # each battery drains the shared stream before the next one starts
     return [
-        _tally("functional-calculus identity",
-               _in_stacks(squares(), functional_calculus)),
-        _tally("abs-value idempotence", _in_stacks(
-            squares(lambda rng, n, count, i: abs_draws[i % 3](rng, n, count)), abs_idempotence)),
-        _tally("polar reconstruction", _in_stacks(
-            squares(lambda rng, n, count, i: _square_draw(rng, n, count, i % 3 == 0 and n > 1)),
-            polar_reconstruction)),
+        _tally("functional-calculus identity", squares(functional_calculus, _square_draw)),
+        _tally("abs-value idempotence", squares(abs_idempotence, _square_draw,
+                                                _qr_projection_draw, _uniform_diagonal_draw,
+                                                by=thirds)),
+        _tally("polar reconstruction", squares(  # every third input is rank deficient
+            polar_reconstruction, partial(_square_draw, deficient=True), _square_draw,
+            by=[min(i, 1) for i in thirds])),
         _tally("operator-norm submultiplicativity",
-               _in_stacks(squares(outs=((0,), (1,))), submultiplicativity)),
-        _tally("c-star norm identity", _in_stacks(squares(), cstar_identity)),
+               squares(submultiplicativity, _square_draw, outs=((0,), (1,)))),
+        _tally("c-star norm identity", squares(cstar_identity, _square_draw)),
     ]
 
 
@@ -218,41 +230,18 @@ def suite_algebra_products(
     so no draw could fail them; tests pin them instead."""
     rng = np.random.default_rng(seed)
 
-    def operands(shape):
-        return [job for i in range(3) for job in _blocks(rng, shape, _contraction_draw, (i,))]
-
     def conjugate_linearity(shape, a, b, c):
         defects = _op_norm(_triple(a, 1j * b, c) + 1j * _triple(a, b, c)).tolist()
         return [(d, d > 1e-12) for d in defects]
 
-    return _tally("triple middle conjugate-linearity",
-                  _in_stacks(_trials(shapes, trials, operands), conjugate_linearity))
+    operands = _drawing(*((_contraction_draw, (i,)) for i in range(3)))
+    return _tally("triple middle conjugate-linearity", _in_pages(
+        rng, shapes, np.arange(trials) % len(shapes), [operands], conjugate_linearity))
 
 
 # ---------------------------------------------------------------------------
 # relation invariants and characterizations
 # ---------------------------------------------------------------------------
-
-
-def _in_stacks(trials, judge):
-    """``judge(shape, *stacks)`` of each trial, a candidate's ``(shape, draws)``
-    (``sampling._blocks``), in order: trials are drawn until one shape has
-    ``_STACK_MAX`` of them (or the trials end), then each shape's stack is
-    built and judged, drawing nothing."""
-    trials = iter(trials)
-    while True:
-        chunk: dict = {}  # the (index, draws) of the chunk's trials by shape
-        for i, (shape, draws) in enumerate(trials):
-            chunk.setdefault(shape, []).append((i, draws))
-            if len(chunk[shape]) == _STACK_MAX:
-                break
-        if not chunk:
-            return
-        results = {}
-        for shape, rows in chunk.items():
-            stacks = _assemble(shape, [draws for _, draws in rows])
-            results.update(zip([i for i, _ in rows], judge(shape, *stacks)))
-        yield from (results[i] for i in range(len(results)))
 
 
 def suite_relation_invariants(
@@ -286,16 +275,13 @@ def suite_relation_invariants(
         return [(d, d > t) if ok else (0.0, True)
                 for ok, d in zip(orth.tolist(), defects.tolist())]
 
-    orth_rng = np.random.default_rng(seed ^ 0x0F0F0F0F)
-    general = lambda shape: _general_pair(rng, shape)
+    orth_rng, on = np.random.default_rng(seed ^ 0x0F0F0F0F), np.arange(trials) % len(shapes)
     return [
-        _tally("compat symmetry", _in_stacks(
-            _trials(shapes, trials, general), symmetry)),
-        _tally("adjoint duality of verdicts", _in_stacks(
-            _trials(shapes, trials, general), adjoint_duality)),
-        _tally("orthogonality implies compatibility", _in_stacks(
-            _trials(shapes, trials, lambda shape: _blocks(orth_rng, shape, _orthogonal_draw)),
-            orthogonal_pairs)),
+        _tally("compat symmetry", _in_pages(rng, shapes, on, [_general_pair], symmetry)),
+        _tally("adjoint duality of verdicts",
+               _in_pages(rng, shapes, on, [_general_pair], adjoint_duality)),
+        _tally("orthogonality implies compatibility", _in_pages(
+            orth_rng, shapes, on, [_pair(_orthogonal_draw)], orthogonal_pairs)),
     ]
 
 
@@ -317,9 +303,8 @@ def suite_orth_characterization(
     seed: int, trials: int, shapes: list[AlgebraShape],
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> SuiteResult:
-    rng = np.random.default_rng(seed)
-    pairs = _trials(shapes, trials, lambda shape: _general_pair(rng, shape))
-    reports = _in_stacks(pairs, lambda shape, a, b: _orth_reports(a, b, shape, tol))
+    reports = _in_pages(np.random.default_rng(seed), shapes, np.arange(trials) % len(shapes),
+                        [_general_pair], lambda shape, a, b: _orth_reports(a, b, shape, tol))
     return _consistency_battery("orthogonality characterization", trials, reports)
 
 
@@ -327,9 +312,8 @@ def suite_p00_equivalences(
     seed: int, trials: int, shapes: list[AlgebraShape],
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> SuiteResult:
-    rng = np.random.default_rng(seed)
-    pairs = _trials(shapes, trials, lambda shape: _positive_pair(rng, shape))
-    reports = _in_stacks(pairs, lambda shape, a, b: _p00_reports(a, b, shape, tol))
+    reports = _in_pages(np.random.default_rng(seed), shapes, np.arange(trials) % len(shapes),
+                        [_positive_pair], lambda shape, a, b: _p00_reports(a, b, shape, tol))
     return _consistency_battery("jordan-product equivalences", trials, reports)
 
 
@@ -340,18 +324,14 @@ def suite_tripotent_characterization(
     """``trials`` random contractions, then max(1, trials // 10) exact and as
     many 0.9-scaled partial isometries; any verdict disagreement
     (indeterminate included) counts as a failure."""
-    rng = np.random.default_rng(seed)
     n_isometries = max(1, trials // 10)
-
-    def elements(count, draw):
-        return _trials(shapes, count, lambda shape: _blocks(rng, shape, draw, (0,)))
-
-    stream = chain(
-        elements(trials, _contraction_draw),
-        elements(n_isometries, _partial_isometry_draw),
-        elements(n_isometries, lambda rng, n, count: _partial_isometry_draw(rng, n, count, 0.9)),
-    )
-    reports = _in_stacks(stream, lambda shape, a: _tripotent_reports(a, shape, tol))
+    counts = (trials, n_isometries, n_isometries)
+    recipes = [_drawing((draw, (0,))) for draw in (
+        _contraction_draw, _partial_isometry_draw, partial(_partial_isometry_draw, scale=0.9))]
+    reports = _in_pages(np.random.default_rng(seed), shapes,
+                        np.concatenate([np.arange(c) % len(shapes) for c in counts]), recipes,
+                        lambda shape, a: _tripotent_reports(a, shape, tol),
+                        by=[r for r, count in enumerate(counts) for _ in range(count)])
     return _tally("tripotent characterization",
                   ((min(s.defect for s in r.clauses[0].sides), not r.clauses[0].agree)
                    for r in reports),
@@ -370,15 +350,12 @@ def suite_commutative_crosscheck(
     near-threshold band also raises a CrossCheckMismatch warning."""
     rng = np.random.default_rng(seed)
 
-    def pairs():
-        for _ in range(trials):
-            shape = AlgebraShape((int(rng.integers(1, 9)),))
-            yield shape, _blocks(rng, shape, _coordinate_pair_draw)
-
     def agreement(shape, a, b):
         return [(0.0, split) for split in _commutative_defects(a, b, tol)[2].tolist()]
 
-    return _tally("commutative cross-validation", _in_stacks(pairs(), agreement))
+    lengths = [AlgebraShape((n,)) for n in range(1, 9)]
+    return _tally("commutative cross-validation", _in_pages(  # every length drawn first
+        rng, lengths, _ints(rng, 8, trials), [_pair(_coordinate_pair_draw)], agreement))
 
 
 # ---------------------------------------------------------------------------

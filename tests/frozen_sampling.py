@@ -3,12 +3,13 @@ stacks, kept verbatim as the reference that ``test_sampling.py`` checks the
 stacked draws against byte for byte: a per-block recipe per call, each
 element built through ``AlgebraElement.from_blocks``.
 
-The element and pair samplers and ``PairGenerator.draw`` still draw one
-candidate at a time, so these recipes replay them on the same generator. The
-compatible-pair stream draws pages of candidates, each recipe's rows with one
-Generator call per array; ``test_sampling.py`` draws a page's numbers in that
-order and hands each row's numbers to these one-block recipes through a
-replaying generator (``_Replay``), so every row is still built here.
+The element and pair samplers and ``PairGenerator.draw`` draw pages of one
+candidate, so these recipes replay them on the same generator. Larger pages
+(the compatible-pair stream, ``_elements``, the suites' batteries) draw each
+recipe's rows with one Generator call per array; ``page_replay.py`` draws a
+page's numbers in that order and hands each row's numbers to these one-block
+recipes through a replaying generator (``Replay``), so every row is still
+built here.
 
 Not a test module; ``test_sampling.py`` imports it.
 """

@@ -34,7 +34,7 @@ from abscompat import (
     triple,
     unit,
 )
-from abscompat import preservers
+from abscompat import preservers, suites
 from abscompat.errors import (
     AmbiguousBlock,
     GeneratorExhausted,
@@ -49,6 +49,9 @@ from abscompat.sampling import (
     compatible_pairs, known_witness_pairs, rand_contraction, rand_unitary,
 )
 from abscompat.tolerance import ToleranceConfig
+
+import frozen_sampling as frozen
+import page_replay as replay
 
 SH2 = AlgebraShape((2,))
 SH22 = AlgebraShape((2, 2))
@@ -315,13 +318,16 @@ class TestContractivity:
     @staticmethod
     def _one_sample_loop(T, n_samples, seed):
         """The certificate one sample at a time: matrix units, then unit-norm
-        contractions, each mapped by ``T.apply``; the first strict maximum."""
-        rng = np.random.default_rng(seed)
+        contractions, each mapped by ``T.apply``; the first strict maximum.
+        The contractions are one page, replayed row by row."""
+        rows = replay.page(np.random.default_rng(seed), T.domain_shape,
+                           replay.each(replay.page_contraction), n_samples)
         worst, worst_x = 0.0, None
         samples = [AlgebraElement(T.domain_shape, e)
                    for e in preservers._basis_stack(T.domain_shape)]
-        for _ in range(n_samples):
-            x = rand_contraction(rng, T.domain_shape)
+        for row in rows:
+            x = frozen.rand_contraction(row, T.domain_shape)
+            assert row.exhausted()
             norm = op_norm(x.matrix)
             if norm > 0:
                 samples.append(AlgebraElement(x.shape, x.matrix / norm))
@@ -330,6 +336,20 @@ class TestContractivity:
             if excess > worst:
                 worst, worst_x = excess, x
         return worst, None if worst_x is None else worst_x.matrix
+
+    @pytest.mark.parametrize("dims", [[2, 3], [1], [4]])
+    def test_verdicts_on_triple_homs_and_doubling(self, dims):
+        # the paged samples keep every verdict: the built triple homs are
+        # contractive, and x -> 2x is caught with defect 1 at every seed
+        tol = ToleranceConfig()
+        maps = suites._built_triple_homs(np.random.default_rng(0), dims, tol)
+        for seed in range(3):
+            for n_samples in (1, 16, 64):
+                for name, T in maps:
+                    assert is_contractive_sampled(T, n_samples, seed, tol).verdict, name
+                    doubled = is_contractive_sampled(scale_map(T.domain_shape, 2.0),
+                                                     n_samples, seed, tol)
+                    assert not doubled.verdict and doubled.defect == pytest.approx(1.0)
 
     def test_replays_the_one_sample_loop(self):
         rng = np.random.default_rng(4)

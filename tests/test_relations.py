@@ -471,7 +471,7 @@ class TestStackedCharacterizations:
         assert reports == [check_tripotent_characterization(a, self.TOL) for a in elements]
 
     def test_battery_judges_give_each_row_its_report_in_any_stack(self, rng):
-        # the judges behind suites._in_stacks on 40 rows over M2+M3, then on a
+        # the judges behind suites._in_pages on 40 rows over M2+M3, then on a
         # permutation of them and on its regroupings into 1, 7 and 32 rows
         shape, tol = AlgebraShape((2, 3)), self.TOL
         general = self._general_pairs(rng, shape) + self._general_pairs(rng, shape)

@@ -38,6 +38,7 @@ from abscompat.sampling import (
 from abscompat.tolerance import ToleranceConfig
 
 import frozen_sampling as frozen
+import page_replay as replay
 
 
 def test_same_seed_same_stream():
@@ -70,12 +71,15 @@ def test_strategies_emit_compatible_pairs(strategy):
         assert op_norm(b.matrix) <= 1.0 + 1e-12
 
 
+def _recipe_page(rng, shape, draw, count):
+    """A page of ``count`` raw candidates of the pair block recipe ``draw``."""
+    return sampling._assemble(shape, sampling._blocks(rng, shape, draw, np.arange(count)), count)
+
+
 def _recipe_pairs(draw, shape, seed, count):
-    """``count`` raw candidates of the block recipe ``draw`` from one
+    """A page of ``count`` raw candidates of the block recipe ``draw`` from one
     generator seeded ``seed``, as element pairs."""
-    rng = np.random.default_rng(seed)
-    stacks = sampling._assemble(shape, [sampling._blocks(rng, shape, draw)
-                                        for _ in range(count)])
+    stacks = _recipe_page(np.random.default_rng(seed), shape, draw, count)
     return [sampling._wrapped(shape, stacks, row) for row in range(count)]
 
 
@@ -179,11 +183,11 @@ def test_pair_samplers_accept_one_dimensional_blocks(sampler):
 
 
 # ---------------------------------------------------------------------------
-# stacked draws against the frozen one-candidate recipes (frozen_sampling.py)
+# paged draws against the frozen one-candidate recipes (frozen_sampling.py)
 # ---------------------------------------------------------------------------
 
 FROZEN_DIMS = [(1,), (2,), (3,), (4,), (1, 2), (2, 3)]
-# stacks of 1, 2, 4 and 64 candidates, then a partial one
+# pages of 1, 2, 4 and 64 candidates, then a partial one
 STACK_COUNTS = (1, 2, 4, 64, 37)
 
 
@@ -252,14 +256,14 @@ def test_stacked_rank_cut_gives_the_boolean_slice_bytes():
                 sigma_i.tobytes(), right_h_i.tobytes())
 
 
-# the pair recipes by the name frozen_sampling.draw knows them by: the
-# stream's strategies, and the orthogonal and diagonal recipes its mixed
-# strategy draws per block
+# the pair recipes by the name frozen_sampling.draw knows them by, with their
+# page order on one block: the stream's strategies, and the orthogonal and
+# diagonal recipes its mixed strategy draws per block
 _PAIR_RECIPES = [
-    ("orthogonal", sampling._orthogonal_draw),
-    ("commuting_diagonal", sampling._diagonal_compat_draw),
-    ("conjugated_positive_pair", sampling._conjugated_positive_draw),
-    ("direct_sum_mix", sampling._mixed_draw),
+    ("orthogonal", sampling._orthogonal_draw, replay.page_orthogonal),
+    ("commuting_diagonal", sampling._diagonal_compat_draw, replay.page_diagonal_compat),
+    ("conjugated_positive_pair", sampling._conjugated_positive_draw, replay.page_conjugated),
+    ("direct_sum_mix", sampling._mixed_draw, replay.page_mixed),
 ]
 
 
@@ -267,20 +271,29 @@ def _narrow(dims, name):
     return name == "conjugated_positive_pair" and max(dims) < 2
 
 
+def _replayed(rows, build):
+    """``build(row)`` of each replayed row, which must use up its numbers."""
+    built = [build(row) for row in rows]
+    assert all(row.exhausted() for row in rows)
+    return built
+
+
 @pytest.mark.parametrize("dims", FROZEN_DIMS)
 def test_pair_recipes_match_the_frozen_recipes(dims):
+    # pages of each pair recipe against its page order, each row built by the
+    # frozen one-block recipe from its own numbers
     shape = AlgebraShape(dims)
     for seed in range(3):
-        for name, draw in _PAIR_RECIPES:
+        for name, draw, page_draw in _PAIR_RECIPES:
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             if _narrow(dims, name):  # the stream leaves it out on this shape
                 with pytest.raises(GeneratorExhausted):
                     frozen.draw(name, ref, shape)
                 continue
             for count in STACK_COUNTS:
-                a, b = sampling._assemble(shape, [sampling._blocks(rng, shape, draw)
-                                                  for _ in range(count)])
-                reference = [frozen.draw(name, ref, shape) for _ in range(count)]
+                a, b = _recipe_page(rng, shape, draw, count)
+                rows = replay.page(ref, shape, replay.each(page_draw), count)
+                reference = _replayed(rows, lambda row: frozen.draw(name, row, shape))
                 _same_bytes(a, [p[0] for p in reference])
                 _same_bytes(b, [p[1] for p in reference])
             assert rng.bit_generator.state == ref.bit_generator.state
@@ -303,52 +316,58 @@ def test_generator_draw_is_the_frozen_recipe(dims):
 
 @pytest.mark.parametrize("dims", FROZEN_DIMS)
 def test_interleaved_recipes_assemble_to_each_recipes_bytes(dims):
-    # a stack of the stream mixes recipes in one _assemble
+    # a page of the stream mixes recipes in one _assemble: each recipe's
+    # scattered rows hold the bytes of its rows assembled alone
     shape, rng = AlgebraShape(dims), np.random.default_rng(5)
-    recipes = [(name, draw) for name, draw in _PAIR_RECIPES if not _narrow(dims, name)]
-    order = rng.permutation(np.repeat(range(len(recipes)), 9)).tolist()
-    rngs = [np.random.default_rng(3) for _ in recipes]
-    together = sampling._assemble(shape, [sampling._blocks(rngs[i], shape, recipes[i][1])
-                                          for i in order])
-    for i, (_, draw) in enumerate(recipes):
-        rows = [row for row, j in enumerate(order) if j == i]
-        rng = np.random.default_rng(3)
-        alone = sampling._assemble(shape, [sampling._blocks(rng, shape, draw) for _ in rows])
-        assert together[:, rows].tobytes() == alone.tobytes()
+    recipes = [draw for name, draw, _ in _PAIR_RECIPES if not _narrow(dims, name)]
+    order = rng.permutation(np.repeat(range(len(recipes)), 9))
+    jobs = [job for i, draw in enumerate(recipes) for job in sampling._blocks(
+        np.random.default_rng(3), shape, draw, np.flatnonzero(order == i))]
+    together = sampling._assemble(shape, jobs, len(order))
+    for i, draw in enumerate(recipes):
+        alone = _recipe_page(np.random.default_rng(3), shape, draw, 9)
+        assert together[:, order == i].tobytes() == alone.tobytes()
 
 
 _ELEMENT_SAMPLERS = [
-    ("rand_contraction", sampling._contraction_draw),
-    ("rand_hermitian_contraction", sampling._hermitian_contraction_draw),
-    ("rand_positive_contraction", sampling._positive_contraction_draw),
-    ("rand_projection", sampling._projection_draw),
-    ("rand_partial_isometry", sampling._partial_isometry_draw),
-    ("rand_unitary", sampling._unitary_draw),
+    ("rand_contraction", sampling._contraction_draw, replay.page_contraction),
+    ("rand_hermitian_contraction", sampling._hermitian_contraction_draw,
+     replay.page_hermitian_contraction),
+    ("rand_positive_contraction", sampling._positive_contraction_draw,
+     replay.page_positive_contraction),
+    ("rand_projection", sampling._projection_draw, replay.page_projection),
+    ("rand_partial_isometry", sampling._partial_isometry_draw, replay.page_partial_isometry),
+    ("rand_unitary", sampling._unitary_draw, replay.page_unitary),
 ]
 
 
 @pytest.mark.parametrize("dims", FROZEN_DIMS)
 def test_samplers_match_the_frozen_recipes(dims):
+    # the public samplers are pages of one, drawn as the frozen recipes draw;
+    # larger pages match their page order, replayed row by row
     shape = AlgebraShape(dims)
     for seed in range(3):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        for name, draw in _ELEMENT_SAMPLERS:
+        for name, draw, page_draw in _ELEMENT_SAMPLERS:
             frozen_sampler = getattr(frozen, name)
             for _ in range(5):
                 x = getattr(sampling, name)(rng, shape)
                 _same_bytes([x.matrix], [frozen_sampler(ref, shape)])
             for count in STACK_COUNTS:
+                rows = replay.page(ref, shape, replay.each(page_draw), count)
                 _same_bytes(sampling._elements(rng, shape, draw, count),
-                            [frozen_sampler(ref, shape) for _ in range(count)])
-        for name, candidate in (("sample_general_pair", sampling._general_pair),
-                                ("sample_positive_pair", sampling._positive_pair)):
+                            _replayed(rows, lambda row: frozen_sampler(row, shape)))
+        for name, recipe, page_recipe in (
+                ("sample_general_pair", sampling._general_pair, replay.general_pair),
+                ("sample_positive_pair", sampling._positive_pair, replay.positive_pair)):
             frozen_sampler = getattr(frozen, name)
             for _ in range(20):
                 a, b = getattr(sampling, name)(rng, shape)
                 _same_bytes([a.matrix, b.matrix], frozen_sampler(ref, shape))
             for count in STACK_COUNTS:
-                a, b = sampling._assemble(shape, [candidate(rng, shape) for _ in range(count)])
-                reference = [frozen_sampler(ref, shape) for _ in range(count)]
+                a, b = sampling._assemble(shape, recipe(rng, shape, np.arange(count)), count)
+                rows = replay.page(ref, shape, page_recipe, count)
+                reference = _replayed(rows, lambda row: frozen_sampler(row, shape))
                 _same_bytes(a, [p[0] for p in reference])
                 _same_bytes(b, [p[1] for p in reference])
         x = rng.standard_normal(4)
@@ -371,91 +390,9 @@ def _reference_stream(shape, kind, seed, tol=ToleranceConfig()):
                                 list(PairStrategy))
 
 
-class _Replay:
-    """One row's random numbers, drawn in page order, served to the frozen
-    one-block recipes in the order they ask for them: integers, standard
-    normals and uniforms each from their own queue, block after block."""
-
-    def __init__(self):
-        self.ints, self.normals, self.uniforms = [], [], []
-        self.groups = set()  # the (block, recipe group) of each block
-
-    def integers(self, *args):
-        return self.ints.pop(0)
-
-    def standard_normal(self, shape):
-        size = int(np.prod(shape))
-        taken, self.normals = self.normals[:size], self.normals[size:]
-        return np.array(taken).reshape(shape)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        if size is None:
-            return self.uniforms.pop(0)
-        taken, self.uniforms = self.uniforms[:size], self.uniforms[size:]
-        return np.array(taken)
-
-    def exhausted(self):
-        return not (self.ints or self.normals or self.uniforms)
-
-
-def _page_normals(rng, rows, n, k):
-    # k n x n real matrices per row, in one call
-    for row, z in zip(rows, rng.standard_normal((len(rows), k * n * n)).tolist()):
-        row.normals += z
-
-
-def _page_orthogonal(rng, rows, n, block):
-    ranks = rng.integers(0, n + 1, size=len(rows)).tolist()
-    _page_normals(rng, rows, n, 4)
-    for row, k, d in zip(rows, ranks, rng.uniform(0.0, 1.0, size=(len(rows), n)).tolist()):
-        row.ints.append(k)
-        row.uniforms += d
-        row.groups.add((block, f"orthogonal rank {k}"))
-
-
-def _page_diagonal(rng, rows, n, block):
-    # per coordinate: the cases of all rows, then their uniforms row by row
-    for _ in range(n):
-        cases = rng.integers(0, 5, size=len(rows)).tolist()
-        counts = [(2, 2, 3, 3, 0)[c] for c in cases]
-        u = rng.uniform(size=sum(counts)).tolist()
-        for row, c, m in zip(rows, cases, counts):
-            row.ints.append(c)
-            row.uniforms += u[:m]
-            u = u[m:]
-    for row in rows:
-        row.groups.add((block, "diagonal"))
-
-
-def _page_saturated(rng, rows, n, block):
-    _page_normals(rng, rows, n, 2)
-    _page_normals(rng, rows, n, 2)  # the contraction, then its scale if nonzero
-    nonzero = [any(row.normals[-2 * n * n:]) for row in rows]
-    scales = rng.uniform(0.05, 1.0, size=sum(nonzero)).tolist()
-    for row, nz in zip(rows, nonzero):
-        row.uniforms += [scales.pop(0)] if nz else []
-        row.groups.add((block, "saturated"))
-
-
-def _page_conjugated(rng, rows, n, block):
-    if n >= 2:
-        _page_normals(rng, rows, n, 2)
-    for row in rows:
-        row.groups.add((block, "conjugated"))
-
-
-def _page_mixed(rng, rows, n, block):
-    picks = rng.integers(0, 4 if n >= 2 else 3, size=len(rows)).tolist()
-    for row, pick in zip(rows, picks):
-        row.ints.append(pick)
-    for r, draw in enumerate((_page_orthogonal, _page_diagonal, _page_saturated,
-                              _page_conjugated)):
-        if picked := [row for row, pick in zip(rows, picks) if pick == r]:
-            draw(rng, picked, n, block)
-
-
 # the documented page order of each of the stream's recipes, on one block
-_PAGE_DRAWS = {"conjugated_positive_pair": _page_conjugated, "direct_sum_mix": _page_mixed}
+_PAGE_DRAWS = {"conjugated_positive_pair": replay.page_conjugated,
+               "direct_sum_mix": replay.page_mixed}
 
 
 def _reference_page(rng, shape, names, size):
@@ -465,7 +402,7 @@ def _reference_page(rng, shape, names, size):
     row is then built by its ``frozen.draw`` from its own numbers. Yields
     ``(name, a, b, replay)`` per row."""
     picks = rng.integers(len(names), size=size).tolist() if len(names) > 1 else [0] * size
-    rows = [_Replay() for _ in range(size)]
+    rows = [replay.Replay() for _ in range(size)]
     for r, name in enumerate(names):
         if picked := [row for row, pick in zip(rows, picks) if pick == r]:
             for block, n in enumerate(shape.block_dims):

@@ -26,13 +26,6 @@ from abscompat import (
 from abscompat import relations, sampling, suites
 from abscompat.errors import CrossCheckMismatch, ShapeIncompatible
 from abscompat.linalg import abs_value, apply_function, op_norm, polar, range_projection
-from abscompat.sampling import (
-    rand_contraction,
-    rand_hermitian_contraction,
-    rand_partial_isometry,
-    sample_general_pair,
-    sample_positive_pair,
-)
 from abscompat.suites import (
     _consistency_battery,
     _tally,
@@ -52,6 +45,7 @@ from abscompat.suites import (
 )
 
 import frozen_sampling as frozen
+import page_replay as replay
 
 
 def test_shapes_for_dims():
@@ -192,42 +186,60 @@ def test_replay_that_differs_fails_the_row_with_a_note(monkeypatch):
     assert row.note == "audit report differs on replay"
 
 
-# The stacked batteries replayed one trial at a time: the same draws in the
-# same order, each judged by the public one-pair functions.
+# The paged batteries replayed one trial at a time: each trial's numbers are
+# drawn in the battery's page order (page_replay.pages), then its operands are
+# built from them by the frozen one-candidate recipes (or the one-trial code
+# here) and judged by the public one-pair functions, in trial order.
+
+
+def _cycled(shapes, count):
+    return [i % len(shapes) for i in range(count)]
+
+
+def _replayed(rows, build):
+    """``build(i, row)`` of each trial's replayed row, which it must use up."""
+    for i, row in enumerate(rows):
+        yield build(i, row)
+        assert row.exhausted()
 
 
 def _one_pair_products(seed, trials, shapes, tol):
-    rng = np.random.default_rng(seed)
-    defects = []
-    for i in range(trials):
-        a, b, c = (rand_contraction(rng, shapes[i % len(shapes)]) for _ in range(3))
-        defects.append(op_norm((triple(a, 1j * b, c) + 1j * triple(a, b, c)).matrix))
-    return _tally("triple middle conjugate-linearity", ((d, d > 1e-12) for d in defects))
+    rows = replay.pages(np.random.default_rng(seed), shapes, _cycled(shapes, trials), [
+        replay.each(*[replay.page_contraction] * 3)])
+
+    def defect(i, row):
+        a, b, c = (frozen.rand_contraction(row, shapes[i % len(shapes)]) for _ in range(3))
+        return op_norm((triple(a, 1j * b, c) + 1j * triple(a, b, c)).matrix)
+
+    return _tally("triple middle conjugate-linearity",
+                  ((d, d > 1e-12) for d in _replayed(rows, defect)))
 
 
 def _one_pair_relation_invariants(seed, trials, shapes, tol):
-    rng = np.random.default_rng(seed)
+    rng, on = np.random.default_rng(seed), _cycled(shapes, trials)
     t = tol.relation
 
+    def general_pairs():
+        rows = replay.pages(rng, shapes, on, [replay.general_pair])
+        return _replayed(rows, lambda i, row: frozen.sample_general_pair(row, shapes[on[i]]))
+
     def symmetry():
-        for i in range(trials):
-            a, b = sample_general_pair(rng, shapes[i % len(shapes)])
+        for a, b in general_pairs():
             diffs = [abs(compat_defect(a, b, kind, tol).defect
                          - compat_defect(b, a, kind, tol).defect)
                      for kind in (CompatKind.DOMAIN, CompatKind.RANGE)]
             yield max(diffs), sum(d > 1e-12 for d in diffs)
 
     def adjoint_duality():
-        for i in range(trials):
-            a, b = sample_general_pair(rng, shapes[i % len(shapes)])
+        for a, b in general_pairs():
             lhs = compat_defect(a, b, CompatKind.DOMAIN, tol).verdict
             rhs = compat_defect(adjoint(a), adjoint(b), CompatKind.RANGE, tol).verdict
             yield 0.0, lhs != rhs
 
     def orthogonal_pairs():
         orth_rng = np.random.default_rng(seed ^ 0x0F0F0F0F)
-        for i in range(trials):
-            a, b = frozen.draw("orthogonal", orth_rng, shapes[i % len(shapes)])
+        rows = replay.pages(orth_rng, shapes, on, [replay.each(replay.page_orthogonal)])
+        for a, b in _replayed(rows, lambda i, row: frozen.draw("orthogonal", row, shapes[on[i]])):
             if not is_orthogonal(a, b, tol).verdict:
                 yield 0.0, True
                 continue
@@ -239,60 +251,83 @@ def _one_pair_relation_invariants(seed, trials, shapes, tol):
             _tally("orthogonality implies compatibility", orthogonal_pairs())]
 
 
-def _one_pair_consistency(name, check, sample):
+def _one_pair_consistency(name, check, sample, page_recipe):
     def battery(seed, trials, shapes, tol):
-        rng = np.random.default_rng(seed)
-        reports = (check(*sample(rng, shapes[i % len(shapes)]), tol) for i in range(trials))
+        on = _cycled(shapes, trials)
+        rows = replay.pages(np.random.default_rng(seed), shapes, on, [page_recipe])
+        reports = _replayed(rows, lambda i, row: check(*sample(row, shapes[on[i]]), tol))
         return _consistency_battery(name, trials, reports)
     return battery
 
 
 def _one_pair_tripotents(seed, trials, shapes, tol):
-    rng = np.random.default_rng(seed)
     n_iso = max(1, trials // 10)
-    stream = [rand_contraction(rng, shapes[i % len(shapes)]) for i in range(trials)]
-    stream += [rand_partial_isometry(rng, shapes[i % len(shapes)]) for i in range(n_iso)]
-    stream += [0.9 * rand_partial_isometry(rng, shapes[i % len(shapes)]) for i in range(n_iso)]
+    counts = (trials, n_iso, n_iso)
+    on = [s for count in counts for s in _cycled(shapes, count)]
+    by = [r for r, count in enumerate(counts) for _ in range(count)]
+    rows = replay.pages(np.random.default_rng(seed), shapes, on, [
+        replay.each(replay.page_contraction), replay.each(replay.page_partial_isometry),
+        replay.each(replay.page_partial_isometry)], by)
+    samplers = (frozen.rand_contraction, frozen.rand_partial_isometry,
+                lambda row, shape: 0.9 * frozen.rand_partial_isometry(row, shape))
+    stream = _replayed(rows, lambda i, row: samplers[by[i]](row, shapes[on[i]]))
     clauses = [check_tripotent_characterization(a, tol).clauses[0] for a in stream]
     return _tally("tripotent characterization",
                   ((min(s.defect for s in c.sides), not c.agree) for c in clauses),
                   note=f"{trials} random + 2x{n_iso} isometries")
 
 
-def _one_trial_linalg_invariants(seed, trials, tol):
-    rng = np.random.default_rng(seed)
+_SIZES = [AlgebraShape((n,)) for n in range(1, 9)]  # the self-sizing batteries' sizes
 
-    def rand_square(n):
-        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+def _one_trial_linalg_invariants(seed, trials, tol, cap=128):
+    rng = np.random.default_rng(seed)
+    thirds = [i % 3 for i in range(trials)]
+
+    def squares(*page_draws, by=None):
+        """Each trial's size, all drawn in one call, and its replayed row."""
+        sizes = rng.integers(6, size=trials).tolist()
+        rows = replay.pages(rng, _SIZES, sizes, [replay.each(*d) for d in page_draws], by, cap)
+        return _replayed(rows, lambda i, row: (sizes[i] + 1, row))
+
+    def rand_square(row, n):
+        return row.standard_normal((n, n)) + 1j * row.standard_normal((n, n))
+
+    square = (replay.page_unitary,)  # the normals of one complex matrix
 
     def functional_calculus():
-        for _ in range(trials):
-            g = rand_square(int(rng.integers(1, 7)))
+        for n, row in squares(square):
+            g = rand_square(row, n)
             a = (g + g.conj().T) / 2.0
             d = op_norm(apply_function(a, lambda t: t, tol) - a)
             yield d, d > 1e-9 * max(1.0, op_norm(a))
 
     def abs_idempotence():
-        for i in range(trials):
-            n = int(rng.integers(1, 7))
-            kind = i % 3
-            if kind == 0:
-                m = rand_square(n)
-            elif kind == 1:
-                q, _ = np.linalg.qr(rand_square(n))
-                k = int(rng.integers(0, n + 1))
+        def qr_projection(rng, rows, n, block):
+            replay.page_normals(rng, rows, n, 2)
+            replay.page_ints(rng, rows, n + 1)
+
+        def uniform_diagonal(rng, rows, n, block):
+            replay.page_uniforms(rng, rows, n, 2.0)
+
+        trials_ = squares(square, (qr_projection,), (uniform_diagonal,), by=thirds)
+        for i, (n, row) in enumerate(trials_):
+            if thirds[i] == 0:
+                m = rand_square(row, n)
+            elif thirds[i] == 1:
+                q, _ = np.linalg.qr(rand_square(row, n))
+                k = int(row.integers(0, n + 1))
                 m = q[:, :k] @ q[:, :k].conj().T  # projection
             else:
-                m = np.diag(rng.uniform(0, 2, n)).astype(np.complex128)
+                m = np.diag(row.uniform(0, 2, n)).astype(np.complex128)
             p = abs_value(m)
             d = op_norm(abs_value(p) - p)
             yield d, d > tol.relation * max(1.0, op_norm(p))
 
     def polar_reconstruction():
-        for i in range(trials):
-            n = int(rng.integers(1, 7))
-            m = rand_square(n)
-            if i % 3 == 0 and n > 1:  # include rank-deficient inputs
+        for i, (n, row) in enumerate(squares(square, square, by=[int(k > 0) for k in thirds])):
+            m = rand_square(row, n)
+            if thirds[i] == 0:  # include rank-deficient inputs
                 m[:, 0] = m[:, -1]
             dec = polar(m, tol=tol)
             u, av = dec.partial_isometry, dec.absolute_value
@@ -304,15 +339,14 @@ def _one_trial_linalg_invariants(seed, trials, tol):
             yield d, d > 1e-8 * max(1.0, op_norm(m))
 
     def submultiplicativity():
-        for _ in range(trials):
-            n = int(rng.integers(1, 7))
-            x, y = rand_square(n), rand_square(n)
+        for n, row in squares(square * 2):
+            x, y = rand_square(row, n), rand_square(row, n)
             excess = op_norm(x @ y) - op_norm(x) * op_norm(y)
             yield excess, excess > 1e-9
 
     def cstar_identity():
-        for _ in range(trials):
-            x = rand_square(int(rng.integers(1, 7)))
+        for n, row in squares(square):
+            x = rand_square(row, n)
             lhs, rhs = op_norm(x.conj().T @ x), op_norm(x) ** 2
             d = abs(lhs - rhs) / max(1.0, rhs)
             yield d, d > 1e-8
@@ -327,33 +361,43 @@ def _one_trial_linalg_invariants(seed, trials, tol):
     ]
 
 
-def _one_trial_function_pairs(seed, trials):
-    """The (f, g) samples of ``suite_commutative_crosscheck``, one trial at a time."""
+# the cases of the cross-check's coordinates: d0, 0d, cd, dc, dd, 00
+_page_function_pair = replay.page_diagonal((2, 2, 3, 3, 4, 0))
+
+
+def _one_trial_function_pairs(seed, trials, cap=128):
+    """The (f, g) samples of ``suite_commutative_crosscheck``, in trial order:
+    each trial's numbers replayed from pages of at most ``cap`` rows."""
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        n = int(rng.integers(1, 9))
+    sizes = rng.integers(8, size=trials).tolist()
+    rows = replay.pages(rng, _SIZES, sizes, [replay.each(_page_function_pair)], cap=cap)
+
+    def function_pair(i, row):
+        n = sizes[i] + 1
         f = np.zeros(n, dtype=np.complex128)
         g = np.zeros(n, dtype=np.complex128)
         for t in range(n):
-            case = int(rng.integers(0, 6))
-            phase = lambda: np.exp(2j * np.pi * rng.uniform())
+            case = int(row.integers(0, 6))
+            phase = lambda: np.exp(2j * np.pi * row.uniform())
             if case == 0:
-                f[t] = rng.uniform() * phase()
+                f[t] = row.uniform() * phase()
             elif case == 1:
-                g[t] = rng.uniform() * phase()
+                g[t] = row.uniform() * phase()
             elif case == 2:
-                f[t], g[t] = phase(), rng.uniform() * phase()
+                f[t], g[t] = phase(), row.uniform() * phase()
             elif case == 3:
-                f[t], g[t] = rng.uniform() * phase(), phase()
+                f[t], g[t] = row.uniform() * phase(), phase()
             elif case == 4:
-                f[t], g[t] = rng.uniform() * phase(), rng.uniform() * phase()
+                f[t], g[t] = row.uniform() * phase(), row.uniform() * phase()
             # case 5: both zero
-        yield f, g
+        return f, g
+
+    return _replayed(rows, function_pair)
 
 
-def _one_trial_commutative_crosscheck(seed, trials, tol):
+def _one_trial_commutative_crosscheck(seed, trials, tol, cap=128):
     def checks():
-        for f, g in _one_trial_function_pairs(seed, trials):
+        for f, g in _one_trial_function_pairs(seed, trials, cap):
             pointwise = commutative_compat_check(f, g, tol)
             identity = pointwise.witnesses["identity_defect"] <= tol.relation
             yield 0.0, pointwise.verdict != identity
@@ -374,9 +418,11 @@ _REPLAYED = [
     (suite_algebra_products, _one_pair_products),
     (suite_relation_invariants, _one_pair_relation_invariants),
     (suite_orth_characterization, _one_pair_consistency(
-        "orthogonality characterization", check_orth_characterization, sample_general_pair)),
+        "orthogonality characterization", check_orth_characterization,
+        frozen.sample_general_pair, replay.general_pair)),
     (suite_p00_equivalences, _one_pair_consistency(
-        "jordan-product equivalences", check_p00_equivalences, sample_positive_pair)),
+        "jordan-product equivalences", check_p00_equivalences,
+        frozen.sample_positive_pair, replay.positive_pair)),
     (suite_tripotent_characterization, _one_pair_tripotents),
     (_any_shapes(suite_linalg_invariants), _any_shapes(_one_trial_linalg_invariants)),
     (_any_shapes(suite_commutative_crosscheck), _any_shapes(_one_trial_commutative_crosscheck)),
@@ -388,37 +434,38 @@ _REPLAYED = [
 ])
 @pytest.mark.parametrize("stacked, one_pair", _REPLAYED)
 def test_stacked_batteries_replay_the_one_pair_rows(stacked, one_pair, seed, trials, dims):
-    # 130 trials on one shape leave a partial chunk after a full stack of
-    # _STACK_MAX (the batteries that draw their own sizes spread them thinner)
+    # 130 trials on one shape make a full page of _STACK_MAX and a partial one
+    # (the batteries that draw their own sizes spread them thinner)
     shapes, tol = shapes_for_dims(dims), ToleranceConfig()
     assert stacked(seed, trials, shapes, tol) == one_pair(seed, trials, shapes, tol)
 
 
 @pytest.mark.parametrize("cap", [2, 3, 7])
-def test_self_sizing_batteries_do_not_depend_on_the_stack_cap(monkeypatch, cap):
+def test_self_sizing_batteries_replay_pages_at_any_stack_cap(monkeypatch, cap):
     # these batteries spread their trials over sizes 1 to 6 or 8, so at the
-    # default cap no size fills a stack; a cap of a few rows makes every size
-    # cross full stacks, and the rows must not move by a bit
-    def rows():
-        return [repr(dataclasses.asdict(r)) for seed in (0, 1) for r in
-                [*suite_linalg_invariants(seed, 60), suite_commutative_crosscheck(seed, 60)]]
-
-    expected = rows()
+    # default cap no size fills a page; a cap of a few rows makes every size
+    # cross full pages, and the rows must match their one-trial replay
+    tol = ToleranceConfig()
+    expected = [repr(dataclasses.asdict(r)) for seed in (0, 1) for r in [
+        *_one_trial_linalg_invariants(seed, 60, tol, cap),
+        _one_trial_commutative_crosscheck(seed, 60, tol, cap)]]
     sizes, assemble = [], suites._assemble
 
-    def counted(shape, candidates):
-        sizes.append(len(candidates))
-        return assemble(shape, candidates)
+    def counted(shape, jobs, count):
+        sizes.append(count)
+        return assemble(shape, jobs, count)
 
     monkeypatch.setattr(suites, "_assemble", counted)
     monkeypatch.setattr(suites, "_STACK_MAX", cap)
-    assert rows() == expected
+    rows = [repr(dataclasses.asdict(r)) for seed in (0, 1) for r in
+            [*suite_linalg_invariants(seed, 60), suite_commutative_crosscheck(seed, 60)]]
+    assert rows == expected
     assert max(sizes) == cap and sizes.count(cap) > 10
 
 
 @pytest.mark.parametrize("seed, trials", [(0, 40), (3, 130)])
 def test_commutative_crosscheck_judges_the_one_trial_samples(monkeypatch, seed, trials):
-    # stacks of one size judge, in call order, the one-trial samples of that
+    # stacks of one size judge, in call order, the replayed samples of that
     # size in trial order, byte for byte: a change in draw order shows here
     judged = {}
 
@@ -436,6 +483,54 @@ def test_commutative_crosscheck_judges_the_one_trial_samples(monkeypatch, seed, 
     for n, pairs in expected.items():
         assert [(a.tobytes(), b.tobytes()) for a, b in judged[n]] == [
             (a.tobytes(), b.tobytes()) for a, b in pairs]
+
+
+def _split(jobs, at):
+    """A page's jobs split into those of its rows below ``at`` and those of the
+    rest, renumbered from 0: the same drawn data, in two halves."""
+    halves = ([], [])
+    for outs, block, rows, build, key, data in jobs:
+        for h, keep in enumerate((rows < at, rows >= at)):
+            if keep.any():
+                halves[h].append((outs, block, rows[keep] - h * at, build, key,
+                                  [x[keep] for x in data]))
+    return halves
+
+
+_BATTERY_RECIPES = {  # the page recipes of the batteries, by keyed group
+    "general pairs": [sampling._general_pair],
+    "positive pairs": [sampling._positive_pair],
+    "orthogonal pairs": [sampling._pair(sampling._orthogonal_draw)],
+    "contraction triples": [sampling._drawing(
+        *((sampling._contraction_draw, (i,)) for i in range(3)))],
+    "squares, QR projections, diagonals": [sampling._drawing((draw, (0,))) for draw in (
+        suites._square_draw, suites._qr_projection_draw, suites._uniform_diagonal_draw)],
+    "squares, deficient squares": [sampling._drawing((draw, (0,))) for draw in (
+        functools.partial(suites._square_draw, deficient=True), suites._square_draw)],
+    "tripotent elements": [sampling._drawing((draw, (0,))) for draw in (
+        sampling._contraction_draw, sampling._partial_isometry_draw,
+        functools.partial(sampling._partial_isometry_draw, scale=0.9))],
+    "coordinate pairs": [sampling._pair(suites._coordinate_pair_draw)],
+}
+
+
+@pytest.mark.parametrize("name", list(_BATTERY_RECIPES))
+@pytest.mark.parametrize("dims", [(1,), (3,), (2, 3)])
+def test_a_battery_page_builds_alike_split_at_any_row(name, dims):
+    # a page of 40 rows, its recipes keyed as _in_pages keys them, built as
+    # one stack and as two halves split at an arbitrary row: the same bytes,
+    # and no build draws a number
+    shape, recipes = AlgebraShape(dims), _BATTERY_RECIPES[name]
+    rng = np.random.default_rng(11)
+    keys = rng.integers(len(recipes), size=40).tolist()
+    jobs = sampling._picked(rng, shape, recipes, np.arange(40), keys)[1]
+    state = rng.bit_generator.state
+    whole = suites._assemble(shape, jobs, 40)
+    for at in (1, 17, 39):
+        first, rest = _split(jobs, at)
+        halves = (suites._assemble(shape, first, at), suites._assemble(shape, rest, 40 - at))
+        assert np.concatenate(halves, axis=1).tobytes() == whole.tobytes()
+    assert rng.bit_generator.state == state
 
 
 def test_commutative_disagreement_warns_and_fails_the_row(monkeypatch):
@@ -458,7 +553,8 @@ def test_commutative_disagreement_warns_and_fails_the_row(monkeypatch):
 
 def _one_sample_factorizations(seed, dims, tol):
     """The factorization row of ``suite_preservers`` one sample at a time,
-    on the preserver zoo, whose build is the only draw before it."""
+    on the preserver zoo, whose build is the only draw before it: each map's
+    ten samples are one page, replayed row by row."""
     rng = np.random.default_rng(seed)
     maps = [tmap for _, tmap in suites._built_triple_homs(rng, dims, tol)]
 
@@ -466,8 +562,11 @@ def _one_sample_factorizations(seed, dims, tol):
         for tmap in maps:
             e = tmap.apply(unit(tmap.domain_shape))
             e_star = adjoint(e)
-            for _ in range(10):
-                x = rand_hermitian_contraction(rng, tmap.domain_shape)
+            rows = replay.page(rng, tmap.domain_shape,
+                               replay.each(replay.page_hermitian_contraction), 10)
+            for row in rows:
+                x = frozen.rand_hermitian_contraction(row, tmap.domain_shape)
+                assert row.exhausted()
                 phi_x = e_star @ tmap.apply(x)
                 phi_x2 = e_star @ tmap.apply(x @ x)
                 d_sq = op_norm((phi_x2 - phi_x @ phi_x).matrix)
