@@ -482,13 +482,14 @@ class PreservationReport:
 def _judge_one(T: LinearMap, pair: tuple, output_kind: CompatKind,
                tol: ToleranceConfig) -> tuple[float, str]:
     """The compatibility defect at ``output_kind`` of the images of the
-    (source, a, b, defect) ``pair`` (for an image outside the unit ball, its
-    norm excess) and a source suffix, from ``T.apply`` and ``compat_defect``."""
-    ta, tb = T.apply(pair[1]), T.apply(pair[2])
+    (source, a, b, defect) ``pair`` and a source suffix, from ``T.apply`` and
+    ``compat_defect``; for an image outside the unit ball, its norm excess,
+    from ``_judge`` of the pair as a stack of one."""
     try:
-        return compat_defect(ta, tb, output_kind, tol).defect, ""
+        return compat_defect(T.apply(pair[1]), T.apply(pair[2]), output_kind, tol).defect, ""
     except NotContraction:
-        return max(op_norm(ta.matrix), op_norm(tb.matrix)) - 1.0, "+noncontractive-image"
+        stacks = np.array([[pair[1].matrix], [pair[2].matrix]])
+        return float(_judge(T, stacks, output_kind, tol)[0][0]), "+noncontractive-image"
 
 
 def _judge(T: LinearMap, stacks: np.ndarray, output_kind: CompatKind,
@@ -530,18 +531,15 @@ def _judged_pairs(
     pairs, cut at ``n_pairs``, are judged one at a time (``_judge_one``) by
     default, so a search that stops among them (fuzzing) draws nothing; with
     ``stack_fixed`` (audits, which judge every pair) they are one stack and
-    one ``_judge``, a pair outside the unit ball taking its norm excess from
-    ``_judge_one``. The drawn pairs stay in the stacks ``_drawn_pairs``
+    one ``_judge``. Either way an image outside the unit ball takes the
+    kernel's norm excess. The drawn pairs stay in the stacks ``_drawn_pairs``
     accepts them in, one ``_judge`` each. Nothing is wrapped here:
     ``_witness`` wraps the row an audit returns."""
     shape, fixed = T.domain_shape, _fixed_pairs(T.domain_shape, kind, tol)[:n_pairs]
     if stack_fixed and fixed:
         stacks = np.array([[pair[i].matrix for pair in fixed] for i in (1, 2)])
-        out, outside = _judge(T, stacks, output_kind, tol)
-        for row in np.flatnonzero(outside):  # the norm excess as _judge_one takes it
-            out[row] = _judge_one(T, fixed[row], output_kind, tol)[0]
         yield _Judged(0, [pair[0] for pair in fixed], stacks,
-                      np.array([pair[3] for pair in fixed]), out, outside)
+                      np.array([pair[3] for pair in fixed]), *_judge(T, stacks, output_kind, tol))
     for start, pair in enumerate([] if stack_fixed else fixed):
         out_defect, suffix = _judge_one(T, pair, output_kind, tol)
         yield _Judged(start, [pair[0]], np.stack([pair[1].matrix, pair[2].matrix])[:, None],

@@ -11,14 +11,14 @@ D)`` stacks of at most ``_STACK_MAX`` rows, which the audits and fuzzing
 judge as they are; rows become ``AlgebraElement`` pairs only where the
 public API hands them out.
 
-Every draw is a page. Random elements are drawn in two phases: each block
-recipe's draw half takes the random numbers of a page's rows of one recipe
-with one Generator call per array; its build half (Haar QR and phase fixing,
-norms, products, placement into block-diagonal ``(N, D, D)`` stacks) draws
-nothing and runs once per stack. Numpy's stacked ``qr``, ``matmul`` and
-``svd`` give each matrix the bytes a call on it alone gives, so no row
-depends on its stack. ``rand_*``, ``sample_*`` and ``PairGenerator.draw``
-are pages of one; ``_elements`` and the suites' batteries draw larger pages.
+Every draw is a page. Each block recipe draws the random numbers of a page's
+rows of one recipe, with one Generator call per array, and builds their
+blocks from them at once (Haar QR and phase fixing, norms, products), which
+draws nothing; ``_assemble`` places the blocks into block-diagonal ``(N, D,
+D)`` stacks. Numpy's stacked ``qr``, ``matmul`` and ``svd`` give each matrix
+the bytes a call on it alone gives, so no row depends on its stack.
+``rand_*``, ``sample_*`` and ``PairGenerator.draw`` are pages of one;
+``_elements`` and the suites' batteries draw larger pages.
 """
 
 from __future__ import annotations
@@ -58,13 +58,14 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# block recipes: a draw half per group of rows, a build half per stack
+# block recipes: the blocks of a group of rows, drawn and built in one step
 # ---------------------------------------------------------------------------
-# A draw half ``_*_draw(rng, n, count)`` takes the random numbers of ``count``
-# n x n blocks, one Generator call per array for all, and returns its groups
-# ``(rows, build, key, data)``: the rows (an index array or ``_ALL``) of one
-# build half and key (a rank, or whether a value was drawn) and their arrays.
-# ``build(key, *data)`` returns the (M, n, n) stacks of M blocks' outputs.
+# A block recipe ``_*_draw(rng, n, count)`` takes the random numbers of
+# ``count`` n x n blocks, one Generator call per array for all, builds them
+# (Haar QR and phase fixing, norms, products), which draws nothing, and returns
+# its groups ``(rows, outputs)``: the rows (an index array or ``_ALL``) and the
+# (M, n, n) stacks of their M blocks' outputs. Rows that differ in a key (a
+# rank, or whether a value was drawn) are built in one group per key.
 
 _ALL = slice(None)  # every row
 
@@ -80,8 +81,9 @@ def _keyed(keys: list) -> list[tuple]:
 
 
 def _groups(build, keys: list, *data: np.ndarray) -> list[tuple]:
-    """The groups of a draw half's rows by their ``keys``."""
-    return [(rows, build, key, [x[rows] for x in data]) for key, rows in _keyed(keys)]
+    """The ``(rows, outputs)`` groups of a recipe's rows by their ``keys``: the
+    outputs ``build(key, *data)`` of each group's rows of ``data``."""
+    return [(rows, build(key, *(x[rows] for x in data))) for key, rows in _keyed(keys)]
 
 
 def _ints(rng: np.random.Generator, high: int, count: int) -> list[int]:
@@ -105,11 +107,7 @@ def _haar(z: np.ndarray) -> np.ndarray:
 
 
 def _unitary_draw(rng: np.random.Generator, n: int, count: int):
-    return [(_ALL, _unitary_build, None, (rng.standard_normal((count, 2, n, n)),))]
-
-
-def _unitary_build(key, z):
-    return (_haar(z),)
+    return [(_ALL, (_haar(rng.standard_normal((count, 2, n, n))),))]
 
 
 def _scaled(rng: np.random.Generator, g: np.ndarray) -> tuple[list, np.ndarray]:
@@ -142,12 +140,8 @@ def _scaled_build(nonzero, scale, g):
 
 
 def _positive_contraction_draw(rng: np.random.Generator, n: int, count: int):
-    return [(_ALL, _positive_contraction_build, None, (
-        rng.standard_normal((count, 2, n, n)), rng.random((count, n))))]
-
-
-def _positive_contraction_build(key, z, lam):
-    return (_weighted_gram(_haar(z), lam),)
+    w = _haar(rng.standard_normal((count, 2, n, n)))
+    return [(_ALL, (_weighted_gram(w, rng.random((count, n))),))]
 
 
 def _projection_draw(rng: np.random.Generator, n: int, count: int):
@@ -192,7 +186,7 @@ def _diagonal_draw(*cases: str):
     equally likely ``cases``: a letter for f and one for g, ``0`` (zero), ``d``
     (in the disk: modulus, then phase) or ``c`` (on the circle). Each coordinate
     picks all rows' cases in one call, then takes their uniforms in one call,
-    row by row; the build half forms modulus times exp(2 pi i phase)."""
+    row by row; then each entry is its modulus times exp(2 pi i phase)."""
     # per case: moduli (1 unless zero) and phases of f and g, and the slots its uniforms fill
     base = np.array([[c != "0", 0.0] for case in cases for c in case]).reshape(-1, 4)
     slots = np.array([[c == "d", c != "0"] for case in cases for c in case]).reshape(-1, 4)
@@ -205,34 +199,24 @@ def _diagonal_draw(*cases: str):
             uniforms.append(rng.random(sum(sizes[c] for c in picks[-1])))
         v = base[picks := np.array(picks)]  # (n, count, 4), filled coordinate by coordinate
         v[slots[picks]] = np.concatenate(uniforms)
-        return [(_ALL, _polar_diagonal_build, None, (v.swapaxes(0, 1),))]
+        v = v.swapaxes(0, 1)
+        return [(_ALL, tuple(_diag(v[..., s] * np.exp(2j * np.pi * v[..., s + 1]))
+                             for s in (0, 2)))]
     return draw
-
-
-def _polar_diagonal_build(key, v):
-    return _diagonal_build(key, *(v[..., s] * np.exp(2j * np.pi * v[..., s + 1]) for s in (0, 2)))
 
 
 # pointwise compatible: at every coordinate the product vanishes or a modulus is 1
 _diagonal_compat_draw = _diagonal_draw("0d", "d0", "cd", "dc", "00")
 
 
-def _diagonal_build(key, *diagonals):
-    return tuple(map(_diag, diagonals))
-
-
 def _conjugated_positive_draw(rng: np.random.Generator, n: int, count: int):
     """The standard 2x2 pair, zero-padded and unitarily conjugated (1x1:
     zeros, drawing nothing)."""
-    return [(_ALL, _conjugated_positive_build, n >= 2,
-             (rng.standard_normal((count, 2, n, n)),) if n >= 2 else ())]
-
-
-def _conjugated_positive_build(wide, *z):
-    if not wide:
-        return ()  # the blocks stay zero
-    w = _haar(z[0])
-    return tuple(w @ m @ _adj(w) for m in _padded_positive_pair(w.shape[-1]))
+    if n < 2:
+        return [(_ALL, ())]  # the blocks stay zero
+    w = _haar(rng.standard_normal((count, 2, n, n)))[:, None]
+    pair = w @ _padded_positive_pair(n) @ _adj(w)
+    return [(_ALL, (pair[:, 0], pair[:, 1]))]
 
 
 @lru_cache
@@ -259,9 +243,9 @@ def _mixed_draw(rng: np.random.Generator, n: int, count: int):
     recipes = (_orthogonal_draw, _diagonal_compat_draw, _saturated_draw,
                _conjugated_positive_draw)
     rows = np.arange(count)
-    return [(rows[picked][sub], *group)
+    return [(rows[picked][sub], outputs)
             for r, picked in _keyed(_ints(rng, 4 if n >= 2 else 3, count))
-            for sub, *group in recipes[r](rng, n, len(rows[picked]))]
+            for sub, outputs in recipes[r](rng, n, len(rows[picked]))]
 
 
 def _spectral_pair_draw(weights):
@@ -269,14 +253,11 @@ def _spectral_pair_draw(weights):
     ``weights(mask, lam)`` makes from a fair coin per eigenvector and
     uniform [0, 1) values."""
     def draw(rng: np.random.Generator, n: int, count: int):
-        return [(_ALL, _spectral_pair_build, weights, (
-            rng.standard_normal((count, 2, n, n)), rng.random((count, 2, n))))]
+        w = _haar(rng.standard_normal((count, 2, n, n)))
+        u = rng.random((count, 2, n))
+        return [(_ALL, tuple((w * s[..., None, :]) @ _adj(w)
+                             for s in weights(u[:, 0] < 0.5, u[:, 1])))]
     return draw
-
-
-def _spectral_pair_build(weights, z, u):
-    w = _haar(z)
-    return tuple((w * s[..., None, :]) @ _adj(w) for s in weights(u[:, 0] < 0.5, u[:, 1]))
 
 
 # A projection and a positive contraction it commutes with: compatible.
@@ -296,28 +277,21 @@ _orthogonal_positive_draw = _spectral_pair_draw(
 
 def _blocks(rng: np.random.Generator, shape: AlgebraShape, draw, rows: np.ndarray,
             outs: tuple[int, ...] = (0, 1)) -> list[tuple]:
-    """Jobs ``(outs, block, rows, build, key, data)``: ``draw``'s groups of the page
-    rows ``rows`` for each block of ``shape`` in turn, filling outputs ``outs``."""
-    return [(outs, i, rows[sub], build, key, data)
+    """Jobs ``(outs, block, rows, blocks)``: ``draw``'s groups of the page rows
+    ``rows`` for each block of ``shape`` in turn, filling outputs ``outs``."""
+    return [(outs, i, rows[sub], blocks)
             for i, n in enumerate(shape.block_dims)
-            for sub, build, key, data in draw(rng, n, len(rows))]
+            for sub, blocks in draw(rng, n, len(rows))]
 
 
 def _assemble(shape: AlgebraShape, jobs: list[tuple], count: int) -> np.ndarray:
-    """The ``(outputs, count, D, D)`` block-diagonal stacks of ``shape`` from the
-    ``_blocks`` jobs of a page of ``count`` rows; one build call per group of rows
-    with one output, block, build half and key. It draws nothing."""
-    groups: dict[tuple, tuple[list, list]] = {}
-    for outs, block, rows, build, key, data in jobs:
-        at, datas = groups.setdefault((outs, block, build, key), ([], []))
-        at.append(rows)
-        datas.append(data)
-    d, n_out = shape.total_dim, 1 + max(max(outs) for outs, *_ in groups)
-    out = np.zeros((n_out, count, d, d), dtype=np.complex128)
-    for (outs, block, build, key), (at, datas) in groups.items():
-        sl = shape.block_slices()[block]
-        for o, blocks in zip(outs, build(key, *map(np.concatenate, zip(*datas)))):
-            out[o, np.concatenate(at), sl, sl] = blocks
+    """The ``(outputs, count, D, D)`` block-diagonal stacks of ``shape`` with
+    the blocks of the ``_blocks`` jobs of a page of ``count`` rows in place."""
+    d, n_out = shape.total_dim, 1 + max(max(outs) for outs, *_ in jobs)
+    out, slices = np.zeros((n_out, count, d, d), dtype=np.complex128), shape.block_slices()
+    for outs, block, rows, blocks in jobs:
+        for o, x in zip(outs, blocks):
+            out[o, rows, slices[block], slices[block]] = x
     return out
 
 

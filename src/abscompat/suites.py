@@ -24,7 +24,8 @@ from functools import partial
 import numpy as np
 
 from .algebra import AlgebraShape, _triple, adjoint, unit
-from .linalg import _abs_parts, _adj, _calculus, _hermitize, _op_norm, _polar, _range_projection
+from .linalg import (_abs_parts, _adj, _calculus, _diag, _hermitize, _op_norm, _polar,
+                     _range_projection)
 from .preservers import (
     LinearMap,
     Provenance,
@@ -56,7 +57,6 @@ from .sampling import (
     _STACK_MAX,
     _assemble,
     _contraction_draw,
-    _diagonal_build,
     _diagonal_draw,
     _drawing,
     _elements,
@@ -138,31 +138,28 @@ def _tally(name: str, checks, note: str = "") -> SuiteResult:
 def _square_draw(rng: np.random.Generator, n: int, count: int, deficient: bool = False):
     """n x n matrices with standard normal real and imaginary parts; a
     ``deficient`` one has its last column copied onto its first."""
-    return [(_ALL, _square_build, deficient, (rng.standard_normal((count, 2, n, n)),))]
-
-
-def _square_build(deficient, z):
+    z = rng.standard_normal((count, 2, n, n))
     m = z[:, 0] + 1j * z[:, 1]
     if deficient:
         m[..., 0] = m[..., -1]
-    return (m,)
+    return [(_ALL, (m,))]
 
 
 def _qr_projection_draw(rng: np.random.Generator, n: int, count: int):
     """The projection onto the first k columns (k drawn after the matrix) of
     the QR factor of a ``_square_draw`` matrix."""
-    z = rng.standard_normal((count, 2, n, n))
-    return _groups(_qr_projection_build, _ints(rng, n + 1, count), z)
+    [(_, (m,))] = _square_draw(rng, n, count)
+    return _groups(_qr_projection_build, _ints(rng, n + 1, count), m)
 
 
-def _qr_projection_build(k, z):
-    cols = np.linalg.qr(_square_build(False, z)[0])[0][..., :k]
+def _qr_projection_build(k, m):
+    cols = np.linalg.qr(m)[0][..., :k]
     return (cols @ _adj(cols),)
 
 
 def _uniform_diagonal_draw(rng: np.random.Generator, n: int, count: int):
     """Diagonal matrices of n uniform values in [0, 2)."""
-    return [(_ALL, _diagonal_build, None, (2.0 * rng.random((count, n)),))]
+    return [(_ALL, (_diag(2.0 * rng.random((count, n))),))]
 
 
 def suite_linalg_invariants(

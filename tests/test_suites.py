@@ -280,6 +280,36 @@ def _one_pair_tripotents(seed, trials, shapes, tol):
 _SIZES = [AlgebraShape((n,)) for n in range(1, 9)]  # the self-sizing batteries' sizes
 
 
+def _rand_square(row, n):
+    return row.standard_normal((n, n)) + 1j * row.standard_normal((n, n))
+
+
+def _deficient_square(row, n):
+    m = _rand_square(row, n)
+    m[:, 0] = m[:, -1]
+    return m
+
+
+def _qr_projection(row, n):
+    q, _ = np.linalg.qr(_rand_square(row, n))
+    k = int(row.integers(0, n + 1))
+    return q[:, :k] @ q[:, :k].conj().T
+
+
+def _uniform_diagonal(row, n):
+    return np.diag(row.uniform(0, 2, n)).astype(np.complex128)
+
+
+def _page_qr_projection(rng, rows, n, block):
+    replay.page_normals(rng, rows, n, 2)
+    replay.page_ints(rng, rows, n + 1)
+
+
+def _page_uniform_diagonal(rng, rows, n, block):
+    replay.page_uniforms(rng, rows, n, 2.0)
+
+
+
 def _one_trial_linalg_invariants(seed, trials, tol, cap=128):
     rng = np.random.default_rng(seed)
     thirds = [i % 3 for i in range(trials)]
@@ -290,45 +320,27 @@ def _one_trial_linalg_invariants(seed, trials, tol, cap=128):
         rows = replay.pages(rng, _SIZES, sizes, [replay.each(*d) for d in page_draws], by, cap)
         return _replayed(rows, lambda i, row: (sizes[i] + 1, row))
 
-    def rand_square(row, n):
-        return row.standard_normal((n, n)) + 1j * row.standard_normal((n, n))
-
     square = (replay.page_unitary,)  # the normals of one complex matrix
 
     def functional_calculus():
         for n, row in squares(square):
-            g = rand_square(row, n)
+            g = _rand_square(row, n)
             a = (g + g.conj().T) / 2.0
             d = op_norm(apply_function(a, lambda t: t, tol) - a)
             yield d, d > 1e-9 * max(1.0, op_norm(a))
 
     def abs_idempotence():
-        def qr_projection(rng, rows, n, block):
-            replay.page_normals(rng, rows, n, 2)
-            replay.page_ints(rng, rows, n + 1)
-
-        def uniform_diagonal(rng, rows, n, block):
-            replay.page_uniforms(rng, rows, n, 2.0)
-
-        trials_ = squares(square, (qr_projection,), (uniform_diagonal,), by=thirds)
+        trials_ = squares(square, (_page_qr_projection,), (_page_uniform_diagonal,), by=thirds)
         for i, (n, row) in enumerate(trials_):
-            if thirds[i] == 0:
-                m = rand_square(row, n)
-            elif thirds[i] == 1:
-                q, _ = np.linalg.qr(rand_square(row, n))
-                k = int(row.integers(0, n + 1))
-                m = q[:, :k] @ q[:, :k].conj().T  # projection
-            else:
-                m = np.diag(row.uniform(0, 2, n)).astype(np.complex128)
+            m = (_rand_square, _qr_projection, _uniform_diagonal)[thirds[i]](row, n)
             p = abs_value(m)
             d = op_norm(abs_value(p) - p)
             yield d, d > tol.relation * max(1.0, op_norm(p))
 
     def polar_reconstruction():
         for i, (n, row) in enumerate(squares(square, square, by=[int(k > 0) for k in thirds])):
-            m = rand_square(row, n)
-            if thirds[i] == 0:  # include rank-deficient inputs
-                m[:, 0] = m[:, -1]
+            # include rank-deficient inputs
+            m = (_deficient_square if thirds[i] == 0 else _rand_square)(row, n)
             dec = polar(m, tol=tol)
             u, av = dec.partial_isometry, dec.absolute_value
             d = max(
@@ -340,13 +352,13 @@ def _one_trial_linalg_invariants(seed, trials, tol, cap=128):
 
     def submultiplicativity():
         for n, row in squares(square * 2):
-            x, y = rand_square(row, n), rand_square(row, n)
+            x, y = _rand_square(row, n), _rand_square(row, n)
             excess = op_norm(x @ y) - op_norm(x) * op_norm(y)
             yield excess, excess > 1e-9
 
     def cstar_identity():
         for n, row in squares(square):
-            x = rand_square(row, n)
+            x = _rand_square(row, n)
             lhs, rhs = op_norm(x.conj().T @ x), op_norm(x) ** 2
             d = abs(lhs - rhs) / max(1.0, rhs)
             yield d, d > 1e-8
@@ -365,34 +377,34 @@ def _one_trial_linalg_invariants(seed, trials, tol, cap=128):
 _page_function_pair = replay.page_diagonal((2, 2, 3, 3, 4, 0))
 
 
+def _function_pair(row, n):
+    """One (f, g) sample of the cross-check's length n."""
+    f = np.zeros(n, dtype=np.complex128)
+    g = np.zeros(n, dtype=np.complex128)
+    for t in range(n):
+        case = int(row.integers(0, 6))
+        phase = lambda: np.exp(2j * np.pi * row.uniform())
+        if case == 0:
+            f[t] = row.uniform() * phase()
+        elif case == 1:
+            g[t] = row.uniform() * phase()
+        elif case == 2:
+            f[t], g[t] = phase(), row.uniform() * phase()
+        elif case == 3:
+            f[t], g[t] = row.uniform() * phase(), phase()
+        elif case == 4:
+            f[t], g[t] = row.uniform() * phase(), row.uniform() * phase()
+        # case 5: both zero
+    return f, g
+
+
 def _one_trial_function_pairs(seed, trials, cap=128):
     """The (f, g) samples of ``suite_commutative_crosscheck``, in trial order:
     each trial's numbers replayed from pages of at most ``cap`` rows."""
     rng = np.random.default_rng(seed)
     sizes = rng.integers(8, size=trials).tolist()
     rows = replay.pages(rng, _SIZES, sizes, [replay.each(_page_function_pair)], cap=cap)
-
-    def function_pair(i, row):
-        n = sizes[i] + 1
-        f = np.zeros(n, dtype=np.complex128)
-        g = np.zeros(n, dtype=np.complex128)
-        for t in range(n):
-            case = int(row.integers(0, 6))
-            phase = lambda: np.exp(2j * np.pi * row.uniform())
-            if case == 0:
-                f[t] = row.uniform() * phase()
-            elif case == 1:
-                g[t] = row.uniform() * phase()
-            elif case == 2:
-                f[t], g[t] = phase(), row.uniform() * phase()
-            elif case == 3:
-                f[t], g[t] = row.uniform() * phase(), phase()
-            elif case == 4:
-                f[t], g[t] = row.uniform() * phase(), row.uniform() * phase()
-            # case 5: both zero
-        return f, g
-
-    return _replayed(rows, function_pair)
+    return _replayed(rows, lambda i, row: _function_pair(row, sizes[i] + 1))
 
 
 def _one_trial_commutative_crosscheck(seed, trials, tol, cap=128):
@@ -485,52 +497,72 @@ def test_commutative_crosscheck_judges_the_one_trial_samples(monkeypatch, seed, 
             (a.tobytes(), b.tobytes()) for a, b in pairs]
 
 
-def _split(jobs, at):
-    """A page's jobs split into those of its rows below ``at`` and those of the
-    rest, renumbered from 0: the same drawn data, in two halves."""
-    halves = ([], [])
-    for outs, block, rows, build, key, data in jobs:
-        for h, keep in enumerate((rows < at, rows >= at)):
-            if keep.any():
-                halves[h].append((outs, block, rows[keep] - h * at, build, key,
-                                  [x[keep] for x in data]))
-    return halves
+def _by_blocks(block):
+    """The one-row build of one element, block by block from ``block(row, n)``."""
+    return lambda row, shape: [frozen._blockwise(shape, row, block)]
 
 
-_BATTERY_RECIPES = {  # the page recipes of the batteries, by keyed group
-    "general pairs": [sampling._general_pair],
-    "positive pairs": [sampling._positive_pair],
-    "orthogonal pairs": [sampling._pair(sampling._orthogonal_draw)],
-    "contraction triples": [sampling._drawing(
-        *((sampling._contraction_draw, (i,)) for i in range(3)))],
-    "squares, QR projections, diagonals": [sampling._drawing((draw, (0,))) for draw in (
-        suites._square_draw, suites._qr_projection_draw, suites._uniform_diagonal_draw)],
-    "squares, deficient squares": [sampling._drawing((draw, (0,))) for draw in (
-        functools.partial(suites._square_draw, deficient=True), suites._square_draw)],
-    "tripotent elements": [sampling._drawing((draw, (0,))) for draw in (
-        sampling._contraction_draw, sampling._partial_isometry_draw,
-        functools.partial(sampling._partial_isometry_draw, scale=0.9))],
-    "coordinate pairs": [sampling._pair(suites._coordinate_pair_draw)],
+def _sampled(*samplers):
+    """The one-row build of one element per frozen ``sampler(row, shape)``."""
+    return lambda row, shape: [sample(row, shape) for sample in samplers]
+
+
+def _diagonal_pair(row, n):
+    return tuple(map(np.diag, _function_pair(row, n)))
+
+
+_BATTERY_PAGES = {  # per battery: its page recipes, their page order and their one-row builds
+    "general pairs": ([sampling._general_pair], [replay.general_pair],
+                      [frozen.sample_general_pair]),
+    "positive pairs": ([sampling._positive_pair], [replay.positive_pair],
+                       [frozen.sample_positive_pair]),
+    "orthogonal pairs": ([sampling._pair(sampling._orthogonal_draw)],
+                         [replay.each(replay.page_orthogonal)],
+                         [functools.partial(frozen.draw, "orthogonal")]),
+    "contraction triples": (
+        [sampling._drawing(*((sampling._contraction_draw, (i,)) for i in range(3)))],
+        [replay.each(*[replay.page_contraction] * 3)],
+        [_sampled(*[frozen.rand_contraction] * 3)]),
+    "squares, QR projections, diagonals": (
+        [sampling._drawing((draw, (0,))) for draw in (
+            suites._square_draw, suites._qr_projection_draw, suites._uniform_diagonal_draw)],
+        [replay.each(draw) for draw in (
+            replay.page_unitary, _page_qr_projection, _page_uniform_diagonal)],
+        [_by_blocks(_rand_square), _by_blocks(_qr_projection), _by_blocks(_uniform_diagonal)]),
+    "squares, deficient squares": (
+        [sampling._drawing((draw, (0,))) for draw in (
+            functools.partial(suites._square_draw, deficient=True), suites._square_draw)],
+        [replay.each(replay.page_unitary)] * 2,
+        [_by_blocks(_deficient_square), _by_blocks(_rand_square)]),
+    "tripotent elements": (
+        [sampling._drawing((draw, (0,))) for draw in (
+            sampling._contraction_draw, sampling._partial_isometry_draw,
+            functools.partial(sampling._partial_isometry_draw, scale=0.9))],
+        [replay.each(replay.page_contraction)] + [replay.each(replay.page_partial_isometry)] * 2,
+        [_sampled(frozen.rand_contraction), _sampled(frozen.rand_partial_isometry),
+         _sampled(lambda row, shape: 0.9 * frozen.rand_partial_isometry(row, shape))]),
+    "coordinate pairs": ([sampling._pair(suites._coordinate_pair_draw)],
+                         [replay.each(_page_function_pair)],
+                         [lambda row, shape: frozen._blockpair(row, shape, _diagonal_pair)]),
 }
 
 
-@pytest.mark.parametrize("name", list(_BATTERY_RECIPES))
+@pytest.mark.parametrize("name", list(_BATTERY_PAGES))
 @pytest.mark.parametrize("dims", [(1,), (3,), (2, 3)])
-def test_a_battery_page_builds_alike_split_at_any_row(name, dims):
-    # a page of 40 rows, its recipes keyed as _in_pages keys them, built as
-    # one stack and as two halves split at an arbitrary row: the same bytes,
-    # and no build draws a number
-    shape, recipes = AlgebraShape(dims), _BATTERY_RECIPES[name]
-    rng = np.random.default_rng(11)
-    keys = rng.integers(len(recipes), size=40).tolist()
+def test_a_battery_page_is_its_rows_built_one_at_a_time(name, dims):
+    # a page of 40 rows, its recipes keyed as _in_pages keys them: each row
+    # holds the bytes of its own numbers, replayed in page order and built
+    # alone; the page draws exactly those numbers, and assembling it draws none
+    shape, (recipes, page_recipes, builds) = AlgebraShape(dims), _BATTERY_PAGES[name]
+    keys = np.random.default_rng(5).integers(len(recipes), size=40).tolist()
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
     jobs = sampling._picked(rng, shape, recipes, np.arange(40), keys)[1]
     state = rng.bit_generator.state
-    whole = suites._assemble(shape, jobs, 40)
-    for at in (1, 17, 39):
-        first, rest = _split(jobs, at)
-        halves = (suites._assemble(shape, first, at), suites._assemble(shape, rest, 40 - at))
-        assert np.concatenate(halves, axis=1).tobytes() == whole.tobytes()
-    assert rng.bit_generator.state == state
+    page = suites._assemble(shape, jobs, 40)
+    rows = replay.pages(ref, [shape], [0] * 40, page_recipes, keys)
+    assert rng.bit_generator.state == state == ref.bit_generator.state
+    for i, built in enumerate(_replayed(rows, lambda i, row: builds[keys[i]](row, shape))):
+        assert page[:len(built), i].tobytes() == np.array([x.matrix for x in built]).tobytes()
 
 
 def test_commutative_disagreement_warns_and_fails_the_row(monkeypatch):
