@@ -480,16 +480,16 @@ class PreservationReport:
 
 
 def _judge_one(T: LinearMap, pair: tuple, output_kind: CompatKind,
-               tol: ToleranceConfig) -> tuple[float, str]:
+               tol: ToleranceConfig) -> tuple[float, bool]:
     """The compatibility defect at ``output_kind`` of the images of the
-    (source, a, b, defect) ``pair`` and a source suffix, from ``T.apply`` and
-    ``compat_defect``; for an image outside the unit ball, its norm excess,
-    from ``_judge`` of the pair as a stack of one."""
+    (source, a, b, defect) ``pair`` and whether an image left the unit ball,
+    from ``T.apply`` and ``compat_defect``; for an image outside the ball,
+    its norm excess, from ``_judge`` of the pair as a stack of one."""
     try:
-        return compat_defect(T.apply(pair[1]), T.apply(pair[2]), output_kind, tol).defect, ""
+        return compat_defect(T.apply(pair[1]), T.apply(pair[2]), output_kind, tol).defect, False
     except NotContraction:
         stacks = np.array([[pair[1].matrix], [pair[2].matrix]])
-        return float(_judge(T, stacks, output_kind, tol)[0][0]), "+noncontractive-image"
+        return float(_judge(T, stacks, output_kind, tol)[0][0]), True
 
 
 def _judge(T: LinearMap, stacks: np.ndarray, output_kind: CompatKind,
@@ -541,9 +541,9 @@ def _judged_pairs(
         yield _Judged(0, [pair[0] for pair in fixed], stacks,
                       np.array([pair[3] for pair in fixed]), *_judge(T, stacks, output_kind, tol))
     for start, pair in enumerate([] if stack_fixed else fixed):
-        out_defect, suffix = _judge_one(T, pair, output_kind, tol)
+        out_defect, outside = _judge_one(T, pair, output_kind, tol)
         yield _Judged(start, [pair[0]], np.stack([pair[1].matrix, pair[2].matrix])[:, None],
-                      np.array([pair[3]]), np.array([out_defect]), np.array([bool(suffix)]))
+                      np.array([pair[3]]), np.array([out_defect]), np.array([outside]))
     start, rng = len(fixed), np.random.default_rng(seed)
     for names, stacks, in_defects in _drawn_pairs(shape, kind, rng, tol, n_pairs - start):
         yield _Judged(start, names, stacks, in_defects, *_judge(T, stacks, output_kind, tol))

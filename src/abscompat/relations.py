@@ -85,7 +85,8 @@ def _beyond_ball(excess, tol: ToleranceConfig):
 class _CompatStack(NamedTuple):
     """Per pair: the defect at the kind asked for, each side's defect, both norms
     and the excess max(||a||, ||b||) - 1; per block, the (sides, operands, N, d, d)
-    absolute values and the (2, sides, N, d, d) | |a|-|b| | and | 1-|a|-|b| |."""
+    absolute values and the (2, sides, N, d, d) | |a|-|b| | and | 1-|a|-|b| |;
+    and whether any operand's norm is above 1, decided once per call."""
 
     defect: np.ndarray
     sides: dict[CompatKind, np.ndarray]
@@ -93,6 +94,7 @@ class _CompatStack(NamedTuple):
     norm_b: np.ndarray
     excess: np.ndarray
     terms: list[tuple[np.ndarray, np.ndarray]]
+    above_one: bool
 
 
 _TERMS = ("abs_a", "abs_b", "abs_diff", "unit_gap")  # compat_defect's witnesses per side
@@ -117,7 +119,7 @@ def _compat_stack(
     absolutes, block_norms = zip(*(_abs_parts(operands[..., sl, sl], *wanted)
                                    for sl in shape.block_slices()))
     norm = reduce(np.maximum, block_norms)
-    if norm.max() > 1.0:
+    if above_one := norm.max() > 1.0:
         band = ((norm > 1.0) & ~_beyond_ball(norm - 1.0, tol))[..., None, None]
         scale = np.where(band, norm[..., None, None], 1.0)
         absolutes = [np.where(band, x / scale, x) for x in absolutes]
@@ -131,7 +133,7 @@ def _compat_stack(
     # the larger of the first and last rows: a single row is its own
     per_side, norm_a, norm_b = reduce(np.maximum, residuals), norm[0], norm[-1]
     return _CompatStack(np.maximum(per_side[0], per_side[-1]), dict(zip(sides, per_side)),
-                        norm_a, norm_b, np.maximum(norm_a, norm_b) - 1.0, terms)
+                        norm_a, norm_b, np.maximum(norm_a, norm_b) - 1.0, terms, above_one)
 
 
 def _operand(label: str, i: int, n: int) -> str:
@@ -146,7 +148,7 @@ def _gated(
     """``_compat_stack`` of (N, n, n) stacks of contractions, and a, b gated
     into the unit ball: renormalized from norms above 1, NotContraction beyond."""
     k = _compat_stack(a, b, shape, kind, tol)
-    if k.excess.max() <= 0.0:
+    if not k.above_one:
         return k, a, b
     gated = []
     for label, x, norm in (("first operand", a, k.norm_a), ("second operand", b, k.norm_b)):

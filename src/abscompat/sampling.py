@@ -14,11 +14,13 @@ public API hands them out.
 Every draw is a page. Each block recipe draws the random numbers of a page's
 rows of one recipe, with one Generator call per array, and builds their
 blocks from them at once (Haar QR and phase fixing, norms, products), which
-draws nothing; ``_assemble`` places the blocks into block-diagonal ``(N, D,
-D)`` stacks. Numpy's stacked ``qr``, ``matmul`` and ``svd`` give each matrix
-the bytes a call on it alone gives, so no row depends on its stack.
-``rand_*``, ``sample_*`` and ``PairGenerator.draw`` are pages of one;
-``_elements`` and the suites' batteries draw larger pages.
+draws nothing; a page recipe writes each block's stack into block-diagonal
+``(N, D, D)`` stacks (``_drawing``). Rows that take different ranks or
+recipes are built key by key and put back in row order by ``_by_key``.
+Numpy's stacked ``qr``, ``matmul`` and ``svd`` give each matrix the bytes a
+call on it alone gives, so no row depends on its stack. ``rand_*``,
+``sample_*`` and ``PairGenerator.draw`` are pages of one; ``_elements`` and
+the suites' batteries draw larger pages.
 """
 
 from __future__ import annotations
@@ -58,32 +60,33 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# block recipes: the blocks of a group of rows, drawn and built in one step
+# block recipes: the blocks of a page's rows, drawn and built in one step
 # ---------------------------------------------------------------------------
 # A block recipe ``_*_draw(rng, n, count)`` takes the random numbers of
 # ``count`` n x n blocks, one Generator call per array for all, builds them
 # (Haar QR and phase fixing, norms, products), which draws nothing, and returns
-# its groups ``(rows, outputs)``: the rows (an index array or ``_ALL``) and the
-# (M, n, n) stacks of their M blocks' outputs. Rows that differ in a key (a
-# rank, or whether a value was drawn) are built in one group per key.
-
-_ALL = slice(None)  # every row
+# the (count, n, n) stacks of their outputs. Rows that differ in a key (a rank,
+# or a recipe picked per row) are built by ``_by_key``.
 
 
-def _keyed(keys: list) -> list[tuple]:
-    """The ``(key, rows)`` groups of one key per row, in key order (one key: ``_ALL``)."""
+def _by_key(build, keys: list, *data: np.ndarray):
+    """The outputs ``build(key, *rows of data)`` of each key's rows, built in
+    key order and put back in row order, as one ``(outputs, rows, ...)``
+    array (one key: as built)."""
     if len(set(keys)) == 1:
-        return [(keys[0], _ALL)]
+        return build(keys[0], *data)
     groups: dict = {}
     for row, key in enumerate(keys):
         groups.setdefault(key, []).append(row)
-    return sorted((key, np.array(rows)) for key, rows in groups.items())
-
-
-def _groups(build, keys: list, *data: np.ndarray) -> list[tuple]:
-    """The ``(rows, outputs)`` groups of a recipe's rows by their ``keys``: the
-    outputs ``build(key, *data)`` of each group's rows of ``data``."""
-    return [(rows, build(key, *(x[rows] for x in data))) for key, rows in _keyed(keys)]
+    out = None
+    for key in sorted(groups):
+        rows = np.array(groups[key])
+        built = build(key, *(x[rows] for x in data))
+        if out is None:
+            out = np.empty((len(built), len(keys), *built[0].shape[1:]), dtype=np.complex128)
+        for o, x in zip(out, built):
+            o[rows] = x
+    return out
 
 
 def _ints(rng: np.random.Generator, high: int, count: int) -> list[int]:
@@ -107,75 +110,62 @@ def _haar(z: np.ndarray) -> np.ndarray:
 
 
 def _unitary_draw(rng: np.random.Generator, n: int, count: int):
-    return [(_ALL, (_haar(rng.standard_normal((count, 2, n, n))),))]
+    return (_haar(rng.standard_normal((count, 2, n, n))),)
 
 
-def _scaled(rng: np.random.Generator, g: np.ndarray) -> tuple[list, np.ndarray]:
-    """Which rows of g are nonzero, and their scales, drawn for those rows only."""
-    nonzero = g.reshape(len(g), -1).any(axis=1).tolist()
-    scale = drawn = rng.uniform(0.05, 1.0, size=sum(nonzero))
-    if not all(nonzero):  # measure zero, but keep it total
-        np.place(scale := np.zeros(len(g)), nonzero, drawn)
-    return nonzero, scale
+def _scaled(rng: np.random.Generator, g: np.ndarray) -> np.ndarray:
+    """Each g rescaled to an operator norm drawn uniform in [0.05, 1), one
+    value per nonzero g; zero g draw none and stay zero."""
+    nonzero = g.reshape(len(g), -1).any(axis=1)  # all, but for a measure-zero draw
+    scale = np.zeros(len(g))
+    scale[nonzero] = rng.uniform(0.05, 1.0, size=int(nonzero.sum()))
+    return g * (scale / np.where(nonzero, _op_norm(g), 1.0))[:, None, None]
 
 
 def _contraction_draw(rng: np.random.Generator, n: int, count: int):
-    # a Ginibre matrix is zero exactly when its normal draws are
-    z = rng.standard_normal((count, 2, n, n))
-    return _groups(_contraction_build, *_scaled(rng, z), z)
-
-
-def _contraction_build(nonzero, scale, z):
-    return _scaled_build(nonzero, scale, _ginibre(z))
+    return (_scaled(rng, _ginibre(rng.standard_normal((count, 2, n, n)))),)
 
 
 def _hermitian_contraction_draw(rng: np.random.Generator, n: int, count: int):
-    h = _hermitize(_ginibre(rng.standard_normal((count, 2, n, n))))
-    return _groups(_scaled_build, *_scaled(rng, h), h)
-
-
-def _scaled_build(nonzero, scale, g):
-    """Each g rescaled to operator norm ``scale``; zero g stay zero."""
-    return (g * (scale / _op_norm(g))[:, None, None] if nonzero else g,)
+    return (_scaled(rng, _hermitize(_ginibre(rng.standard_normal((count, 2, n, n))))),)
 
 
 def _positive_contraction_draw(rng: np.random.Generator, n: int, count: int):
     w = _haar(rng.standard_normal((count, 2, n, n)))
-    return [(_ALL, (_weighted_gram(w, rng.random((count, n))),))]
+    return (_weighted_gram(w, rng.random((count, n))),)
 
 
 def _projection_draw(rng: np.random.Generator, n: int, count: int):
     ranks = _ints(rng, n + 1, count)
-    return _groups(_projection_build, ranks, rng.standard_normal((count, 2, n, n)))
+    return _by_key(_projection_build, ranks, _haar(rng.standard_normal((count, 2, n, n))))
 
 
-def _projection_build(rank, z):
-    cols = _haar(z)[..., :rank]
+def _projection_build(rank, w):
+    cols = w[..., :rank]
     return (_hermitize(cols @ _adj(cols)),)
 
 
 def _partial_isometry_draw(rng: np.random.Generator, n: int, count: int, scale: float = 1.0):
     """Partial isometries of random rank, times ``scale`` (as multiplying
     their elements by ``scale`` would)."""
-    keys = [(rank, scale) for rank in _ints(rng, n + 1, count)]
-    return _groups(_partial_isometry_build, keys, rng.standard_normal((count, 2, 2, n, n)))
+    ranks = _ints(rng, n + 1, count)
+    w = _haar(rng.standard_normal((count, 2, 2, n, n)))
+    (x,) = _by_key(_partial_isometry_build, ranks, w)
+    return (x if scale == 1.0 else x * complex(scale),)
 
 
-def _partial_isometry_build(key, z):
-    rank, scale = key
-    w = _haar(z)[..., :rank]
-    w = w[:, 0] @ _adj(w[:, 1])
-    return (w if scale == 1.0 else w * complex(scale),)
+def _partial_isometry_build(rank, w):
+    w = w[..., :rank]
+    return (w[:, 0] @ _adj(w[:, 1]),)
 
 
 def _orthogonal_draw(rng: np.random.Generator, n: int, count: int):
     ranks = _ints(rng, n + 1, count)
-    return _groups(_orthogonal_build, ranks, rng.standard_normal((count, 2, 2, n, n)),
-                   rng.random((count, n)))
+    w = _haar(rng.standard_normal((count, 2, 2, n, n)))
+    return _by_key(_orthogonal_build, ranks, w, rng.random((count, n)))
 
 
-def _orthogonal_build(k, z, d):
-    w = _haar(z)
+def _orthogonal_build(k, w, d):
     left, right = w[:, 0], w[:, 1]
     return (left[..., :k] @ _diag(d[:, :k]) @ _adj(right[..., :k]),
             left[..., k:] @ _diag(d[:, k:]) @ _adj(right[..., k:]))
@@ -200,8 +190,7 @@ def _diagonal_draw(*cases: str):
         v = base[picks := np.array(picks)]  # (n, count, 4), filled coordinate by coordinate
         v[slots[picks]] = np.concatenate(uniforms)
         v = v.swapaxes(0, 1)
-        return [(_ALL, tuple(_diag(v[..., s] * np.exp(2j * np.pi * v[..., s + 1]))
-                             for s in (0, 2)))]
+        return tuple(_diag(v[..., s] * np.exp(2j * np.pi * v[..., s + 1])) for s in (0, 2))
     return draw
 
 
@@ -213,10 +202,10 @@ def _conjugated_positive_draw(rng: np.random.Generator, n: int, count: int):
     """The standard 2x2 pair, zero-padded and unitarily conjugated (1x1:
     zeros, drawing nothing)."""
     if n < 2:
-        return [(_ALL, ())]  # the blocks stay zero
+        return ()  # the blocks stay zero
     w = _haar(rng.standard_normal((count, 2, n, n)))[:, None]
     pair = w @ _padded_positive_pair(n) @ _adj(w)
-    return [(_ALL, (pair[:, 0], pair[:, 1]))]
+    return pair[:, 0], pair[:, 1]
 
 
 @lru_cache
@@ -230,11 +219,7 @@ def _padded_positive_pair(n: int) -> np.ndarray:
 def _saturated_draw(rng: np.random.Generator, n: int, count: int):
     # (unitary, anything in the ball) always satisfies the identity.
     z, c = rng.standard_normal((count, 2, n, n)), rng.standard_normal((count, 2, n, n))
-    return _groups(_saturated_build, *_scaled(rng, c), z, c)
-
-
-def _saturated_build(nonzero, scale, z, c):
-    return _haar(z), *_contraction_build(nonzero, scale, c)
+    return _haar(z), _scaled(rng, _ginibre(c))
 
 
 def _mixed_draw(rng: np.random.Generator, n: int, count: int):
@@ -242,10 +227,8 @@ def _mixed_draw(rng: np.random.Generator, n: int, count: int):
     each recipe's rows in recipe order; 1x1 blocks skip the conjugated pair."""
     recipes = (_orthogonal_draw, _diagonal_compat_draw, _saturated_draw,
                _conjugated_positive_draw)
-    rows = np.arange(count)
-    return [(rows[picked][sub], outputs)
-            for r, picked in _keyed(_ints(rng, 4 if n >= 2 else 3, count))
-            for sub, outputs in recipes[r](rng, n, len(rows[picked]))]
+    return _by_key(lambda r, rows: recipes[r](rng, n, len(rows)),
+                   _ints(rng, 4 if n >= 2 else 3, count), np.arange(count))
 
 
 def _spectral_pair_draw(weights):
@@ -255,8 +238,7 @@ def _spectral_pair_draw(weights):
     def draw(rng: np.random.Generator, n: int, count: int):
         w = _haar(rng.standard_normal((count, 2, n, n)))
         u = rng.random((count, 2, n))
-        return [(_ALL, tuple((w * s[..., None, :]) @ _adj(w)
-                             for s in weights(u[:, 0] < 0.5, u[:, 1])))]
+        return tuple((w * s[..., None, :]) @ _adj(w) for s in weights(u[:, 0] < 0.5, u[:, 1]))
     return draw
 
 
@@ -269,36 +251,26 @@ _orthogonal_positive_draw = _spectral_pair_draw(
 
 
 # ---------------------------------------------------------------------------
-# pages and their assembly into stacks
+# pages: block-diagonal stacks of a page's rows
 # ---------------------------------------------------------------------------
-# A page recipe ``recipe(rng, shape, rows)`` returns the ``_blocks`` jobs of the
-# page rows ``rows`` (an index array).
-
-
-def _blocks(rng: np.random.Generator, shape: AlgebraShape, draw, rows: np.ndarray,
-            outs: tuple[int, ...] = (0, 1)) -> list[tuple]:
-    """Jobs ``(outs, block, rows, blocks)``: ``draw``'s groups of the page rows
-    ``rows`` for each block of ``shape`` in turn, filling outputs ``outs``."""
-    return [(outs, i, rows[sub], blocks)
-            for i, n in enumerate(shape.block_dims)
-            for sub, blocks in draw(rng, n, len(rows))]
-
-
-def _assemble(shape: AlgebraShape, jobs: list[tuple], count: int) -> np.ndarray:
-    """The ``(outputs, count, D, D)`` block-diagonal stacks of ``shape`` with
-    the blocks of the ``_blocks`` jobs of a page of ``count`` rows in place."""
-    d, n_out = shape.total_dim, 1 + max(max(outs) for outs, *_ in jobs)
-    out, slices = np.zeros((n_out, count, d, d), dtype=np.complex128), shape.block_slices()
-    for outs, block, rows, blocks in jobs:
-        for o, x in zip(outs, blocks):
-            out[o, rows, slices[block], slices[block]] = x
-    return out
+# A page recipe ``recipe(rng, shape, count)`` returns the ``(outputs, count, D,
+# D)`` block-diagonal stacks of a page of ``count`` rows.
 
 
 def _drawing(*parts: tuple):
-    """The page recipe of ``parts``, ``(block recipe, outputs)`` pairs drawn in turn."""
-    def recipe(rng: np.random.Generator, shape: AlgebraShape, rows: np.ndarray) -> list:
-        return [job for draw, outs in parts for job in _blocks(rng, shape, draw, rows, outs)]
+    """The page recipe of ``parts``, ``(block recipe, outputs)`` pairs drawn in
+    turn, each on every block of the shape in turn; its outputs fill the
+    outputs listed, and the blocks it leaves out stay zero."""
+    n_out = 1 + max(max(outs) for _, outs in parts)
+
+    def recipe(rng: np.random.Generator, shape: AlgebraShape, count: int) -> np.ndarray:
+        d = shape.total_dim
+        out = np.zeros((n_out, count, d, d), dtype=np.complex128)
+        for draw, outs in parts:
+            for n, sl in zip(shape.block_dims, shape.block_slices()):
+                for o, x in zip(outs, draw(rng, n, count)):
+                    out[o, :, sl, sl] = x
+        return out
     return recipe
 
 
@@ -310,19 +282,21 @@ def _two(draw):  # the page recipe of two independent elements of a block recipe
     return _drawing((draw, (0,)), (draw, (1,)))
 
 
-def _picked(rng: np.random.Generator, shape: AlgebraShape, recipes, rows: np.ndarray,
-            keys: list | None = None) -> tuple[list[int], list[tuple]]:
-    """The keys and jobs of the page rows ``rows``: each recipe's rows (row i: the page
-    recipe ``recipes[keys[i]]``), in recipe order, take its draws. Keys None: one
-    call picks them (one recipe draws nothing to pick)."""
+def _picked(rng: np.random.Generator, shape: AlgebraShape, recipes, count: int,
+            keys: list | None = None) -> tuple[list[int], np.ndarray]:
+    """The keys and stacks of a page of ``count`` rows: row i takes the page
+    recipe ``recipes[keys[i]]``, and each recipe's rows, in recipe order, take
+    their draws (``_by_key``). Keys None: one call picks them (one recipe
+    draws nothing to pick)."""
     if keys is None:
-        keys = _ints(rng, len(recipes), len(rows)) if len(recipes) > 1 else [0] * len(rows)
-    return keys, [job for r, sub in _keyed(keys) for job in recipes[r](rng, shape, rows[sub])]
+        keys = _ints(rng, len(recipes), count) if len(recipes) > 1 else [0] * count
+    return keys, _by_key(lambda r, rows: recipes[r](rng, shape, len(rows)), keys,
+                         np.arange(count))
 
 
 def _elements(rng: np.random.Generator, shape: AlgebraShape, draw, count: int) -> np.ndarray:
     """A page of ``count`` elements of ``shape`` from ``draw``: a (count, D, D) stack."""
-    return _assemble(shape, _blocks(rng, shape, draw, np.arange(count), (0,)), count)[0]
+    return _drawing((draw, (0,)))(rng, shape, count)[0]
 
 
 def _wrapped(shape: AlgebraShape, stacks: np.ndarray, row: int = 0) -> tuple:
@@ -445,8 +419,8 @@ def _page(rng: np.random.Generator, shape: AlgebraShape, recipes,
           size: int) -> tuple[list[str], np.ndarray]:
     """The next ``size`` candidates, as recipe names and ``(2, size, D, D)`` stacks
     (``_picked`` over the page recipes of ``recipes``)."""
-    picks, jobs = _picked(rng, shape, [recipe for _, recipe in recipes], np.arange(size))
-    return [recipes[r][0] for r in picks], _assemble(shape, jobs, size)
+    picks, stacks = _picked(rng, shape, [recipe for _, recipe in recipes], size)
+    return [recipes[r][0] for r in picks], stacks
 
 
 @dataclass
@@ -571,8 +545,8 @@ def compatible_pairs(
 def _cases(wide: tuple, narrow: tuple):
     """The page recipe that picks each row's case in one call, from ``wide`` on a
     shape with a block of size 2 or more and from ``narrow`` on any other."""
-    def recipe(rng: np.random.Generator, shape: AlgebraShape, rows: np.ndarray) -> list:
-        return _picked(rng, shape, wide if max(shape.block_dims) >= 2 else narrow, rows)[1]
+    def recipe(rng: np.random.Generator, shape: AlgebraShape, count: int) -> np.ndarray:
+        return _picked(rng, shape, wide if max(shape.block_dims) >= 2 else narrow, count)[1]
     return recipe
 
 
@@ -593,11 +567,11 @@ def sample_general_pair(
 ) -> tuple[AlgebraElement, AlgebraElement]:
     """Contraction pairs mixing orthogonal constructions, conjugated
     compatible pairs, Hermitian/positive pairs and plain random contractions."""
-    return _wrapped(shape, _assemble(shape, _general_pair(rng, shape, np.arange(1)), 1))
+    return _wrapped(shape, _general_pair(rng, shape, 1))
 
 
 def sample_positive_pair(
     rng: np.random.Generator, shape: AlgebraShape
 ) -> tuple[AlgebraElement, AlgebraElement]:
     """Positive contraction pairs, a mix of compatible and incompatible ones."""
-    return _wrapped(shape, _assemble(shape, _positive_pair(rng, shape, np.arange(1)), 1))
+    return _wrapped(shape, _positive_pair(rng, shape, 1))

@@ -3,8 +3,8 @@ characterization, used by the ``verify-suite`` command and the acceptance
 tests. Each suite returns a SuiteResult with trial counts, failures,
 indeterminate (near-threshold) counts and the worst defect observed.
 ``_tally`` builds each row but the consistency batteries' and the audit
-rows; a fixed-case row counts each case as one check with defect 0, and its
-note joins the failed cases' notes.
+rows; a fixed-case row (``_fixed_cases``) counts each case as one check
+with defect 0, and its note joins the failed cases' notes.
 
 Every randomized battery (linear-algebra invariants, the triple product's
 conjugate-linearity, relation invariants, the characterizations and the
@@ -53,19 +53,16 @@ from .relations import (
     _tripotent_reports,
 )
 from .sampling import (
-    _ALL,
     _STACK_MAX,
-    _assemble,
+    _by_key,
     _contraction_draw,
     _diagonal_draw,
     _drawing,
     _elements,
     _fixed_pairs,
     _general_pair,
-    _groups,
     _hermitian_contraction_draw,
     _ints,
-    _keyed,
     _orthogonal_draw,
     _pair,
     _partial_isometry_draw,
@@ -110,14 +107,13 @@ def _in_pages(rng: np.random.Generator, shapes: list[AlgebraShape], on, recipes,
     draws the page recipe ``recipes[by[i]]`` (by None: ``recipes[0]``). Shape by
     shape in index order, the shape's trials make pages of at most
     ``_STACK_MAX`` rows; each recipe's rows of a page, in recipe order, take
-    their draws, then the page is built and judged."""
-    results = []
-    for s, trials in _keyed(on):
-        trials = np.arange(len(on))[trials]
+    their draws and build their stacks (``_picked``), then the page is judged."""
+    results, on = [], np.asarray(on)
+    for s in sorted(set(on.tolist())):
+        trials = np.flatnonzero(on == s)
         for page in np.split(trials, range(_STACK_MAX, len(trials), _STACK_MAX)):
             keys = [0] * len(page) if by is None else [by[i] for i in page.tolist()]
-            jobs = _picked(rng, shapes[s], recipes, np.arange(len(page)), keys)[1]
-            results += judge(shapes[s], *_assemble(shapes[s], jobs, len(page)))
+            results += judge(shapes[s], *_picked(rng, shapes[s], recipes, len(page), keys)[1])
     return results
 
 
@@ -128,6 +124,12 @@ def _tally(name: str, checks, note: str = "") -> SuiteResult:
     fails = sum(int(failed) for _, failed in checks)
     worst = max([0.0] + [defect for defect, _ in checks])
     return SuiteResult(name, len(checks), fails, 0, worst, fails == 0, note)
+
+
+def _fixed_cases(name: str, cases: list[tuple[bool, str]]) -> SuiteResult:
+    """The ``_tally`` row of fixed ``(failed, note)`` cases."""
+    return _tally(name, [(0.0, failed) for failed, _ in cases],
+                  "; ".join(note for failed, note in cases if failed))
 
 
 # ---------------------------------------------------------------------------
@@ -142,24 +144,24 @@ def _square_draw(rng: np.random.Generator, n: int, count: int, deficient: bool =
     m = z[:, 0] + 1j * z[:, 1]
     if deficient:
         m[..., 0] = m[..., -1]
-    return [(_ALL, (m,))]
+    return (m,)
 
 
 def _qr_projection_draw(rng: np.random.Generator, n: int, count: int):
     """The projection onto the first k columns (k drawn after the matrix) of
     the QR factor of a ``_square_draw`` matrix."""
-    [(_, (m,))] = _square_draw(rng, n, count)
-    return _groups(_qr_projection_build, _ints(rng, n + 1, count), m)
+    q = np.linalg.qr(_square_draw(rng, n, count)[0])[0]
+    return _by_key(_qr_projection_build, _ints(rng, n + 1, count), q)
 
 
-def _qr_projection_build(k, m):
-    cols = np.linalg.qr(m)[0][..., :k]
+def _qr_projection_build(k, q):
+    cols = q[..., :k]
     return (cols @ _adj(cols),)
 
 
 def _uniform_diagonal_draw(rng: np.random.Generator, n: int, count: int):
     """Diagonal matrices of n uniform values in [0, 2)."""
-    return [(_ALL, (_diag(2.0 * rng.random((count, n))),))]
+    return (_diag(2.0 * rng.random((count, n))),)
 
 
 def suite_linalg_invariants(
@@ -459,8 +461,7 @@ def suite_fuzz_regressions(
          "half-map witness not in seeded prefix"),
         (star is not None, f"false positive on a star-hom at index {getattr(star, 'index', None)}"),
     ]
-    return _tally("counterexample fuzzing regressions", [(0.0, failed) for failed, _ in cases],
-                  "; ".join(note for failed, note in cases if failed))
+    return _fixed_cases("counterexample fuzzing regressions", cases)
 
 
 def suite_classification(
@@ -482,8 +483,7 @@ def suite_classification(
     for tmap, hom, anti, note in expected:
         cls = classify_triple_hom(tmap, tol)
         cases.append(((cls.hom_block_indices, cls.antihom_block_indices) != (hom, anti), note))
-    return _tally("triple-hom classification", [(0.0, failed) for failed, _ in cases],
-                  "; ".join(note for failed, note in cases if failed))
+    return _fixed_cases("triple-hom classification", cases)
 
 
 def suite_determinism(
@@ -501,8 +501,7 @@ def suite_determinism(
         reports.append((rep.verdict, rep.violations, rep.max_output_defect))
     cases = [(witnesses[0] != witnesses[1], "fuzz witness differs on replay"),
              (reports[0] != reports[1], "audit report differs on replay")]
-    return _tally("deterministic replay", [(0.0, failed) for failed, _ in cases],
-                  "; ".join(note for failed, note in cases if failed))
+    return _fixed_cases("deterministic replay", cases)
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ def test_strategies_emit_compatible_pairs(strategy):
 
 def _recipe_page(rng, shape, draw, count):
     """A page of ``count`` raw candidates of the pair block recipe ``draw``."""
-    return sampling._assemble(shape, sampling._blocks(rng, shape, draw, np.arange(count)), count)
+    return sampling._pair(draw)(rng, shape, count)
 
 
 def _recipe_pairs(draw, shape, seed, count):
@@ -316,14 +316,14 @@ def test_generator_draw_is_the_frozen_recipe(dims):
 
 @pytest.mark.parametrize("dims", FROZEN_DIMS)
 def test_interleaved_recipes_assemble_to_each_recipes_bytes(dims):
-    # a page of the stream mixes recipes in one _assemble: each recipe's
-    # scattered rows hold the bytes of its rows assembled alone
+    # a page of the stream mixes recipes through one _by_key scatter: each
+    # recipe's scattered rows hold the bytes of its rows drawn alone
     shape, rng = AlgebraShape(dims), np.random.default_rng(5)
     recipes = [draw for name, draw, _ in _PAIR_RECIPES if not _narrow(dims, name)]
     order = rng.permutation(np.repeat(range(len(recipes)), 9))
-    jobs = [job for i, draw in enumerate(recipes) for job in sampling._blocks(
-        np.random.default_rng(3), shape, draw, np.flatnonzero(order == i))]
-    together = sampling._assemble(shape, jobs, len(order))
+    together = sampling._by_key(lambda i, rows: _recipe_page(
+        np.random.default_rng(3), shape, recipes[i], len(rows)), order.tolist(),
+        np.arange(len(order)))
     for i, draw in enumerate(recipes):
         alone = _recipe_page(np.random.default_rng(3), shape, draw, 9)
         assert together[:, order == i].tobytes() == alone.tobytes()
@@ -365,13 +365,50 @@ def test_samplers_match_the_frozen_recipes(dims):
                 a, b = getattr(sampling, name)(rng, shape)
                 _same_bytes([a.matrix, b.matrix], frozen_sampler(ref, shape))
             for count in STACK_COUNTS:
-                a, b = sampling._assemble(shape, recipe(rng, shape, np.arange(count)), count)
+                a, b = recipe(rng, shape, count)
                 rows = replay.page(ref, shape, page_recipe, count)
                 reference = _replayed(rows, lambda row: frozen_sampler(row, shape))
                 _same_bytes(a, [p[0] for p in reference])
                 _same_bytes(b, [p[1] for p in reference])
         x = rng.standard_normal(4)
         assert x.tobytes() == ref.standard_normal(4).tobytes()  # nothing drawn extra
+
+
+class _ZeroRow:
+    """A generator whose normal draws are a real generator's with row ``row``
+    zeroed (``drop``: one more row drawn and that row deleted), recording the
+    size of each uniform draw."""
+
+    def __init__(self, seed, row, drop=False):
+        self.rng, self.row, self.drop, self.uniforms = np.random.default_rng(seed), row, drop, []
+
+    def standard_normal(self, size):
+        if self.drop:
+            return np.delete(self.rng.standard_normal((size[0] + 1, *size[1:])), self.row, 0)
+        z = self.rng.standard_normal(size)
+        z[self.row] = 0.0
+        return z
+
+    def uniform(self, low, high, size):
+        self.uniforms.append(size)
+        return self.rng.uniform(low, high, size)
+
+
+@pytest.mark.parametrize("draw", [sampling._contraction_draw,
+                                  sampling._hermitian_contraction_draw])
+def test_a_zero_draw_stays_zero_and_draws_no_scale(draw):
+    # normals that are all zero on one row (measure zero for a real
+    # generator): that row stays exactly zero and takes no uniform, and the
+    # other rows hold the bytes of their own numbers drawn without it
+    shape, count, row = AlgebraShape((3,)), 9, 4
+    zeroed, dropped = _ZeroRow(8, row), _ZeroRow(8, row, drop=True)
+    page = sampling._elements(zeroed, shape, draw, count)
+    assert zeroed.uniforms == [count - 1]
+    assert np.isfinite(page).all() and not page[row].any()
+    rest = sampling._elements(dropped, shape, draw, count - 1)
+    assert np.delete(page, row, axis=0).tobytes() == rest.tobytes()
+    real = sampling._elements(np.random.default_rng(8), shape, draw, count)
+    assert page[:row].tobytes() == real[:row].tobytes()
 
 
 # ---------------------------------------------------------------------------

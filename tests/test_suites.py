@@ -461,13 +461,13 @@ def test_self_sizing_batteries_replay_pages_at_any_stack_cap(monkeypatch, cap):
     expected = [repr(dataclasses.asdict(r)) for seed in (0, 1) for r in [
         *_one_trial_linalg_invariants(seed, 60, tol, cap),
         _one_trial_commutative_crosscheck(seed, 60, tol, cap)]]
-    sizes, assemble = [], suites._assemble
+    sizes, picked = [], suites._picked
 
-    def counted(shape, jobs, count):
+    def counted(rng, shape, recipes, count, keys=None):
         sizes.append(count)
-        return assemble(shape, jobs, count)
+        return picked(rng, shape, recipes, count, keys)
 
-    monkeypatch.setattr(suites, "_assemble", counted)
+    monkeypatch.setattr(suites, "_picked", counted)
     monkeypatch.setattr(suites, "_STACK_MAX", cap)
     rows = [repr(dataclasses.asdict(r)) for seed in (0, 1) for r in
             [*suite_linalg_invariants(seed, 60), suite_commutative_crosscheck(seed, 60)]]
@@ -552,15 +552,13 @@ _BATTERY_PAGES = {  # per battery: its page recipes, their page order and their 
 def test_a_battery_page_is_its_rows_built_one_at_a_time(name, dims):
     # a page of 40 rows, its recipes keyed as _in_pages keys them: each row
     # holds the bytes of its own numbers, replayed in page order and built
-    # alone; the page draws exactly those numbers, and assembling it draws none
+    # alone; the page draws exactly those numbers
     shape, (recipes, page_recipes, builds) = AlgebraShape(dims), _BATTERY_PAGES[name]
     keys = np.random.default_rng(5).integers(len(recipes), size=40).tolist()
     rng, ref = np.random.default_rng(11), np.random.default_rng(11)
-    jobs = sampling._picked(rng, shape, recipes, np.arange(40), keys)[1]
-    state = rng.bit_generator.state
-    page = suites._assemble(shape, jobs, 40)
+    page = sampling._picked(rng, shape, recipes, 40, keys)[1]
     rows = replay.pages(ref, [shape], [0] * 40, page_recipes, keys)
-    assert rng.bit_generator.state == state == ref.bit_generator.state
+    assert rng.bit_generator.state == ref.bit_generator.state
     for i, built in enumerate(_replayed(rows, lambda i, row: builds[keys[i]](row, shape))):
         assert page[:len(built), i].tobytes() == np.array([x.matrix for x in built]).tobytes()
 
