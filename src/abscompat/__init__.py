@@ -27,7 +27,6 @@ from .linalg import (
 from .preservers import (
     LinearMap,
     PreservationReport,
-    Provenance,
     TripleHomClassification,
     Witness,
     build_block_map,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -36,7 +35,6 @@ from .sampling import _contraction_draw, _drawn_pairs, _elements, _fixed_pairs, 
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
-    "Provenance",
     "LinearMap",
     "PreservationReport",
     "Witness",
@@ -57,14 +55,6 @@ __all__ = [
 ]
 
 
-class Provenance(Enum):
-    STAR_HOM = "star_hom"
-    STAR_ANTI_HOM = "star_anti_hom"
-    SANDWICH = "sandwich"
-    TRANSPOSE = "transpose"
-    CUSTOM = "custom"
-
-
 MAX_TOTAL_DIM = 32
 """Largest total dimension of a map's domain or codomain: the m^2 x n^2 action
 takes 16 MiB at n = m = 32, and larger shapes are refused before allocating."""
@@ -83,18 +73,18 @@ def _check_map_shapes(*shapes: AlgebraShape) -> None:
 class LinearMap:
     """Complex-linear map given by its action matrix on vectorized elements.
 
+    A map is its two shapes and its action, which alone decides every check.
     The action has size (codomain total_dim^2) x (domain total_dim^2) and is
     masked so block-diagonal inputs produce block-diagonal outputs exactly.
     """
 
-    __slots__ = ("domain_shape", "codomain_shape", "action", "provenance")
+    __slots__ = ("domain_shape", "codomain_shape", "action")
 
     def __init__(
         self,
         domain_shape: AlgebraShape,
         codomain_shape: AlgebraShape,
         action: np.ndarray,
-        provenance: Provenance = Provenance.CUSTOM,
     ) -> None:
         _check_map_shapes(domain_shape, codomain_shape)
         n, m = domain_shape.total_dim, codomain_shape.total_dim
@@ -112,7 +102,6 @@ class LinearMap:
         object.__setattr__(self, "domain_shape", domain_shape)
         object.__setattr__(self, "codomain_shape", codomain_shape)
         object.__setattr__(self, "action", masked)
-        object.__setattr__(self, "provenance", provenance)
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("LinearMap is immutable")
@@ -140,7 +129,6 @@ def _map_from_block_action(
     domain: AlgebraShape,
     codomain: AlgebraShape,
     fn,
-    provenance: Provenance,
 ) -> LinearMap:
     """Assemble the action matrix column by column from a callable on full
     matrices (which must return block-diagonal output)."""
@@ -149,7 +137,7 @@ def _map_from_block_action(
     action = np.zeros((m * m, n * n), dtype=np.complex128)
     for col, e_ij in zip(np.flatnonzero(domain.inblock_mask), _basis_stack(domain)):
         action[:, col] = fn(e_ij).reshape(-1)
-    return LinearMap(domain, codomain, action, provenance)
+    return LinearMap(domain, codomain, action)
 
 
 def _check_unitary_block(w: np.ndarray, dim: int, tol: ToleranceConfig,
@@ -203,7 +191,6 @@ def build_block_map(
     transpose_flags: Sequence[bool] | None = None,
     unitaries: Sequence[np.ndarray | None] | None = None,
     tol: ToleranceConfig = DEFAULT_TOL,
-    provenance: Provenance = Provenance.CUSTOM,
 ) -> LinearMap:
     """Blockwise structural map: codomain block j receives domain block
     block_assignment[j] (None means zero), optionally transposed, then
@@ -231,7 +218,7 @@ def build_block_map(
             blocks.append(piece if w is None else w @ piece @ w.conj().T)
         return _block_diag(codomain, blocks)
 
-    return _map_from_block_action(domain, codomain, fn, provenance)
+    return _map_from_block_action(domain, codomain, fn)
 
 
 def build_star_hom(
@@ -245,10 +232,7 @@ def build_star_hom(
     block_assignment[j] conjugated by unitaries[j] (None means zero / identity).
 
     One domain block may feed several codomain blocks (x -> x (+) x style)."""
-    return build_block_map(
-        domain, codomain, block_assignment, None, unitaries, tol,
-        Provenance.STAR_HOM,
-    )
+    return build_block_map(domain, codomain, block_assignment, None, unitaries, tol)
 
 
 def build_star_anti_hom(
@@ -259,16 +243,13 @@ def build_star_anti_hom(
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> LinearMap:
     """*-anti-homomorphism: blockwise transpose composed with a *-homomorphism."""
-    return build_block_map(
-        domain, codomain, block_assignment,
-        [True] * codomain.num_blocks, unitaries, tol,
-        Provenance.STAR_ANTI_HOM,
-    )
+    return build_block_map(domain, codomain, block_assignment,
+                           [True] * codomain.num_blocks, unitaries, tol)
 
 
 def transpose_map(shape: AlgebraShape) -> LinearMap:
     """Blockwise transpose, the canonical *-anti-automorphism."""
-    return _map_from_block_action(shape, shape, lambda x: x.T, Provenance.TRANSPOSE)
+    return _map_from_block_action(shape, shape, lambda x: x.T)
 
 
 def identity_map(shape: AlgebraShape) -> LinearMap:
@@ -276,8 +257,7 @@ def identity_map(shape: AlgebraShape) -> LinearMap:
 
 
 def scale_map(shape: AlgebraShape, factor: complex) -> LinearMap:
-    return _map_from_block_action(shape, shape, lambda x: complex(factor) * x,
-                                  Provenance.CUSTOM)
+    return _map_from_block_action(shape, shape, lambda x: complex(factor) * x)
 
 
 def build_sandwich(
@@ -288,8 +268,7 @@ def build_sandwich(
     u._check_same_shape(v)
     _check_unitary_block(u.matrix, u.shape.total_dim, tol, "u")
     _check_unitary_block(v.matrix, u.shape.total_dim, tol, "v")
-    return _map_from_block_action(u.shape, u.shape, lambda x: u.matrix @ x @ v.matrix,
-                                  Provenance.SANDWICH)
+    return _map_from_block_action(u.shape, u.shape, lambda x: u.matrix @ x @ v.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -684,4 +663,4 @@ def range_version_adapter(T: LinearMap) -> LinearMap:
     m, n = T.codomain_shape.total_dim, T.domain_shape.total_dim
     action = T.action.reshape(m, m, n, n).transpose(1, 0, 3, 2)
     action = action.reshape(m * m, n * n).conj()
-    return LinearMap(T.domain_shape, T.codomain_shape, action, Provenance.CUSTOM)
+    return LinearMap(T.domain_shape, T.codomain_shape, action)

@@ -22,7 +22,6 @@ from .linalg import _pairs
 from .preservers import (
     MAX_TOTAL_DIM,
     LinearMap,
-    Provenance,
     _check_map_shapes,
     build_block_map,
     build_sandwich,
@@ -152,11 +151,11 @@ _BUILDER_KINDS = ("star_hom", "star_anti_hom", "block_map", "sandwich",
 
 
 def map_to_dict(T: LinearMap) -> dict:
-    """Maps always serialize in raw-action form (builder files are inputs)."""
+    """Maps always serialize in raw-action form (builder files are inputs):
+    the two shapes and the action, nothing else."""
     return {
         "domain_shape": list(T.domain_shape.block_dims),
         "codomain_shape": list(T.codomain_shape.block_dims),
-        "provenance": T.provenance.value,
         "action": _pairs(T.action),
     }
 
@@ -181,10 +180,7 @@ def map_from_dict(payload: Any, tol: ToleranceConfig = DEFAULT_TOL) -> LinearMap
     if "action" in payload:
         n, m = domain.total_dim, codomain.total_dim
         action = _complex_array(payload["action"], (m * m, n * n), "action")
-        prov = payload.get("provenance", Provenance.CUSTOM.value)
-        if prov not in [p.value for p in Provenance]:
-            raise FileFormatError(f"unknown provenance {prov!r}")
-        return LinearMap(domain, codomain, action, Provenance(prov))
+        return LinearMap(domain, codomain, action)
 
     spec = payload["builder"]
     if not isinstance(spec, dict) or spec.get("kind") not in _BUILDER_KINDS:

@@ -28,7 +28,6 @@ from .linalg import (_abs_parts, _adj, _calculus, _diag, _hermitize, _op_norm, _
                      _range_projection)
 from .preservers import (
     LinearMap,
-    Provenance,
     _check_map_shapes,
     build_block_map,
     build_sandwich,
@@ -395,10 +394,11 @@ def suite_preservers(
 ) -> list[SuiteResult]:
     """Rows over the zoo of ``_built_triple_homs``: every map is a triple
     hom, its unit image is a partial isometry, it preserves full
-    compatibility and it factors through e* T; its *-anti-homomorphisms swap
-    domain and range compatibility."""
+    compatibility and it factors through e* T; its ``star-anti-hom M{d}``
+    entries swap domain and range compatibility."""
     rng = np.random.default_rng(seed)
-    maps = [tmap for _, tmap in _built_triple_homs(rng, dims, tol)]
+    zoo = _built_triple_homs(rng, dims, tol)
+    maps = [tmap for _, tmap in zoo]
 
     hom_checks, unit_checks, factorizations = [], [], []
     violations, worst_out = 0, 0.0
@@ -422,7 +422,7 @@ def suite_preservers(
         rows = zip(_op_norm(phi2 - phi @ phi).tolist(), _op_norm(tx - e.matrix @ phi).tolist())
         factorizations += [(max(d_sq, d_fac), d_sq > 1e-8 or d_fac > 1e-10) for d_sq, d_fac in rows]
 
-    anti_homs = [tmap for tmap in maps if tmap.provenance is Provenance.STAR_ANTI_HOM]
+    anti_homs = [tmap for name, tmap in zoo if name.startswith("star-anti-hom M")]
     swaps = [preserves_compat_sampled(anti, in_kind, n_pairs, seed + 977 * i, tol,
                                       output_kind=out_kind)
              for i, anti in enumerate(anti_homs)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from abscompat import AlgebraElement, AlgebraShape, Provenance
+from abscompat import AlgebraElement, AlgebraShape
 from abscompat.preservers import _map_from_block_action
 from abscompat.sampling import compatible_positive_pair_2x2, crossed_isometry_pair_2x2
 
@@ -65,13 +65,12 @@ def build_nonhom_zoo() -> dict:
     zoo = {}
     for n in (2, 3, 4):
         shape = AlgebraShape((n,))
-        zoo.update({f"{name} on M{n}": _map_from_block_action(shape, shape, fn,
-                                                              Provenance.CUSTOM)
+        zoo.update({f"{name} on M{n}": _map_from_block_action(shape, shape, fn)
                     for name, fn in _one_block_non_homs(n).items()})
     for dims in ((1, 1), (1, 2), (2, 3)):
         shape = AlgebraShape(dims)
         zoo[f"0.5 x (+) x on M{dims[0]}+M{dims[1]}"] = _map_from_block_action(
-            shape, shape, _half_first_block(shape), Provenance.CUSTOM)
+            shape, shape, _half_first_block(shape))
     return zoo
 
 

@@ -143,6 +143,7 @@ def test_criterion_07_preserver_suite():
     assert audit.failures == 0 and audit.passed
     swap = by_name["anti-homs swap domain/range compatibility"]
     assert swap.failures == 0 and swap.passed
+    assert swap.trials == 4 * 500  # two star-anti-homs, both kind orders
     hom = by_name["builders are triple homomorphisms"]
     assert hom.passed and hom.worst_defect <= 1e-9
     unit_pi = by_name["unit image is a partial isometry"]

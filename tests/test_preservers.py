@@ -14,7 +14,6 @@ from abscompat import (
     CompatKind,
     PairGenerator,
     PairStrategy,
-    Provenance,
     adjoint,
     build_block_map,
     build_sandwich,
@@ -196,7 +195,6 @@ class TestStarHom:
         T = build_star_hom(SH2, SH2, [0])
         x = rand_contraction(rng, SH2)
         np.testing.assert_array_equal(T.apply(x).matrix, x.matrix)
-        assert T.provenance is Provenance.STAR_HOM
 
     def test_unitary_conjugation_is_multiplicative(self, rng):
         w = rand_unitary(rng, SH2).blocks()[0]
@@ -975,7 +973,3 @@ class TestRangeVersionAdapter:
                                          T.apply(adjoint(b)),
                                          CompatKind.RANGE).verdict
                 assert s_keeps == t_on_adj
-
-
-def test_scale_map_provenance():
-    assert scale_map(SH2, 0.5).provenance is Provenance.CUSTOM

@@ -11,7 +11,6 @@ from abscompat import (
     LinearMap,
     PairGenerator,
     PairStrategy,
-    Provenance,
     compat_defect,
     fuzz_counterexample,
     generate_compat_pair,
@@ -603,7 +602,7 @@ def test_refutation_by_the_first_drawn_pair_draws_one_page(monkeypatch):
     # page, and the search judges it as one stack
     shape = AlgebraShape((2,))
     action = (identity_map(shape).action + transpose_map(shape).action) / 2.0
-    symmetrize = LinearMap(shape, shape, action, Provenance.CUSTOM)
+    symmetrize = LinearMap(shape, shape, action)
     pages, judged = _recording_draws(monkeypatch)
     w = fuzz_counterexample(symmetrize, CompatKind.FULL, seed=1)
     assert (w.index, w.source) == (3, "conjugated_positive_pair")

@@ -13,7 +13,6 @@ from abscompat import (
     build_sandwich,
     build_star_anti_hom,
     build_star_hom,
-    scale_map,
     transpose_map,
     unit,
 )
@@ -107,7 +106,10 @@ class TestMapFiles:
         save_map(T, path)
         back = load_map(path)
         np.testing.assert_allclose(back.action, T.action, atol=0)
-        assert back.provenance is T.provenance
+
+    def test_map_file_holds_the_shapes_and_the_action_only(self):
+        payload = map_to_dict(build_star_hom(SH2, AlgebraShape((2, 2)), [0, 0]))
+        assert list(payload) == ["domain_shape", "codomain_shape", "action"]
 
     def test_serialize_parse_serialize_idempotent(self, rng):
         T = transpose_map(AlgebraShape((2, 1)))
@@ -214,12 +216,15 @@ class TestMapValidation:
             map_from_dict({"domain_shape": [2], "codomain_shape": [3],
                            "builder": {"kind": "transpose"}})
 
-    def test_unknown_provenance(self):
-        T = scale_map(SH2, 0.5)
+    @pytest.mark.parametrize("tag", ["star_hom", "alien"])
+    def test_old_provenance_key_is_ignored(self, rng, tmp_path, tag):
+        # raw-action files written before maps dropped their provenance tag
+        # carry a "provenance" key; they load to the same action
+        T = build_sandwich(rand_unitary(rng, SH2), rand_unitary(rng, SH2))
         payload = map_to_dict(T)
-        payload["provenance"] = "alien"
-        with pytest.raises(FileFormatError):
-            map_from_dict(payload)
+        path = tmp_path / "old.json"
+        path.write_text(dumps_canonical({**payload, "provenance": tag}), encoding="utf-8")
+        assert load_map(path).action.tobytes() == map_from_dict(payload).action.tobytes()
 
     def test_transpose_flags_validated(self):
         with pytest.raises(FileFormatError):
